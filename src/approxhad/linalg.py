@@ -1,10 +1,16 @@
 """Exact integer Gram algebra and floating spectral computations.
 
-Condition numbers are always derived from the exact integer Gram matrix
-A^T A: its entries are computed in integer arithmetic, and kappa is
-sqrt(lambda_max / lambda_min) of a symmetric eigendecomposition.  This
-gives ~1e-12 relative accuracy at the orders we care about (n <= 64),
-which is what the 10-significant-digit reporting convention needs.
+Condition numbers are always derived from the exact Gram matrix A^T A
+of a +-1 matrix, and kappa is sqrt(lambda_max / lambda_min) of a
+symmetric eigendecomposition.  The Gram is formed by a float64 BLAS
+product, which is exact: every entry of A^T A and every partial sum on
+the way to it is an integer of magnitude <= n, and binary64 represents
+all integers up to 2^53, so no summation order or fused multiply-add can
+round.  The float64 Gram therefore equals the int64 one bit for bit for
+any n < 2^53, and its eigenvalues are those of the exact Gram up to the
+eigensolver's ~1e-12 relative accuracy at the orders we care about
+(n <= 64), which is what the 10-significant-digit reporting convention
+needs.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ __all__ = [
     "PerturbationReport",
     "SINGULAR_TOLERANCE_PER_N",
     "gram",
+    "gram_float64",
     "condition_number",
     "condition_number_orth_perturbed",
     "charpoly_exact",
@@ -161,9 +168,17 @@ def gram(A: SignMatrix) -> GramMatrix:
     return GramMatrix(a.T @ a)
 
 
-def _spectral_from_gram(g: np.ndarray) -> SpectralReport:
-    n = g.shape[0]
-    ev = np.linalg.eigvalsh(g.astype(np.float64))
+def gram_float64(a: np.ndarray) -> np.ndarray:
+    """Exact A^T A of a +-1 matrix, or of each in a stack (..., n, n), as
+    float64 through BLAS; see the module docstring for why it is exact."""
+    f = np.asarray(a, dtype=np.float64)
+    return np.swapaxes(f, -1, -2) @ f
+
+
+def condition_number(A: SignMatrix) -> SpectralReport:
+    """kappa(A) = sigma_max/sigma_min via eigenvalues of the exact Gram."""
+    n = A.n
+    ev = np.linalg.eigvalsh(gram_float64(A.entries))
     lmin = float(ev[0])
     lmax = float(ev[-1])
     sigma_max = math.sqrt(max(lmax, 0.0))
@@ -181,39 +196,15 @@ def _spectral_from_gram(g: np.ndarray) -> SpectralReport:
     )
 
 
-def condition_number(A: SignMatrix) -> SpectralReport:
-    """kappa(A) = sigma_max/sigma_min via eigenvalues of the exact Gram."""
-    return _spectral_from_gram(gram(A).entries)
-
-
-def gram_condition_number(G: GramMatrix) -> SpectralReport:
-    """Spectral report of the sign matrix underlying an exact Gram."""
-    return _spectral_from_gram(G.entries)
-
-
-def operator_norm(E: np.ndarray, tol: float = 1e-10, max_iter: int = 2000) -> float:
-    """Largest singular value of a dense matrix.
-
-    Power iteration on E^T E from a fixed start vector; falls back to a
-    full SVD if the Rayleigh quotient has not settled within max_iter.
-    """
+def operator_norm(E: np.ndarray) -> float:
+    """Largest singular value of a dense matrix: sqrt of the top eigenvalue
+    of E^T E.  A full symmetric eigensolve cannot miss the top eigenvalue,
+    as power iteration does when its start vector lies in another
+    eigenspace."""
     E = np.asarray(E, dtype=np.float64)
     if E.size == 0:
         return 0.0
-    G = E.T @ E
-    v = np.ones(G.shape[0]) / math.sqrt(G.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w = G @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (G @ v))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1.0):
-            return math.sqrt(max(lam_new, 0.0))
-        lam = lam_new
-    return float(np.linalg.svd(E, compute_uv=False)[0])
+    return math.sqrt(max(float(np.linalg.eigvalsh(E.T @ E)[-1]), 0.0))
 
 
 def condition_number_orth_perturbed(M: np.ndarray, X: SignMatrix) -> PerturbationReport:

@@ -17,6 +17,7 @@ well), then lexicographically.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -28,7 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import SINGULAR_TOLERANCE_PER_N, SignMatrix, condition_number
+from .families import circulant
+from .linalg import (
+    SINGULAR_TOLERANCE_PER_N,
+    SignMatrix,
+    condition_number,
+    gram_float64,
+)
 
 __all__ = [
     "StructureClass",
@@ -108,53 +115,55 @@ class StructureClass:
 
     def build(self, n: int, bits: np.ndarray) -> np.ndarray:
         """Map a 0/1 vector to the matrix it encodes (int64 entries)."""
+        nbits, idx = _layout(self, n)
         bits = np.asarray(bits, dtype=np.int64)
-        if bits.shape != (self.n_bits(n),):
+        if bits.shape != (nbits,):
             raise ValueError(
-                f"expected {self.n_bits(n)} bits for {self.name} at n={n}, "
-                f"got {bits.shape}"
+                f"expected {nbits} bits for {self.name} at n={n}, got {bits.shape}"
             )
-        pm = bits * 2 - 1
-        if self.kind == "general":
-            a = np.ones((n, n), dtype=np.int64)
-            a[1:, 1:] = pm.reshape(n - 1, n - 1)
-            return a
-        if self.kind == "symmetric":
-            a = np.ones((n, n), dtype=np.int64)
-            core = np.ones((n - 1, n - 1), dtype=np.int64)
-            iu = np.triu_indices(n - 1)
-            core[iu] = pm
-            core.T[iu] = core[iu]
-            a[1:, 1:] = core
-            return a
-        if self.kind == "circulant":
-            return _circulant(pm)
-        if self.kind == "circulant_core":
-            a = np.ones((n, n), dtype=np.int64)
-            a[1:, 1:] = _circulant(pm)
-            return a
-        if self.kind == "two_block_circulant":
-            half = n // 2
-            r = _circulant(pm[:half])
-            s = _circulant(pm[half:])
-            return np.block([[r, s], [s.T, -r.T]])
-        # block_circulant: b x b circulant arrangement of s x s circulant blocks
-        s = self.block_size
-        b = n // s
-        rows = pm.reshape(b, s)
-        blocks = [_circulant(rows[t]) for t in range(b)]
-        out = np.zeros((n, n), dtype=np.int64)
-        for i in range(b):
-            for j in range(b):
-                blk = blocks[(j - i) % b]
-                out[i * s:(i + 1) * s, j * s:(j + 1) * s] = blk
-        return out
+        ext = np.empty(2 * nbits + 2, dtype=np.int64)
+        ext[:nbits] = bits * 2 - 1
+        ext[nbits] = 1
+        np.negative(ext[:nbits + 1], out=ext[nbits + 1:])
+        return ext[idx]
 
 
-def _circulant(row: np.ndarray) -> np.ndarray:
-    L = len(row)
-    idx = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
-    return row[idx]
+@functools.cache
+def _layout(sclass: StructureClass, n: int) -> tuple[int, np.ndarray]:
+    """n_bits and the index table of a class at order n.
+
+    Entry (i, j) of the built matrix is ext[idx[i, j]], where ext holds the
+    +-1 bits, a constant +1 at index n_bits, and then the negations of
+    those n_bits + 1 values, so a negated entry adds n_bits + 1 to its index.
+    """
+    nbits = sclass.n_bits(n)
+    kind = sclass.kind
+    idx = np.full((n, n), nbits, dtype=np.int64)
+    if kind == "general":
+        idx[1:, 1:] = np.arange(nbits).reshape(n - 1, n - 1)
+    elif kind == "symmetric":
+        iu = np.triu_indices(n - 1)
+        core = np.empty((n - 1, n - 1), dtype=np.int64)
+        core[iu] = np.arange(nbits)
+        core.T[iu] = core[iu]
+        idx[1:, 1:] = core
+    elif kind == "circulant":
+        idx = circulant(np.arange(n))
+    elif kind == "circulant_core":
+        idx[1:, 1:] = circulant(np.arange(n - 1))
+    elif kind == "two_block_circulant":
+        # [[R, S], [S^T, -R^T]] with R, S circulant on the two halves
+        half = n // 2
+        r = circulant(np.arange(half))
+        s = r + half
+        idx = np.block([[r, s], [s.T, r.T + nbits + 1]])
+    else:
+        # b x b circulant arrangement of s x s circulant blocks
+        s = sclass.block_size
+        blocks = [circulant(np.arange(t * s, (t + 1) * s)) for t in range(n // s)]
+        idx = np.block([[blocks[t] for t in row] for row in circulant(np.arange(n // s))])
+    idx.setflags(write=False)
+    return nbits, idx
 
 
 @dataclass(frozen=True)
@@ -178,14 +187,6 @@ class SearchRecord:
     @property
     def kappa_str(self) -> str:
         return format_kappa(self.kappa)
-
-
-def _kappa_of(a: np.ndarray) -> float:
-    n = a.shape[0]
-    ev = np.linalg.eigvalsh((a.T @ a).astype(np.float64))
-    if ev[0] <= n * SINGULAR_TOLERANCE_PER_N:
-        return math.inf
-    return math.sqrt(ev[-1] / ev[0])
 
 
 def _logabsdet(a: np.ndarray) -> float:
@@ -242,6 +243,12 @@ def exhaustive_min(n: int, long_running: bool = False, chunk: int = 1 << 14) -> 
     total = 1 << nbits
     best = _Best()
     powers = np.arange(nbits, dtype=np.int64)
+    # row permutations of rows 1..n-1 keep a matrix normalized and its Gram
+    # unchanged, so a chunk holds far fewer distinct Grams than matrices;
+    # each is solved once, keyed by its off-diagonal entries packed into an
+    # int64, (2n).bit_length() bits each (60 bits in all at n = 6)
+    iu = np.triu_indices(n, 1)
+    shifts = (2 * n).bit_length() * np.arange(len(iu[0]), dtype=np.int64)
     t0 = time.time()
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -249,8 +256,10 @@ def exhaustive_min(n: int, long_running: bool = False, chunk: int = 1 << 14) -> 
         mats = np.ones((len(idx), n, n), dtype=np.float64)
         if n > 1:
             mats[:, 1:, 1:] = (bits * 2 - 1).reshape(-1, n - 1, n - 1)
-        grams = np.matmul(mats.transpose(0, 2, 1), mats)
-        ev = np.linalg.eigvalsh(grams)
+        grams = gram_float64(mats)
+        keys = ((grams[:, iu[0], iu[1]].astype(np.int64) + n) << shifts).sum(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        ev = np.linalg.eigvalsh(grams[first])[inverse]
         lmin, lmax = ev[:, 0], ev[:, -1]
         ok = lmin > n * SINGULAR_TOLERANCE_PER_N
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -296,21 +305,41 @@ def anneal(
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     best = _Best()
     restarts = 0
+    singular = n * SINGULAR_TOLERANCE_PER_N
+
+    def kappa_of(mat):
+        ev = np.linalg.eigvalsh(gram_float64(mat))
+        if ev[0] <= singular:
+            return math.inf
+        return math.sqrt(ev[-1] / ev[0])
+
+    # (bits, matrix, kappa) of the current state's neighbours by flipped
+    # bit, scored once per visit: the chain often stays on one state for
+    # hundreds of proposals
+    neighbours: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
 
     def fresh_state():
+        neighbours.clear()
         bits = rng.integers(0, 2, nbits)
         mat = sclass.build(n, bits)
-        return bits, mat, _kappa_of(mat)
+        return bits, mat, kappa_of(mat)
+
+    def neighbour():
+        i = int(rng.integers(nbits))
+        hit = neighbours.get(i)
+        if hit is None:
+            cand = state.copy()
+            cand[i] ^= 1
+            cand_mat = sclass.build(n, cand)
+            hit = neighbours[i] = (cand, cand_mat, kappa_of(cand_mat))
+        return hit
 
     state, mat, cur = fresh_state()
     best.offer(cur, state, mat)
 
     uphill = []
     for _ in range(256):
-        i = int(rng.integers(nbits))
-        cand = state.copy()
-        cand[i] ^= 1
-        k = _kappa_of(sclass.build(n, cand))
+        k = neighbour()[2]
         if math.isfinite(k) and math.isfinite(cur) and k > cur:
             uphill.append(k - cur)
     t0 = (sum(uphill) / len(uphill)) / -math.log(0.8) if uphill else 1.0
@@ -322,18 +351,18 @@ def anneal(
         return k if math.isfinite(k) else 1e18
 
     for _ in range(budget):
-        i = int(rng.integers(nbits))
-        cand = state.copy()
-        cand[i] ^= 1
-        cand_mat = sclass.build(n, cand)
-        cand_kappa = _kappa_of(cand_mat)
+        cand, cand_mat, cand_kappa = neighbour()
         delta = as_energy(cand_kappa) - as_energy(cur)
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-300)):
             state, mat, cur = cand, cand_mat, cand_kappa
-        if best.offer(cur, state, mat):
-            stall = 0
+            neighbours.clear()
+            improved = best.offer(cur, state, mat)
         else:
-            stall += 1
+            # every state is offered when the chain enters it, and offering
+            # an unchanged state again against an unchanged incumbent is
+            # declined, so the offer is skipped
+            improved = False
+        stall = 0 if improved else stall + 1
         temperature *= 0.995
         if stall >= stall_limit:
             state, mat, cur = fresh_state()
@@ -366,7 +395,8 @@ class Registry:
     Files are named <class>-<kappa-10digits>-<seed>.mat in the +-/ text
     format next to an index.json holding the current best per class and
     an append-only history.  Writes go through a lock file so concurrent
-    searchers serialize their commits.
+    searchers serialize their commits, and index.json is replaced
+    atomically.
     """
 
     def __init__(self, root: str | Path):
@@ -450,7 +480,15 @@ class Registry:
             }
             index["best"][record.structure] = entry
             index["history"].append(entry)
-            (d / "index.json").write_text(json.dumps(index, indent=2) + "\n")
+            # write a sibling file and rename it over the index, so a crash
+            # mid-write leaves the previous index whole
+            tmp = d / "index.json.tmp"
+            try:
+                tmp.write_text(json.dumps(index, indent=2) + "\n")
+                os.replace(tmp, d / "index.json")
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
             return True
         finally:
             lock.unlink()

@@ -12,8 +12,10 @@ from approxhad.linalg import (
     condition_number,
     condition_number_orth_perturbed,
     gram,
+    gram_float64,
     kronecker,
     minpoly_residual,
+    operator_norm,
 )
 from approxhad.constructions import paley_i, sylvester
 
@@ -68,6 +70,40 @@ class TestGram:
     def test_gram_type_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             GramMatrix(np.array([[2, 1], [0, 2]]))
+
+
+class TestGramFloat64:
+    def test_equals_integer_gram_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 30, 64, 116):
+            a = random_sign(rng, n).entries
+            exact = (a.T @ a).astype(np.float64)
+            assert gram_float64(a).tobytes() == exact.tobytes()
+
+    def test_stack(self):
+        rng = np.random.default_rng(6)
+        stack = rng.integers(0, 2, (4, 5, 5)) * 2 - 1
+        for a, g in zip(stack, gram_float64(stack)):
+            assert g.tobytes() == (a.T @ a).astype(np.float64).tobytes()
+
+
+class TestOperatorNorm:
+    def test_start_vector_in_lower_eigenspace(self):
+        # power iteration from the all-ones vector stays on the eigenvalue 1
+        q = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        E = q @ np.diag([1.0, 3.0]) @ q.T
+        assert operator_norm(E) == pytest.approx(3.0, rel=1e-14)
+
+    def test_matches_svd(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 3, 10, 46):
+            E = rng.standard_normal((n, n))
+            top = float(np.linalg.svd(E, compute_uv=False)[0])
+            assert operator_norm(E) == pytest.approx(top, rel=1e-12)
+
+    def test_zero_and_empty(self):
+        assert operator_norm(np.zeros((3, 3))) == 0.0
+        assert operator_norm(np.zeros((0, 0))) == 0.0
 
 
 class TestConditionNumber:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +196,32 @@ class TestRegistry:
         # history keeps both
         index = reg._index(6)
         assert len(index["history"]) == 2
+
+    def test_crash_mid_index_write_keeps_previous_index(self, tmp_path, monkeypatch):
+        reg = Registry(tmp_path)
+        worse = SearchRecord(
+            n=6, structure="two_block_circulant", kappa=condition_number(
+                SignMatrix(np.ones((6, 6)) - 2 * np.eye(6))).kappa,
+            matrix=SignMatrix(np.ones((6, 6)) - 2 * np.eye(6)), seed=1,
+            effort={},
+        )
+        assert reg.update(worse) is True
+        write_text = Path.write_text
+
+        def torn_index_write(path, data, *args, **kwargs):
+            if path.name.startswith("index.json"):
+                write_text(path, data[: len(data) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return write_text(path, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", torn_index_write)
+        with pytest.raises(OSError, match="disk full"):
+            reg.update(self._record())
+        monkeypatch.undo()
+        assert reg.best(6)["kappa"] == worse.kappa
+        assert sorted(p.name for p in (tmp_path / "6").glob("*index*")) == ["index.json"]
+        assert not (tmp_path / "6" / ".lock").exists()
+        assert reg.update(self._record()) is True
 
     def test_tampered_kappa_rejected(self, tmp_path):
         reg = Registry(tmp_path)
