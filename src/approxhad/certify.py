@@ -18,7 +18,7 @@ from .linalg import (
     SignMatrix,
     SpectralReport,
     condition_number,
-    gram,
+    gram_float64,
     minpoly_residual,
 )
 from .lower_bound import CliqueCertificate, best_clique_certificate
@@ -40,7 +40,7 @@ def float_field(x: float) -> dict:
 def detect_gram_class(A: SignMatrix) -> str:
     """Which exact Gram identity the matrix satisfies, if any."""
     n = A.n
-    g = gram(A).entries
+    g = gram_float64(A.entries)
     eye = np.eye(n, dtype=np.int64)
     if np.array_equal(g, n * eye):
         return "hadamard"

@@ -7,6 +7,11 @@ kappa >= sqrt(1 + k/(n-1)), all-negative cliques give
 kappa >= sqrt(1 + k/(n+1-k)).  For orders not divisible by 4 there is no
 zero-colored triangle (three mutually orthogonal +-1 columns require
 4 | n), which guarantees a monochromatic edge among any three columns.
+
+Gram signs come from the exact float64 Gram.  Both clique searches run
+on one neighbour table of bit masks, and the greedy search's tie-breaks
+(listed in `max_clique`) belong to the determinism contract, because
+`certify` prints the clique's indices.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GramMatrix, SignMatrix, gram
+from .linalg import GramMatrix, SignMatrix, gram_float64
 
 __all__ = [
     "CliqueCertificate",
@@ -81,52 +86,60 @@ def sign_coloring(G: GramMatrix) -> np.ndarray:
 
 
 def max_clique(adjacency: np.ndarray) -> list[int]:
-    """Maximum clique of a small undirected graph.
+    """Maximum clique of a small undirected graph, as sorted vertex indices.
 
-    Exact branch and bound with greedy-coloring pruning up to
-    EXACT_CLIQUE_LIMIT vertices; greedy plus single-swap augmentation
-    beyond that.  Deterministic for a fixed adjacency.
+    Row v of the adjacency becomes one int, bit u set when u is adjacent
+    to v; both searches read that table.  Up to EXACT_CLIQUE_LIMIT
+    vertices the search is exact branch and bound with greedy-coloring
+    pruning.  Beyond that it is greedy with single swaps, and these rules
+    fix its result.  Starts go by falling degree, ties to the smaller
+    index.  Each step adds the candidate with the most neighbours among
+    the candidates, ties to the smaller index.  A swap drops the first
+    member, in the clique's list order (order of addition, sorted after a
+    swap), whose removal leaves outside vertices adjacent to every other
+    member that contain an adjacent pair, and adds the first such pair in
+    itertools.combinations order.  Swaps repeat until none applies, and a
+    start's clique replaces the best only when strictly larger.
     """
     n = adjacency.shape[0]
     if n == 0:
         return []
-    neighbors = [frozenset(np.flatnonzero(adjacency[v]).tolist()) for v in range(n)]
+    packed = np.packbits(adjacency != 0, axis=1, bitorder="little")
+    nb = [int.from_bytes(row.tobytes(), "little") for row in packed]
     if n <= EXACT_CLIQUE_LIMIT:
-        return _max_clique_exact(n, neighbors)
-    return _max_clique_greedy(n, neighbors)
+        return _max_clique_exact(nb)
+    return _max_clique_greedy(nb)
 
 
-def _greedy_color_order(cand: list[int], neighbors) -> tuple[list[int], list[int]]:
+def _greedy_color_order(cand: list[int], nb: list[int]) -> tuple[list[int], list[int]]:
     # classes of mutually nonadjacent vertices; clique size within cand is
     # at most the number of classes used
     classes: list[list[int]] = []
-    color_of = {}
+    masks: list[int] = []
     for v in cand:
-        placed = False
-        for ci, cls in enumerate(classes):
-            if not any(u in neighbors[v] for u in cls):
-                cls.append(v)
-                color_of[v] = ci
-                placed = True
+        for ci, mask in enumerate(masks):
+            if not nb[v] & mask:
+                classes[ci].append(v)
+                masks[ci] |= 1 << v
                 break
-        if not placed:
+        else:
             classes.append([v])
-            color_of[v] = len(classes) - 1
+            masks.append(1 << v)
     order = [v for cls in classes for v in cls]
-    return order, [color_of[v] + 1 for v in order]
+    return order, [ci + 1 for ci, cls in enumerate(classes) for _ in cls]
 
 
-def _max_clique_exact(n: int, neighbors) -> list[int]:
+def _max_clique_exact(nb: list[int]) -> list[int]:
     best: list[int] = []
 
     def expand(current: list[int], cand: list[int]):
         nonlocal best
-        order, bounds = _greedy_color_order(cand, neighbors)
+        order, bounds = _greedy_color_order(cand, nb)
         for i in range(len(order) - 1, -1, -1):
             if len(current) + bounds[i] <= len(best):
                 return
             v = order[i]
-            new_cand = [u for u in order[:i] if u in neighbors[v]]
+            new_cand = [u for u in order[:i] if nb[v] >> u & 1]
             current.append(v)
             if len(current) > len(best):
                 best = sorted(current)
@@ -134,38 +147,43 @@ def _max_clique_exact(n: int, neighbors) -> list[int]:
                 expand(current, new_cand)
             current.pop()
 
-    expand([], list(range(n)))
+    expand([], list(range(len(nb))))
     return best
 
 
-def _max_clique_greedy(n: int, neighbors) -> list[int]:
-    degree = [len(neighbors[v]) for v in range(n)]
+def _first_swap(clique: list[int], nb: list[int]) -> list[int] | None:
+    """The clique with one member swapped for an adjacent pair, or None."""
+    outside = ((1 << len(nb)) - 1) & ~sum(1 << w for w in clique)
+    for drop in clique:
+        adds = outside
+        for w in clique:
+            if w != drop:
+                adds &= nb[w]
+        while adds:
+            low = adds & -adds
+            adds ^= low  # leaves the adds above a
+            a = low.bit_length() - 1
+            if pair := nb[a] & adds:
+                b = (pair & -pair).bit_length() - 1
+                return sorted([w for w in clique if w != drop] + [a, b])
+    return None
+
+
+def _max_clique_greedy(nb: list[int]) -> list[int]:
     best: list[int] = []
-    for start in sorted(range(n), key=lambda v: -degree[v]):
+    for start in sorted(range(len(nb)), key=lambda v: -nb[v].bit_count()):
         clique = [start]
-        cand = sorted(neighbors[start])
-        while cand:
-            v = max(cand, key=lambda u: (len(neighbors[u] & set(cand)), -u))
+        cand = nb[start]
+        members = [u for u in range(len(nb)) if cand >> u & 1]
+        while members:
+            # list.index takes the first maximum: ties go to the smaller index
+            counts = [(nb[u] & cand).bit_count() for u in members]
+            v = members[counts.index(max(counts))]
             clique.append(v)
-            cand = [u for u in cand if u in neighbors[v]]
-        improved = True
-        while improved:  # single swap: drop one, add two
-            improved = False
-            cset = set(clique)
-            for drop in list(clique):
-                rest = cset - {drop}
-                adds = [
-                    u for u in range(n)
-                    if u not in cset and rest <= neighbors[u]
-                ]
-                for a, b in itertools.combinations(adds, 2):
-                    if b in neighbors[a]:
-                        clique = sorted(rest | {a, b})
-                        cset = set(clique)
-                        improved = True
-                        break
-                if improved:
-                    break
+            cand &= nb[v]
+            members = [u for u in members if cand >> u & 1]
+        while (swapped := _first_swap(clique, nb)) is not None:
+            clique = swapped
         if len(clique) > len(best):
             best = sorted(clique)
     return best
@@ -179,10 +197,9 @@ def best_clique_certificate(A: SignMatrix) -> CliqueCertificate:
     clique is maximum.
     """
     n = A.n
-    colors = sign_coloring(gram(A))
+    g = gram_float64(A.entries)
     best = CliqueCertificate(indices=(0,), sign="positive", k=1, n=n, bound=1.0)
-    for sign_name, value in (("positive", 1), ("negative", -1)):
-        adj = colors == value
+    for sign_name, adj in (("positive", g > 0), ("negative", g < 0)):
         np.fill_diagonal(adj, False)
         clique = max_clique(adj)
         if len(clique) < 2:
@@ -208,7 +225,7 @@ def verify_certificate(cert: CliqueCertificate, A: SignMatrix) -> None:
         if cert.bound != 1.0:
             raise AssertionError("vacuous certificate must have bound 1")
         return
-    g = gram(A).entries
+    g = gram_float64(A.entries)
     want = 1 if cert.sign == "positive" else -1
     for i, j in itertools.combinations(cert.indices, 2):
         entry = int(g[i, j])
@@ -240,8 +257,7 @@ def check_orthogonal_triple_obstruction(A: SignMatrix) -> TripleObstructionRepor
     indicate a bug); for multiples of 4 triples are allowed.
     """
     n = A.n
-    colors = sign_coloring(gram(A))
-    zero = colors == 0
+    zero = gram_float64(A.entries) == 0
     np.fill_diagonal(zero, False)
     triangle = None
     for i, j in itertools.combinations(range(n), 2):
