@@ -63,12 +63,15 @@ class SdsPair:
             raise ValueError("sequences must have equal length")
         if not all(v in (-1, 1) for v in r + s):
             raise ValueError("sequence entries must be +-1")
+        # row t of circulant(x) @ x is paf(x, t), every shift in one product
+        paf_r = (circulant(r) @ np.asarray(r, dtype=np.int64)).tolist()
+        paf_s = (circulant(s) @ np.asarray(s, dtype=np.int64)).tolist()
         for t in range(1, len(r)):
-            total = paf(r, t) + paf(s, t)
+            total = paf_r[t] + paf_s[t]
             if total != 2:
                 raise ValueError(
                     f"autocorrelation identity fails at shift {t}: "
-                    f"{paf(r, t)} + {paf(s, t)} = {total} != 2"
+                    f"{paf_r[t]} + {paf_s[t]} = {total} != 2"
                 )
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
@@ -161,16 +164,18 @@ def verify_barba(A: SignMatrix) -> FamilyMatrix:
     )
 
 
-def _canonical_sequence(seq: tuple[int, ...]) -> tuple[int, ...]:
-    # rotations and global negation preserve the autocorrelation; pick the
-    # lexicographically largest representative (starts with +1)
-    L = len(seq)
-    best = None
-    for sign in (1, -1):
-        for shift in range(L):
-            cand = tuple(sign * seq[(i + shift) % L] for i in range(L))
-            if best is None or cand > best:
-                best = cand
+def _canonical_codes(codes: np.ndarray, half: int) -> np.ndarray:
+    """Canonical code of each sequence, coded as in `sds_search`.
+
+    Rotations and global negation preserve the autocorrelation.  The
+    largest among the bit rotations of the code and of its complement
+    codes the lexicographically largest of those representatives.
+    """
+    mask = (1 << half) - 1
+    best = np.zeros_like(codes)
+    for x in (codes, codes ^ mask):
+        for t in range(half):
+            best = np.maximum(best, ((x << t) | (x >> (half - t))) & mask)
     return best
 
 
@@ -178,35 +183,47 @@ def sds_search(half: int) -> list[SdsPair]:
     """All sequence pairs of length `half` satisfying the autocorrelation
     identity, up to cyclic rotation and global negation of each sequence.
 
-    Exhaustive over 2^(half-1) sequences per side (the first entry is
-    pinned to +1, which negation symmetry allows), matching complementary
-    autocorrelation vectors through a hash bucket.
+    Exhaustive over the 2^(half-1) sequences whose first entry is +1
+    (negation symmetry allows pinning it), matching complementary
+    autocorrelation vectors through sorted PAF keys and integer canonical
+    codes.  A sequence is coded as a `half`-bit integer, bit 1 for +1 and
+    the first entry most significant; for equal lengths the numeric order
+    of codes is the lexicographic order of the sequences, so the pairs,
+    sorted by (r, s) code, come out in tuple order.
     """
     if half < 1:
         raise ValueError("length must be >= 1")
     if half > 16:
         raise ValueError("exhaustive search supports lengths up to 16")
-    if half == 1:
-        return [SdsPair((1,), (1,))]
-    n_shifts = half // 2  # PAF(t) = PAF(half - t)
-    count = 1 << (half - 1)
-    bits = ((np.arange(count)[:, None] >> np.arange(half - 1)) & 1) * 2 - 1
-    seqs = np.hstack([np.ones((count, 1), dtype=np.int64), bits])
-    pafs = np.stack(
-        [np.einsum("ij,ij->i", seqs, np.roll(seqs, -t, axis=1)) for t in range(1, n_shifts + 1)],
-        axis=1,
-    )
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for i in range(count):
-        buckets.setdefault(tuple(int(v) for v in pafs[i]), []).append(i)
-    found = set()
-    for i in range(count):
-        want = tuple(2 - int(v) for v in pafs[i])
-        for j in buckets.get(want, ()):
-            r = _canonical_sequence(tuple(int(v) for v in seqs[i]))
-            s = _canonical_sequence(tuple(int(v) for v in seqs[j]))
-            found.add((r, s))
-    return [SdsPair(r, s) for r, s in sorted(found)]
+    mask = (1 << half) - 1
+    codes = np.arange(1 << (half - 1), 1 << half, dtype=np.int64)
+    popcount = np.zeros(1 << half, dtype=np.int64)
+    for k in range(half):
+        popcount[1 << k : 2 << k] = popcount[: 1 << k] + 1
+    # PAF(t) = half - 2 * (entries that differ from the rotation by t), and
+    # PAF(t) = PAF(half - t).  Digits are PAF + half for the key and
+    # 2 - PAF + half for the wanted partner key, both in [0, 2 half + 2].
+    base = 2 * half + 3
+    key = np.zeros_like(codes)
+    want = np.zeros_like(codes)
+    for t in range(1, half // 2 + 1):
+        rotated = ((codes << t) | (codes >> (half - t))) & mask
+        p = half - 2 * popcount[codes ^ rotated]
+        key = key * base + (p + half)
+        want = want * base + (2 - p + half)
+    # sequence i matches the partners order[lo[i]:lo[i] + counts[i]]
+    order = np.argsort(key)
+    sorted_keys = key[order]
+    lo = np.searchsorted(sorted_keys, want, side="left")
+    counts = np.searchsorted(sorted_keys, want, side="right") - lo
+    i = np.repeat(np.arange(len(codes)), counts)
+    # position of each match within its sequence's block of partners
+    offsets = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    j = order[np.repeat(lo, counts) + offsets]
+    canon = _canonical_codes(codes, half)
+    found = np.unique((canon[i] << half) | canon[j])
+    signs = ((found[:, None] >> np.arange(2 * half - 1, -1, -1)) & 1) * 2 - 1
+    return [SdsPair(tuple(row[:half]), tuple(row[half:])) for row in signs.tolist()]
 
 
 def sds_block_matrix(pair: SdsPair) -> FamilyMatrix:

@@ -99,12 +99,15 @@ def max_clique(adjacency: np.ndarray) -> list[int]:
     swap), whose removal leaves outside vertices adjacent to every other
     member that contain an adjacent pair, and adds the first such pair in
     itertools.combinations order.  Swaps repeat until none applies, and a
-    start's clique replaces the best only when strictly larger.
+    start's clique replaces the best only when strictly larger.  Diagonal
+    entries are ignored.
     """
     n = adjacency.shape[0]
     if n == 0:
         return []
-    packed = np.packbits(adjacency != 0, axis=1, bitorder="little")
+    adj = adjacency != 0
+    np.fill_diagonal(adj, False)
+    packed = np.packbits(adj, axis=1, bitorder="little")
     nb = [int.from_bytes(row.tobytes(), "little") for row in packed]
     if n <= EXACT_CLIQUE_LIMIT:
         return _max_clique_exact(nb)
@@ -200,7 +203,6 @@ def best_clique_certificate(A: SignMatrix) -> CliqueCertificate:
     g = gram_float64(A.entries)
     best = CliqueCertificate(indices=(0,), sign="positive", k=1, n=n, bound=1.0)
     for sign_name, adj in (("positive", g > 0), ("negative", g < 0)):
-        np.fill_diagonal(adj, False)
         clique = max_clique(adj)
         if len(clique) < 2:
             continue

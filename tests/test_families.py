@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from approxhad.families import (
     BarbaRejection,
     SdsPair,
+    _canonical_codes,
     circulant,
     conference_plus_identity,
     paf,
@@ -112,6 +114,19 @@ class TestSdsSearch:
         with pytest.raises(ValueError, match="autocorrelation"):
             SdsPair((1, 1, 1), (1, 1, 1))
 
+    @pytest.mark.parametrize(
+        "r,s,message",
+        [
+            ((1, 1, 1), (1, 1, 1), "shift 1: 3 + 3 = 6 != 2"),
+            # shift 1 holds (1 + 1 = 2), shifts 2 and 3 fail
+            ((1, 1, 1, 1, 1), (1, 1, -1, 1, -1), "shift 2: 5 + 1 = 6 != 2"),
+        ],
+    )
+    def test_pair_rejection_names_the_first_failing_shift(self, r, s, message):
+        with pytest.raises(ValueError) as exc:
+            SdsPair(r, s)
+        assert str(exc.value) == f"autocorrelation identity fails at {message}"
+
     def test_too_large(self):
         with pytest.raises(ValueError):
             sds_search(17)
@@ -121,6 +136,39 @@ class TestSdsSearch:
         for pair in sds_search(half):
             for t in range(1, half):
                 assert paf(pair.r, t) + paf(pair.s, t) == 2
+
+
+def _brute_canonical(seq):
+    # largest tuple among the rotations of seq and of its negation
+    L = len(seq)
+    return max(
+        tuple(sign * seq[(i + shift) % L] for i in range(L))
+        for sign in (1, -1)
+        for shift in range(L)
+    )
+
+
+def _encode(seq):
+    return sum(1 << (len(seq) - 1 - k) for k, v in enumerate(seq) if v > 0)
+
+
+def _decode(code, half):
+    return tuple(1 if (code >> (half - 1 - k)) & 1 else -1 for k in range(half))
+
+
+class TestCanonicalCode:
+    @pytest.mark.parametrize("half", range(2, 17))
+    def test_decodes_to_the_largest_rotation_or_negation(self, half):
+        rng = np.random.default_rng(half)
+        seqs = [tuple(int(v) for v in rng.choice((-1, 1), size=half)) for _ in range(64)]
+        codes = np.array([_encode(seq) for seq in seqs], dtype=np.int64)
+        canon = _canonical_codes(codes, half)
+        for seq, code in zip(seqs, canon.tolist()):
+            assert _decode(code, half) == _brute_canonical(seq)
+
+    def test_code_order_is_lexicographic_order(self):
+        seqs = list(itertools.product((-1, 1), repeat=6))
+        assert sorted(seqs, key=_encode) == sorted(seqs)
 
 
 class TestSdsBlockMatrix:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -79,6 +80,25 @@ class TestMaxClique:
                     best = size
                     break
             assert got == best
+
+    @pytest.mark.parametrize("n", [10, 25])
+    def test_diagonal_entries_are_ignored(self, n):
+        # on the greedy path (n > 20) a self-adjacent vertex must not stay
+        # in its own candidate set
+        adj = np.zeros((n, n), dtype=bool)
+        adj[0, 1] = adj[1, 0] = True
+        adj[3, 3] = True
+
+        def timeout(signum, frame):
+            raise TimeoutError("max_clique did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            assert max_clique(adj) == [0, 1]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestCliqueCertificate:
