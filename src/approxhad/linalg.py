@@ -172,7 +172,7 @@ def gram_float64(a: np.ndarray) -> np.ndarray:
     """Exact A^T A of a +-1 matrix, or of each in a stack (..., n, n), as
     float64 through BLAS; see the module docstring for why it is exact."""
     f = np.asarray(a, dtype=np.float64)
-    return np.swapaxes(f, -1, -2) @ f
+    return f.swapaxes(-1, -2) @ f
 
 
 def condition_number(A: SignMatrix) -> SpectralReport:

@@ -13,10 +13,25 @@ symmetric matrices are sign-normalized (all-+1 first row and column),
 circulant classes store first rows.  The objective orders candidates by
 kappa, then by larger |det| (determinant maximizers tend to condition
 well), then lexicographically.
+
+Annealing the circulant-type classes (circulant, circulant_core,
+two_block_circulant, block_circulant) reads kappa from the spectral screen
+in `approxhad.spectral` first: DFT eigenvalues of every single-bit
+neighbour, each within eta = n^2 * lambda_max * 2^-52 of what eigvalsh
+returns on the exact Gram, which bounds the neighbour's exact-path kappa
+to within about kappa * eta / lambda_min.  A decision -- delta <= 0,
+u < exp(-delta / T), or the incumbent's decline test -- is read from
+these bounds only when they settle it; near-ties, near-singular states,
+the uphill moves of the temperature probe and every state that may
+become the incumbent take the exact path (build, exact Gram, eigvalsh).
+So every decision, RNG draw, restart and reported kappa is the one the
+exact path alone would give.  general and symmetric always take the
+exact path.
 """
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import json
 import math
@@ -36,6 +51,7 @@ from .linalg import (
     condition_number,
     gram_float64,
 )
+from .spectral import SCREENED_KINDS, SpectralScreen
 
 __all__ = [
     "StructureClass",
@@ -166,6 +182,19 @@ def _layout(sclass: StructureClass, n: int) -> tuple[int, np.ndarray]:
     return nbits, idx
 
 
+# relative slack on a screened exp(-delta / T) against one-ulp exp rounding
+_EXP_SLACK = 2.0 ** -40
+# the annealing energy of a singular matrix (kappa = inf)
+_SINGULAR_ENERGY = 1e18
+
+
+@functools.cache
+def _screen(sclass: StructureClass, n: int) -> SpectralScreen | None:
+    if sclass.kind not in SCREENED_KINDS:
+        return None
+    return SpectralScreen(sclass.kind, n, sclass.block_size)
+
+
 @dataclass(frozen=True)
 class SearchRecord:
     n: int
@@ -285,6 +314,25 @@ def exhaustive_min(n: int, long_running: bool = False, chunk: int = 1 << 14) -> 
     )
 
 
+class _State:
+    """A chain state and what is known of its exact-path kappa.
+
+    lo <= energy <= hi, the energy being kappa with inf read as
+    _SINGULAR_ENERGY.  kappa and mat stay None until the exact path runs,
+    and then lo = hi = the energy (lo = hi also when the screen proves the
+    Gram singular).  near holds the neighbours made so far and spectra the
+    screen's view of all of them.
+    """
+
+    __slots__ = ("bits", "mat", "kappa", "lo", "hi", "near", "spectra")
+
+    def __init__(self, bits: np.ndarray):
+        self.bits = bits
+        self.mat = self.kappa = self.spectra = None
+        self.lo, self.hi = -math.inf, math.inf
+        self.near: dict[int, _State] = {}
+
+
 def anneal(
     n: int,
     sclass: StructureClass,
@@ -299,64 +347,114 @@ def anneal(
     10 n^2 moves without improvement.  Deterministic given
     (n, class, seed, budget).
     """
+    if n < 1:
+        raise ValueError("order must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     nbits = sclass.n_bits(n)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    if nbits == 0:
+        # order 1 with a fixed border: [[1]] is the only matrix
+        return SearchRecord(
+            n=n,
+            structure=sclass.name,
+            kappa=1.0,
+            matrix=SignMatrix(np.ones((1, 1), dtype=np.int64)),
+            seed=seed,
+            effort={"mode": "anneal", "budget": budget, "restarts": 0},
+        )
     best = _Best()
     restarts = 0
     singular = n * SINGULAR_TOLERANCE_PER_N
+    screen = _screen(sclass, n)
 
-    def kappa_of(mat):
-        ev = np.linalg.eigvalsh(gram_float64(mat))
-        if ev[0] <= singular:
-            return math.inf
-        return math.sqrt(ev[-1] / ev[0])
+    def settle(state: _State) -> _State:
+        """The exact path: build, exact Gram, eigvalsh."""
+        if state.kappa is None:
+            state.mat = sclass.build(n, state.bits)
+            ev = np.linalg.eigvalsh(gram_float64(state.mat))
+            if ev[0] <= singular:
+                state.kappa, state.lo = math.inf, _SINGULAR_ENERGY
+            else:
+                state.kappa = state.lo = math.sqrt(ev[-1] / ev[0])
+            state.hi = state.lo
+        return state
 
-    # (bits, matrix, kappa) of the current state's neighbours by flipped
-    # bit, scored once per visit: the chain often stays on one state for
-    # hundreds of proposals
-    neighbours: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
 
-    def fresh_state():
-        neighbours.clear()
-        bits = rng.integers(0, 2, nbits)
-        mat = sclass.build(n, bits)
-        return bits, mat, kappa_of(mat)
+    def fresh_state() -> _State:
+        return settle(_State(rng.integers(0, 2, nbits)))
 
-    def neighbour():
+    def neighbour(state: _State) -> _State:
+        """A random single-bit neighbour, made once per visit of `state`:
+        the chain often stays on one state for hundreds of proposals."""
         i = int(rng.integers(nbits))
-        hit = neighbours.get(i)
+        hit = state.near.get(i)
         if hit is None:
-            cand = state.copy()
-            cand[i] ^= 1
-            cand_mat = sclass.build(n, cand)
-            hit = neighbours[i] = (cand, cand_mat, kappa_of(cand_mat))
+            bits = state.bits.copy()
+            bits[i] ^= 1
+            hit = state.near[i] = _State(bits)
+            if screen is None:
+                return settle(hit)
+            if state.spectra is None:
+                state.spectra = screen.spectra(state.bits)
+            lo, hi = screen.kappa_bounds(state.spectra, i)
+            if hi < math.inf:
+                hit.lo, hit.hi = lo, hi
+            elif lo == math.inf:
+                hit.lo = hit.hi = _SINGULAR_ENERGY
+            else:
+                settle(hit)
         return hit
 
-    state, mat, cur = fresh_state()
-    best.offer(cur, state, mat)
+    def accepted(cand: _State, cur: _State, temperature: float) -> bool:
+        """The exact path's delta <= 0 or u < exp(-delta / T), delta the
+        energy difference, read from the bounds where they settle it."""
+        if cand.hi <= cur.lo:
+            return True
+        if cand.lo <= cur.hi:
+            settle(cand)
+            settle(cur)
+            if cand.lo <= cur.lo:
+                return True
+        u = rng.random()
+        t = max(temperature, 1e-300)
+        if cand.kappa is None or cur.kappa is None:
+            # delta lies in [cand.lo - cur.hi, cand.hi - cur.lo]
+            if u < math.exp(-(cand.hi - cur.lo) / t) * (1 - _EXP_SLACK):
+                return True
+            if u >= math.exp(-(cand.lo - cur.hi) / t) * (1 + _EXP_SLACK) + 1e-300:
+                return False
+            settle(cand)
+            settle(cur)
+        return u < math.exp(-(cand.lo - cur.lo) / t)
+
+    state = fresh_state()
+    best.offer(state.kappa, state.bits, state.mat)
 
     uphill = []
+    cur = state.kappa
     for _ in range(256):
-        k = neighbour()[2]
-        if math.isfinite(k) and math.isfinite(cur) and k > cur:
-            uphill.append(k - cur)
+        cand = neighbour(state)
+        # only an uphill move to a nonsingular state enters t0
+        if cur < cand.hi < _SINGULAR_ENERGY:
+            k = settle(cand).kappa
+            if k > cur:
+                uphill.append(k - cur)
     t0 = (sum(uphill) / len(uphill)) / -math.log(0.8) if uphill else 1.0
     temperature = t0
     stall_limit = 10 * n * n
     stall = 0
 
-    def as_energy(k: float) -> float:
-        return k if math.isfinite(k) else 1e18
-
     for _ in range(budget):
-        cand, cand_mat, cand_kappa = neighbour()
-        delta = as_energy(cand_kappa) - as_energy(cur)
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-300)):
-            state, mat, cur = cand, cand_mat, cand_kappa
-            neighbours.clear()
-            improved = best.offer(cur, state, mat)
+        cand = neighbour(state)
+        if accepted(cand, state, temperature):
+            state = cand
+            # an offer above the incumbent plus the tie tolerance is declined
+            if cand.lo > best.kappa + _KAPPA_TIE:
+                improved = False
+            else:
+                settle(cand)
+                improved = best.offer(cand.kappa, cand.bits, cand.mat)
         else:
             # every state is offered when the chain enters it, and offering
             # an unchanged state again against an unchanged incumbent is
@@ -365,8 +463,8 @@ def anneal(
         stall = 0 if improved else stall + 1
         temperature *= 0.995
         if stall >= stall_limit:
-            state, mat, cur = fresh_state()
-            best.offer(cur, state, mat)
+            state = fresh_state()
+            best.offer(state.kappa, state.bits, state.mat)
             temperature = t0
             stall = 0
             restarts += 1
@@ -394,9 +492,9 @@ class Registry:
 
     Files are named <class>-<kappa-10digits>-<seed>.mat in the +-/ text
     format next to an index.json holding the current best per class and
-    an append-only history.  Writes go through a lock file so concurrent
-    searchers serialize their commits, and index.json is replaced
-    atomically.
+    an append-only history.  Writes hold an flock on a lock file, so
+    concurrent searchers serialize their commits and a killed writer
+    blocks no one, and index.json is replaced atomically.
     """
 
     def __init__(self, root: str | Path):
@@ -450,18 +548,8 @@ class Registry:
             )
         d = self._dir(record.n)
         d.mkdir(parents=True, exist_ok=True)
-        lock = d / ".lock"
-        acquired = False
-        for _ in range(2000):
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
-                acquired = True
-                break
-            except FileExistsError:
-                time.sleep(0.005)
-        if not acquired:
-            raise RegistryRejection(f"could not acquire registry lock {lock}")
+        lock_path = d / ".lock"
+        lock = _acquire_lock(lock_path)
         try:
             index = self._index(record.n)
             current = index["best"].get(record.structure)
@@ -491,4 +579,31 @@ class Registry:
                 raise
             return True
         finally:
-            lock.unlink()
+            lock_path.unlink()
+            os.close(lock)
+
+
+def _acquire_lock(path: Path) -> int:
+    """An exclusive flock on path, as an open descriptor.
+
+    The kernel drops the flock when its holder dies, so a writer that was
+    killed leaves at most an unlocked file, which the next writer takes
+    over.  The holder unlinks the file before it unlocks; a waiter that
+    locked a file which is no longer at path opens path again.
+    """
+    for _ in range(2000):
+        fd = os.open(path, os.O_CREAT | os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            time.sleep(0.005)
+            continue
+        try:
+            if os.path.samestat(os.stat(path), os.fstat(fd)):
+                return fd
+        except FileNotFoundError:
+            pass
+        os.close(fd)
+    raise RegistryRejection(f"could not acquire registry lock {path}")
+

@@ -1,0 +1,131 @@
+"""Spectral screen: Gram eigenvalues of circulant-type matrices from the DFT.
+
+The DFT diagonalizes the Gram of every circulant-type structure class, so
+its eigenvalues are sums of squared moduli of DFT values of the +-1 bits
+(the PSD test of Fletcher, Gysin and Seberry; the compression idea of
+Djokovic and Kotsireas):
+
+* circulant C = circ(x): |x_k|^2;
+* two_block_circulant [[R, S], [S^T, -R^T]]: the Gram is
+  I_2 (x) (R^T R + S^T S), with eigenvalues |r_k|^2 + |s_k|^2;
+* block_circulant, a b x b circulant arrangement of s x s circulant
+  blocks: the squared moduli of the 2-D DFT of the b x s bit array;
+* circulant_core [[1, 1^T], [1, circ(c)]]: |c_k|^2 for k != 0, and the two
+  eigenvalues of a closed-form 2 x 2 block for the border and frequency 0.
+
+`SpectralScreen` gives these for every single-bit neighbour of a bit
+vector at once: the real and imaginary DFT parts are one product with a
+cached cos/sin table, and flipping bit i subtracts 2 x_i times row i of
+that table.  A screened extreme eigenvalue lies within
+eta = n^2 * lambda_max * 2^-52 of what eigvalsh returns on the exact Gram
+(tests/test_screen_properties.py checks eta / 2), so a screened kappa is
+a pair of bounds on the exact-path kappa.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .linalg import SINGULAR_TOLERANCE_PER_N
+
+__all__ = ["SCREENED_KINDS", "SpectralScreen"]
+
+SCREENED_KINDS = ("circulant", "circulant_core", "two_block_circulant", "block_circulant")
+
+# a screened Gram eigenvalue is trusted to eta = n^2 * lambda_max * 2^-52
+ETA_PER_N2_LMAX = 2.0 ** -52
+_PLUS_MINUS = np.array([-1.0, 1.0])
+
+
+def dft_phases(b: int, s: int) -> np.ndarray:
+    """Angles of the 2-D DFT of a b x s array whose entries are numbered
+    row-major: row t*s + j, column (p, q) holds 2 pi (p t / b + q j / s).
+
+    Only frequencies q <= s // 2 are kept: the DFT of a real array at
+    (-p, -q) is the conjugate of the one at (p, q), so the kept columns
+    take every modulus.
+    """
+    n = b * s
+    t, j = np.divmod(np.arange(n), s)
+    p, q = np.divmod(np.arange(b * (s // 2 + 1)), s // 2 + 1)
+    return 2 * np.pi * ((np.outer(t, p) * s + np.outer(j, q) * b) % n) / n
+
+
+class SpectralScreen:
+    """Approximate extreme Gram eigenvalues of all single-bit neighbours
+    in one circulant-type class at order n (bits laid out as in
+    `search.StructureClass.build`)."""
+
+    def __init__(self, kind: str, n: int, block_size: int | None = None):
+        if kind not in SCREENED_KINDS:
+            raise ValueError(f"no spectral screen for {kind!r}")
+        self.n = n
+        self.core = n - 1 if kind == "circulant_core" else 0
+        live = channels = 1
+        if kind == "circulant":
+            theta = dft_phases(1, n)
+        elif kind == "circulant_core":
+            theta = dft_phases(1, n - 1)[:, 1:]
+        elif kind == "block_circulant":
+            theta = dft_phases(n // block_size, block_size)
+        else:
+            # R and S get their own columns, zero on the other half's bits
+            half = dft_phases(1, n // 2)
+            theta = np.kron(np.eye(2), half)
+            live = np.kron(np.eye(2), np.ones_like(half))
+            channels = 2
+        self.table = np.hstack([np.cos(theta) * live, np.sin(theta) * live])
+        self.table2 = 2 * self.table
+        # sums the squared cos and sin columns of each frequency
+        self.groups = np.vstack([np.eye(theta.shape[1] // channels)] * (2 * channels))
+
+    def spectra(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The screen's view of every neighbour of bits, by flipped bit:
+        its DFT eigenvalues, and the +-1 bits of bits itself."""
+        pm = _PLUS_MINUS[bits]
+        z = pm @ self.table - pm[:, None] * self.table2
+        return (z * z) @ self.groups, pm
+
+    def extremes(self, spectra, i: int) -> tuple[float, float]:
+        """(lambda_min, lambda_max) of the Gram of neighbour i."""
+        lam, pm = spectra
+        row = lam[i].tolist()
+        lmin = min(row, default=math.inf)
+        lmax = max(row, default=0.0)
+        if self.core:
+            # the border couples frequency 0 of the core into the block
+            # [[1 + m, (1 + c0) sqrt(m)], [(1 + c0) sqrt(m), m + c0^2]], c0 the
+            # core's row sum; its determinant is (m - c0)^2
+            m = self.core
+            c0 = float(pm.sum() - 2 * pm[i])
+            trace = 1 + 2 * m + c0 * c0
+            det = (m - c0) ** 2
+            big = (trace + math.sqrt(trace * trace - 4 * det)) / 2
+            lmin = min(lmin, det / big)
+            lmax = max(lmax, big)
+        return lmin, lmax
+
+    def eta(self, lmax: float) -> float:
+        """The bound on |screened - eigvalsh| for an eigenvalue of a Gram
+        whose largest eigenvalue is lmax."""
+        return self.n * self.n * ETA_PER_N2_LMAX * lmax
+
+    def kappa_bounds(self, spectra, i: int) -> tuple[float, float]:
+        """lo <= kappa <= hi for the kappa that eigvalsh of neighbour i's
+        exact Gram gives (inf when lambda_min <= n * 2^-40).
+
+        (inf, inf) when the screen proves the Gram singular; (0, inf) when
+        lambda_min is within eta of the singular tolerance.  Every
+        operation rounds monotonically, so the float bounds hold.
+        """
+        lmin, lmax = self.extremes(spectra, i)
+        eta = self.eta(lmax)
+        singular = self.n * SINGULAR_TOLERANCE_PER_N
+        floor = lmin - eta
+        if floor > singular:
+            return math.sqrt((lmax - eta) / (lmin + eta)), math.sqrt((lmax + eta) / floor)
+        if lmin + eta <= singular:
+            return math.inf, math.inf
+        return 0.0, math.inf

@@ -194,6 +194,12 @@ class TestCli:
         assert code == 0
         assert Registry(tmp_path).best(5) is not None
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_search_order_below_one_is_domain_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "search", "--n", n)
+        assert code == 1
+        assert err == "error: order must be >= 1\n"
+
     def test_search_exhaustive(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--n", "3", "--exhaustive")
         assert code == 0

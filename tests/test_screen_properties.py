@@ -1,0 +1,60 @@
+"""Property tests of the spectral screen against the exact path.
+
+For random bits of every screened class, including the smallest orders,
+each neighbour's screened extreme Gram eigenvalues lie within eta / 2 of
+what eigvalsh returns on its exact Gram (anneal trusts them to eta), and
+the screen's kappa bounds contain the neighbour's exact-path kappa.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from approxhad import search  # noqa: E402
+from approxhad.linalg import SINGULAR_TOLERANCE_PER_N, gram_float64  # noqa: E402
+from approxhad.search import StructureClass  # noqa: E402
+
+CASES = [
+    ("circulant", 1), ("circulant", 2), ("circulant", 3), ("circulant", 10),
+    ("circulant", 19), ("circulant", 31),
+    ("circulant_core", 2), ("circulant_core", 3), ("circulant_core", 4),
+    ("circulant_core", 21), ("circulant_core", 29),
+    ("two_block_circulant", 2), ("two_block_circulant", 4),
+    ("two_block_circulant", 18), ("two_block_circulant", 30),
+    ("block_circulant1", 1), ("block_circulant1", 5),
+    ("block_circulant3", 3), ("block_circulant3", 9), ("block_circulant3", 27),
+    ("block_circulant9", 9), ("block_circulant9", 27),
+    ("block_circulant6", 12),
+]
+
+
+def exact_path(sclass, n, bits):
+    ev = np.linalg.eigvalsh(gram_float64(sclass.build(n, bits)))
+    kappa = math.inf if ev[0] <= n * SINGULAR_TOLERANCE_PER_N else math.sqrt(ev[-1] / ev[0])
+    return ev[0], ev[-1], kappa
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(case=st.sampled_from(CASES), data=st.data())
+def test_screen_matches_eigvalsh(case, data):
+    name, n = case
+    sclass = StructureClass.parse(name)
+    nbits = sclass.n_bits(n)
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits)),
+                    dtype=np.int64)
+    screen = search._screen(sclass, n)
+    spectra = screen.spectra(bits)
+    for i in range(nbits):
+        flipped = bits.copy()
+        flipped[i] ^= 1
+        lmin_exact, lmax_exact, kappa = exact_path(sclass, n, flipped)
+        lmin, lmax = screen.extremes(spectra, i)
+        half_eta = screen.eta(lmax) / 2
+        assert abs(lmin - lmin_exact) <= half_eta, (name, n, i)
+        assert abs(lmax - lmax_exact) <= half_eta, (name, n, i)
+        lo, hi = screen.kappa_bounds(spectra, i)
+        assert lo <= kappa <= hi, (name, n, i)

@@ -1,5 +1,11 @@
 import itertools
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +172,23 @@ class TestAnneal:
         rec = anneal(5, StructureClass("circulant"), seed=2, budget=1000)
         assert condition_number(rec.matrix).kappa == pytest.approx(rec.kappa, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("name", ["general", "circulant", "circulant_core",
+                                      "two_block_circulant", "block_circulant1"])
+    def test_rejects_order_below_one(self, name, n):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            anneal(n, StructureClass.parse(name), seed=0, budget=10)
+
+    @pytest.mark.parametrize("name", ["general", "symmetric", "circulant_core"])
+    def test_zero_bit_class_is_the_one_by_one_matrix(self, name):
+        sclass = StructureClass.parse(name)
+        assert sclass.n_bits(1) == 0
+        rec = anneal(1, sclass, seed=3, budget=10)
+        assert rec.kappa == 1.0
+        assert rec.matrix.entries.tolist() == [[1]]
+        assert rec.effort == {"mode": "anneal", "budget": 10, "restarts": 0}
+        assert condition_number(rec.matrix).kappa == rec.kappa
+
 
 class TestRegistry:
     def _record(self, n=6, kappa=None, seed=0):
@@ -222,6 +245,72 @@ class TestRegistry:
         assert sorted(p.name for p in (tmp_path / "6").glob("*index*")) == ["index.json"]
         assert not (tmp_path / "6" / ".lock").exists()
         assert reg.update(self._record()) is True
+
+    def test_killed_writer_does_not_block_the_next(self, tmp_path):
+        # a child process stops inside update() while it holds the lock,
+        # and is killed there
+        holder = textwrap.dedent(f"""
+            import sys, time
+            import approxhad.matrixio
+            from approxhad.linalg import SignMatrix, condition_number
+            from approxhad.search import Registry, SearchRecord
+
+            def stall(matrix):
+                print("locked", flush=True)
+                time.sleep(60)
+
+            approxhad.matrixio.write_sign_matrix = stall
+            A = SignMatrix([[1, 1], [1, -1]])
+            Registry({str(tmp_path)!r}).update(SearchRecord(
+                n=2, structure="general", kappa=condition_number(A).kappa,
+                matrix=A, seed=0, effort={{}}))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        child = subprocess.Popen([sys.executable, "-c", holder], env=env,
+                                 stdout=subprocess.PIPE, text=True)
+        try:
+            assert child.stdout.readline() == "locked\n"
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=10)
+        finally:
+            child.kill()
+            child.stdout.close()
+        assert (tmp_path / "2" / ".lock").exists()
+        A = SignMatrix([[1, 1], [-1, 1]])
+        record = SearchRecord(n=2, structure="general", kappa=condition_number(A).kappa,
+                              matrix=A, seed=1, effort={})
+        t0 = time.monotonic()
+        assert Registry(tmp_path).update(record) is True
+        assert time.monotonic() - t0 < 1.0
+        assert not (tmp_path / "2" / ".lock").exists()
+
+    def test_concurrent_writers_lose_no_update(self, tmp_path):
+        # four processes (more than the cores here) each store five records
+        # in slots of their own; a write that read the index while another
+        # writer was between its read and its replace would drop entries
+        writer = textwrap.dedent(f"""
+            import sys
+            from approxhad.linalg import SignMatrix
+            from approxhad.search import Registry, SearchRecord
+
+            A = SignMatrix([[1, 1], [1, -1]])
+            for k in range(5):
+                assert Registry({str(tmp_path)!r}).update(SearchRecord(
+                    n=2, structure=f"w{{sys.argv[1]}}-{{k}}", kappa=1.0,
+                    matrix=A, seed=k, effort={{}}))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        children = [subprocess.Popen([sys.executable, "-c", writer, str(p)], env=env)
+                    for p in range(4)]
+        try:
+            codes = [child.wait(timeout=60) for child in children]
+        finally:
+            for child in children:
+                child.kill()
+        assert codes == [0, 0, 0, 0]
+        index = Registry(tmp_path)._index(2)
+        assert len(index["history"]) == 20
+        assert len(index["best"]) == 20
 
     def test_tampered_kappa_rejected(self, tmp_path):
         reg = Registry(tmp_path)

@@ -1,0 +1,125 @@
+"""The spectral screen of the circulant-type classes in anneal.
+
+SCREEN_PANEL pins anneal at the budget of the benchmark's anneal workload,
+for its nine (order, class) pairs and two seeds each, in the format of
+test_search_determinism.ANNEAL_PANEL.  The values were recorded before
+the screen existed, when every move took the exact path (build, exact
+Gram, eigvalsh), with NumPy 2.4.6 and its bundled OpenBLAS on x86-64.
+
+The adversarial tests move every screened eigenvalue by half of the
+screen's stated error bound eta before anneal reads it.  The screen's true
+error is below eta / 2 (see test_screen_properties.py), so the exact value
+stays inside the bounds anneal derives, and a decision the bounds settle
+cannot flip; one taken without a margin would.
+"""
+
+import pytest
+
+from approxhad import search
+from approxhad.search import StructureClass, anneal
+from approxhad.spectral import SCREENED_KINDS, SpectralScreen
+from test_search_determinism import ANNEAL_PANEL, pattern
+from test_search_determinism import BUDGET as ANNEAL_PANEL_BUDGET
+
+BUDGET = 5000
+
+# (n, class, seed, kappa.hex(), restarts, +1 pattern)
+SCREEN_PANEL = [
+    (18, "two_block_circulant", 0, "0x1.752e50db3a3a6p+0", 1,
+     "22862440c4881a900352404a58014b022860450c0315d066b80cd701dae03b5c076980ed305d860bb0"),
+    (18, "two_block_circulant", 1, "0x1.752e50db3a3a6p+0", 1,
+     "8a061140c2281a440348c06918052300a460148c030d7065ac0db501f6a02edc05d980bb3057461ae0"),
+    (22, "two_block_circulant", 0, "0x1.7f5bb4fb8e0c5p+0", 0,
+     "09c8a81391582722b04a45e09489c1291383522702a44e05489c0a9139150a8e37951c6d2a78d255f184abe38957c512ef8a24df1449bea8837d5146f0"),
+    (22, "two_block_circulant", 1, "0x1.7f5bb4fb8e0c3p+0", 0,
+     "1a5dc834bb98697710d2ee21a5de434bb48797690f2ed20e5da45cb349b969ded3d3bda7a77b474ef6ae99eddd33dbba27b7754f4eee9e9dcd3d3bda70"),
+    (26, "two_block_circulant", 0, "0x1.545aa524b447ep+0", 0,
+     "4efbcaa9de795d3bcf2ba769e5f4ed3cbe9ca797d3d4f2fa6a9edf4953fbe92a777d654cefbca99df7950a9f046953a08f2a7411e54e823ca8d047951a08f2a3419e546813ca8d0a7911a14f2234a9e046953c08d0"),
+    (26, "two_block_circulant", 1, "0x1.545aa524b447cp+0", 0,
+     "759101ceb32039d664053adc80275b9024ea720c9d0e4193a1c8b27039164e072ac980e759301ceb22039c05b28380b6527006ca4e00d949c11b2138236427146c04e28d809c51b013ca36027946c04b28f8096510"),
+    (30, "two_block_circulant", 0, "0x1.610cc5106968ap+0", 0,
+     "14ed975c29df2eb853be5d70a77cba614ef976c29df2ed852be5fb0a57cb7615af94ec2f5f29d84ebe53b0dd7ca760baf94ec175f29d92ebfd74e46bfae9c8d5f5d791a3ebaf2367d75e464faebc8e9f5d791d3ebaf23a7d35e474fa6bcae9f0d795d3f1af2ba7a35ed74e46bfae9c8d70"),
+    (30, "two_block_circulant", 1, "0x1.5aa029d9e4abep+0", 0,
+     "4e0546b09c0a8d6938051ad2704a3524e1946849c328d093965181272ca3024f5946049eb28c092d6538121aca70243594e04c6b29c088d666b16fc64d62df8e9ac5bf15359b7e0a6b36fc14d66dfa29a8dbfc5351b7d8a6e36fb14dc6dd629f8dbac53f1b758a7e366b14fc6cd62df8d0"),
+    (19, "circulant", 0, "0x1.a9b255075c93fp+0", 1,
+     "776f0776f0776f0776f8776f8776f8776f87767877778777787737877b7877b7877b7873b787bb787bb787bb7800"),
+    (19, "circulant", 1, "0x1.c0086690afdd2p+0", 1,
+     "85d2385d2185d2185d2185d3185d1185d1185d9185c9185e9185e9185e9184e9186e9182e9182e9182e9182e9180"),
+    (21, "circulant_core", 0, "0x1.f19d6ee5bbf3ap+0", 1,
+     "fffffe3e4a28f92923e4a88f92e23e4a88f93a23e4a88f94a23e7288f94a23e9288fe4a23f9288fe4a23f9288fe4a22f92893e4a28f92880"),
+    (21, "circulant_core", 1, "0x1.f19d6ee5bbf3ap+0", 0,
+     "ffffff9288fe4a23f9288be4a24f928a3e4a38f928a3e4a48f92a23e4b88f92a23e4e88f92a23e5288f9ca23e5288fa4a23f9288fe4a2380"),
+    (23, "circulant_core", 0, "0x1.c1c5da35a771cp+0", 0,
+     "ffffff08b96f08b96f08b96b08b97b08b97b08b95b08b9db08b95b08ba5b08be5b08be5b08be5b08ae5b08ee5b08ae5b092e5b0a2e5b0e2e5b0a2e5b122e5b222e5b00"),
+    (23, "circulant_core", 1, "0x1.c1c5da35a771ep+0", 0,
+     "ffffff23e34a23e34e23e34a23e35223e37223e35223e3d223e3d223e2d223e4d223e8d223f8d223f8d223f8d223f8d223f8d222f8d224f8d228f8d238f8d228f8d200"),
+    (29, "circulant_core", 0, "0x1.f37769b30d840p+0", 0,
+     "ffffffff96ba602e5ae981396ba608e5ae984396ba620e5ae990396ba680e5ae9e0396ba780e5ae960396ba980e5aee60396ba980e5afa60396be980e5afa60396ae980e5bba60396ae980e5eba60397ae980e56ba6039dae980e56ba603a5ae980f96ba603e5ae98080"),
+    (29, "circulant_core", 1, "0x1.1eea781977cd2p+1", 0,
+     "fffffffed099e2fb42678bed099e2bb42678eed099e2bb426792ed099e8bb4267e2ed099f8bb4267e2ed099f8bb4265e2ed09a78bb4279e2ed09e78bb4259e2ed0a678bb4399e2ed0a678bb4499e2ed22678bb5099e2edc2678bb5099e2ef42678bbd099e2eb42678b80"),
+    (27, "block_circulant9", 0, "0x1.bc96d0ca21412p+0", 0,
+     "3fbc9a93f3c9ab3f3c1af3d3d1af393d1bf393d1bf39351ff393517f79350d43fbc8d53f3c8d73f3c8d73d3c8df393e8df393a8ff393a8ff393a87f791e4d43f9e4d53f9e0d73e9e8d73c9e8df3c9e8df3c9a8ff3c9a8ff3c9a87f00"),
+    (27, "block_circulant9", 1, "0x1.ee7f8ac6e78fbp+0", 0,
+     "0d0a3b00d0a3b20c0a3b20c0a3ba0c0a3ba040e39a140639a141631a14363d80d0a1d80d0a1da0c0a1da0c0b1da0c0b1da040b1da140b19a141b11a14051d80d051d80d051da0c051da0e051da0a071da0a031da0a0b19a0a1b11a00"),
+]
+
+
+def check(n, name, seed, budget, kappa_hex, restarts, plus):
+    rec = anneal(n, StructureClass.parse(name), seed, budget)
+    assert rec.kappa.hex() == kappa_hex
+    assert pattern(rec.matrix) == plus
+    assert rec.effort == {"mode": "anneal", "budget": budget, "restarts": restarts}
+
+
+@pytest.mark.parametrize("n,name,seed,kappa_hex,restarts,plus", SCREEN_PANEL)
+def test_screen_panel(n, name, seed, kappa_hex, restarts, plus):
+    check(n, name, seed, BUDGET, kappa_hex, restarts, plus)
+
+
+def shifted_extremes(direction):
+    """SpectralScreen.extremes with lambda_min moved by +-eta/2 and
+    lambda_max by the opposite amount; direction(i) = +1 lowers the
+    neighbour's kappa."""
+    extremes = SpectralScreen.extremes
+
+    def shifted(self, spectra, i):
+        lmin, lmax = extremes(self, spectra, i)
+        half = self.eta(lmax) / 2
+        s = direction(i)
+        return lmin + s * half, lmax - s * half
+
+    return shifted
+
+
+DIRECTIONS = {
+    "down": lambda i: 1,
+    "up": lambda i: -1,
+    "alternate": lambda i: 1 if i % 2 else -1,
+}
+
+
+@pytest.mark.parametrize("direction", sorted(DIRECTIONS))
+def test_shifted_screen_keeps_every_decision(monkeypatch, direction):
+    monkeypatch.setattr(SpectralScreen, "extremes", shifted_extremes(DIRECTIONS[direction]))
+    for n, name, seed, kappa_hex, restarts, plus in SCREEN_PANEL:
+        check(n, name, seed, BUDGET, kappa_hex, restarts, plus)
+    for n, name, seed, kappa_hex, restarts, plus in ANNEAL_PANEL:
+        if StructureClass.parse(name).kind in SCREENED_KINDS:
+            check(n, name, seed, ANNEAL_PANEL_BUDGET, kappa_hex, restarts, plus)
+
+
+@pytest.mark.parametrize("n,name", [(19, "circulant"), (21, "circulant_core"),
+                                    (30, "two_block_circulant"), (27, "block_circulant9")])
+def test_screen_spares_most_exact_evaluations(monkeypatch, n, name):
+    built = []
+    build = StructureClass.build
+    monkeypatch.setattr(StructureClass, "build",
+                        lambda self, n, bits: built.append(1) or build(self, n, bits))
+    anneal(n, StructureClass.parse(name), 0, BUDGET)
+    # the exact path alone builds a matrix for about one move in five
+    assert len(built) < 200
+
+
+def test_exact_classes_have_no_screen():
+    assert search._screen(StructureClass("general"), 7) is None
+    assert search._screen(StructureClass("symmetric"), 7) is None
