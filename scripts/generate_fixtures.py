@@ -23,7 +23,7 @@ import numpy as np
 from approxhad.families import circulant, sds_block_matrix, sds_search, verify_barba
 from approxhad.linalg import SignMatrix, condition_number
 from approxhad.matrixio import write_sign_matrix
-from approxhad.search import StructureClass, anneal
+from approxhad.search import SEED_PANEL, StructureClass, anneal, format_kappa
 from approxhad.table import TARGETS
 
 MATCH = 5e-10
@@ -65,7 +65,6 @@ ANNEAL_ROWS = [
     (29, "circulant_core", 100000),
     (30, "two_block_circulant", 40000),
 ]
-SEED_PANEL = range(16)
 
 # the two-circulant-block search at n = 22 beats the published table value;
 # its exhaustively verified in-class optimum is the fixture target
@@ -90,7 +89,7 @@ def main() -> int:
             {
                 "n": n,
                 "class": cls,
-                "kappa": f"{kappa:#.10g}",
+                "kappa": format_kappa(kappa),
                 "seed": seed,
                 "source": source,
                 "file": fname,

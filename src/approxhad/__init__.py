@@ -50,7 +50,6 @@ from .linalg import (
     SpectralReport,
     charpoly_exact,
     condition_number,
-    condition_number_orth_perturbed,
     gram,
     kronecker,
     minpoly_residual,

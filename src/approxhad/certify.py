@@ -11,14 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .families import detect_gram_class
 from .linalg import (
     IntPolynomial,
     SignMatrix,
     SpectralReport,
     condition_number,
-    gram_float64,
     minpoly_residual,
 )
 from .lower_bound import CliqueCertificate, best_clique_certificate
@@ -35,31 +33,6 @@ def float_field(x: float) -> dict:
     if math.isinf(x):
         return {"dec": "inf", "hex": "inf"}
     return {"dec": format_kappa(x), "hex": float(x).hex()}
-
-
-def detect_gram_class(A: SignMatrix) -> str:
-    """Which exact Gram identity the matrix satisfies, if any."""
-    n = A.n
-    g = gram_float64(A.entries)
-    eye = np.eye(n, dtype=np.int64)
-    if np.array_equal(g, n * eye):
-        return "hadamard"
-    if np.array_equal(g, (n - 1) * eye + 1):
-        return "barba"
-    if n % 2 == 0:
-        half = n // 2
-        block = (n - 2) * np.eye(half, dtype=np.int64) + 2
-        if np.array_equal(g, np.kron(np.eye(2, dtype=np.int64), block)):
-            return "sds_block"
-    if (np.diag(A.entries) == 1).all():
-        c = A.entries - eye
-        if (
-            np.array_equal(c, c.T)
-            and np.isin(c[~np.eye(n, dtype=bool)], (-1, 1)).all()
-            and np.array_equal(c.T @ c, (n - 1) * eye)
-        ):
-            return "conference_plus_I"
-    return "none"
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ import sys
 from . import __version__
 from .certify import certify, float_field
 from .constructions import build_catalog, paley_conference
-from .families import circulant, conference_plus_identity, sds_block_matrix, sds_search, verify_barba
+from .families import conference_plus_identity, sds_block_matrix, sds_search, verify_barba
 from .flatten import flat_orthogonal
-from .linalg import IntPolynomial, SignMatrix
+from .linalg import IntPolynomial
 from .matrixio import (
     load_matrix_file,
     write_conference_matrix,
@@ -30,7 +30,7 @@ from .matrixio import (
 from .plotting import plot_kappa_curve
 from .rounding import RoundingPlan, round_best
 from .search import Registry, StructureClass, anneal, exhaustive_min
-from .table import TARGETS, reproduce_table, table_csv
+from .table import TARGETS, bundled_fixtures, reproduce_table, table_csv
 
 REGISTRY_ENV = "APPROXHAD_REGISTRY"
 
@@ -102,15 +102,10 @@ def cmd_construct(args) -> int:
     elif kind == "conference_plus_identity":
         fam = conference_plus_identity(n)
     elif kind == "barba":
-        if n == 5:
-            fam = verify_barba(SignMatrix(circulant([1, 1, 1, 1, -1])))
-        else:
-            from .table import bundled_fixtures
-
-            fx = bundled_fixtures().get(n)
-            if fx is None:
-                raise ValueError(f"no bundled Barba witness at order {n}")
-            fam = verify_barba(fx["matrix"])
+        fx = bundled_fixtures().get(n)
+        if fx is None:
+            raise ValueError(f"no bundled Barba witness at order {n}")
+        fam = verify_barba(fx["matrix"])
     else:
         raise ValueError(f"unknown family kind {kind!r}")
     _write_or_print(write_sign_matrix(fam.matrix), args.out)

@@ -8,6 +8,9 @@ Three families, each certified by an exact integer Gram identity:
 * two-circulant block matrices [[R, S], [S^T, -R^T]] whose first rows
   satisfy the autocorrelation identity PAF_r(t) + PAF_s(t) = 2, giving
   A^T A = I_2 (x) ((n-2) I + 2 J) and kappa = sqrt((2n-2)/(n-2)).
+
+This module is the one home of these identities and of the Hadamard one,
+A^T A = n I; `certify` reads them through `detect_gram_class`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import paley_conference
-from .linalg import SignMatrix, condition_number, gram
+from .linalg import SignMatrix, condition_number, gram, gram_float64
 
 __all__ = [
     "SdsPair",
@@ -30,6 +33,7 @@ __all__ = [
     "verify_barba",
     "sds_search",
     "sds_block_matrix",
+    "detect_gram_class",
 ]
 
 _KAPPA_RTOL = 1e-10
@@ -106,6 +110,36 @@ class BarbaRejection(ValueError):
         self.expected = expected
 
 
+def _expected_gram(identity: str, n: int) -> np.ndarray | None:
+    """A^T A under `identity` at order n; None for an SDS block of odd order."""
+    eye = np.eye(n, dtype=np.int64)
+    if identity == "hadamard":
+        return n * eye
+    if identity == "barba":
+        return (n - 1) * eye + 1
+    block = (n - 2) * np.eye(n // 2, dtype=np.int64) + 2
+    return None if n % 2 else np.kron(np.eye(2, dtype=np.int64), block)
+
+
+def _is_symmetric_conference(c: np.ndarray) -> bool:
+    """Zero diagonal, +-1 off the diagonal, C = C^T and C^T C = (n-1) I."""
+    eye = np.eye(c.shape[0], dtype=np.int64)
+    return (np.array_equal(np.abs(c), 1 - eye) and np.array_equal(c, c.T)
+            and np.array_equal(c.T @ c, (c.shape[0] - 1) * eye))
+
+
+def detect_gram_class(A: SignMatrix) -> str:
+    """Which exact Gram identity A satisfies, if any, tried in the order below."""
+    g = gram_float64(A.entries)
+    for identity in ("hadamard", "barba", "sds_block"):
+        expected = _expected_gram(identity, A.n)
+        if expected is not None and np.array_equal(g, expected):
+            return identity
+    if _is_symmetric_conference(A.entries - np.eye(A.n, dtype=np.int64)):
+        return "conference_plus_I"
+    return "none"
+
+
 def _check_closed_form(A: SignMatrix, closed: float, family: str) -> None:
     kappa = condition_number(A).kappa
     if not math.isfinite(kappa) or abs(kappa - closed) > _KAPPA_RTOL * closed:
@@ -126,12 +160,8 @@ def conference_plus_identity(n: int) -> FamilyMatrix:
         C = paley_conference(q)
     except ValueError as exc:
         raise ValueError(f"no supported conference matrix of order {n}: {exc}")
-    if not np.array_equal(C, C.T):
-        raise AssertionError("conference matrix is not symmetric")
-    if int(np.trace(C)) != 0:
-        raise AssertionError("conference matrix has nonzero trace")
-    if not np.array_equal(C @ C, q * np.eye(n, dtype=np.int64)):
-        raise AssertionError("C^2 != (n-1) I")
+    if not _is_symmetric_conference(C):
+        raise AssertionError("C is not a symmetric conference matrix")
     A = SignMatrix(C + np.eye(n, dtype=np.int64))
     closed = (math.sqrt(q) + 1.0) / (math.sqrt(q) - 1.0)
     _check_closed_form(A, closed, "conference_plus_identity")
@@ -148,7 +178,7 @@ def verify_barba(A: SignMatrix) -> FamilyMatrix:
     """Accept A iff its Gram is exactly (n-1) I + J."""
     n = A.n
     g = gram(A).entries
-    expected = (n - 1) * np.eye(n, dtype=np.int64) + 1
+    expected = _expected_gram("barba", n)
     if not np.array_equal(g, expected):
         diff = np.argwhere(g != expected)
         i, j = (int(v) for v in diff[0])
@@ -232,11 +262,7 @@ def sds_block_matrix(pair: SdsPair) -> FamilyMatrix:
     S = circulant(pair.s)
     A = SignMatrix(np.block([[R, S], [S.T, -R.T]]))
     n = A.n
-    half = pair.half
-    g = gram(A).entries
-    block = (n - 2) * np.eye(half, dtype=np.int64) + 2
-    expected = np.kron(np.eye(2, dtype=np.int64), block)
-    if not np.array_equal(g, expected):
+    if not np.array_equal(gram(A).entries, _expected_gram("sds_block", n)):
         raise AssertionError("block Gram identity failed despite a valid pair")
     closed = math.sqrt((2 * n - 2) / (n - 2))
     _check_closed_form(A, closed, "sds_block")

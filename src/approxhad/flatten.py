@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import CatalogGapError, HadamardOrderCatalog, build_catalog
+from .constructions import (CatalogGapError, HadamardOrderCatalog, build_catalog,
+                            smallest_order_at_least)
 
 __all__ = [
     "OrthMatrix",
@@ -121,21 +122,19 @@ def flat_orthogonal(
     """
     if catalog is None:
         catalog = build_catalog(max(256, 2 * n))
-    chosen = None
-    for m in catalog.orders():
-        if m >= n and (m - n) < math.sqrt(m):
-            chosen = m
-            break
-    if chosen is None:
-        below = max((o for o in catalog.orders() if o < n), default=None)
-        above = min((o for o in catalog.orders() if o >= n), default=None)
+    try:
+        m, _ = smallest_order_at_least(n, catalog)
+    except ValueError:  # n < 1, or no constructible order >= n
+        m = None
+    # m - sqrt(m) increases with m: no order above the smallest m >= n fits
+    if m is None or m - n >= math.sqrt(m):
+        below, above = catalog._nearest(n)
         raise CatalogGapError(
             f"catalog gap at n={n}: no order m >= n with m - n < sqrt(m) "
             f"(nearest orders: {below}, {above})",
             below=below,
             above=above,
         )
-    m = chosen
     k = m - n
     H = catalog.build(m).entries
     if seed is not None:

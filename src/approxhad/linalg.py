@@ -26,12 +26,10 @@ __all__ = [
     "GramMatrix",
     "SpectralReport",
     "IntPolynomial",
-    "PerturbationReport",
     "SINGULAR_TOLERANCE_PER_N",
     "gram",
     "gram_float64",
     "condition_number",
-    "condition_number_orth_perturbed",
     "charpoly_exact",
     "minpoly_residual",
     "kronecker",
@@ -67,18 +65,6 @@ class SignMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def sign_normalized(self) -> "SignMatrix":
-        """Flip rows/columns so the first row and column are all +1.
-
-        Used for registry deduplication; kappa is invariant under sign
-        flips.  Full canonicalization over permutations is deliberately
-        not attempted.
-        """
-        a = self.entries.copy()
-        a = a * a[0, :][None, :]      # column flips: first row -> +1
-        a = a * a[:, 0][:, None]      # row flips: first column -> +1
-        return SignMatrix(a)
-
 
 @dataclass(frozen=True)
 class GramMatrix:
@@ -112,7 +98,6 @@ class SpectralReport:
     sigma_min: float
     sigma_max: float
     kappa: float
-    eigenvalues_of_gram: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -150,18 +135,6 @@ class IntPolynomial:
         return ",".join(str(c) for c in self.coefficients)
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Spectral report of a rounded matrix plus the singular-value sandwich
-    [1/u - ||E||_op, 1/u + ||E||_op] obtained from Weyl's inequality."""
-
-    report: SpectralReport
-    error_norm: float
-    sigma_lo: float
-    sigma_hi: float
-    kappa_bound: float
-
-
 def gram(A: SignMatrix) -> GramMatrix:
     """Exact integer A^T A."""
     a = A.entries
@@ -188,12 +161,7 @@ def condition_number(A: SignMatrix) -> SpectralReport:
     else:
         sigma_min = math.sqrt(lmin)
         kappa = sigma_max / sigma_min
-    return SpectralReport(
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
-        kappa=kappa,
-        eigenvalues_of_gram=tuple(float(x) for x in ev),
-    )
+    return SpectralReport(sigma_min=sigma_min, sigma_max=sigma_max, kappa=kappa)
 
 
 def operator_norm(E: np.ndarray) -> float:
@@ -205,32 +173,6 @@ def operator_norm(E: np.ndarray) -> float:
     if E.size == 0:
         return 0.0
     return math.sqrt(max(float(np.linalg.eigvalsh(E.T @ E)[-1]), 0.0))
-
-
-def condition_number_orth_perturbed(M: np.ndarray, X: SignMatrix) -> PerturbationReport:
-    """Report kappa(X) together with the Weyl sandwich around 1/||M||_max.
-
-    M is an orthogonal matrix whose entrywise rescaling M/||M||_max is the
-    expectation of the rounding that produced X.  Every singular value of X
-    lies within ||X - M/||M||_max||_op of 1/||M||_max.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    if M.shape != X.entries.shape:
-        raise ValueError(f"order mismatch: {M.shape} vs {X.entries.shape}")
-    u = float(np.abs(M).max())
-    E = X.entries - M / u
-    err = operator_norm(E)
-    report = condition_number(X)
-    sigma_lo = 1.0 / u - err
-    sigma_hi = 1.0 / u + err
-    kappa_bound = sigma_hi / sigma_lo if sigma_lo > 0 else math.inf
-    return PerturbationReport(
-        report=report,
-        error_norm=err,
-        sigma_lo=sigma_lo,
-        sigma_hi=sigma_hi,
-        kappa_bound=kappa_bound,
-    )
 
 
 def charpoly_exact(G: GramMatrix) -> IntPolynomial:

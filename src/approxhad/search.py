@@ -51,6 +51,7 @@ from .linalg import (
     condition_number,
     gram_float64,
 )
+from .matrixio import parse_sign_matrix, write_sign_matrix
 from .spectral import SCREENED_KINDS, SpectralScreen
 
 __all__ = [
@@ -519,8 +520,6 @@ class Registry:
         return min(entries.values(), key=lambda e: e["kappa"])
 
     def load_matrix(self, n: int, entry: dict) -> SignMatrix:
-        from .matrixio import parse_sign_matrix
-
         return parse_sign_matrix((self._dir(n) / entry["file"]).read_text())
 
     def orders(self) -> list[int]:
@@ -534,8 +533,6 @@ class Registry:
         The record's kappa is recomputed from the matrix first; a mismatch
         beyond 1e-9 is rejected outright.
         """
-        from .matrixio import write_sign_matrix
-
         recomputed = condition_number(record.matrix).kappa
         if not (
             math.isinf(recomputed)

@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .families import circulant, sds_block_matrix, sds_search, verify_barba
+from .families import circulant, conference_plus_identity, sds_block_matrix, sds_search, verify_barba
 from .linalg import IntPolynomial, SignMatrix, condition_number, minpoly_residual
 from .matrixio import parse_sign_matrix
-from .search import Registry, StructureClass, anneal, exhaustive_min, format_kappa
+from .search import DEFAULT_BUDGET, Registry, StructureClass, anneal, exhaustive_min, format_kappa
 
 __all__ = ["TableTarget", "TARGETS", "TableRow", "reproduce_table", "table_csv",
            "bundled_fixtures", "MATCH_TOLERANCE"]
@@ -126,8 +126,6 @@ def _candidates(n: int, target: TableTarget, registry: Registry | None,
             fam = sds_block_matrix(pairs[0])
             cands.append((condition_number(fam.matrix).kappa, "sds_block", 0, fam.matrix))
     if n % 4 == 2:
-        from .families import conference_plus_identity
-
         try:
             fam = conference_plus_identity(n)
             cands.append((fam.kappa_closed_form, "conference_plus_identity", 0, fam.matrix))
@@ -148,8 +146,6 @@ def _candidates(n: int, target: TableTarget, registry: Registry | None,
     if not cands:
         # no witness from any cheap source: fall back to one fresh search so
         # the row still reports an honest best effort
-        from .search import DEFAULT_BUDGET
-
         rec = anneal(n, StructureClass.parse(target.structure), 0,
                      max(anneal_budget, DEFAULT_BUDGET))
         cands.append((rec.kappa, rec.structure, 0, rec.matrix))

@@ -93,6 +93,16 @@ class TestBarba:
             verify_barba(A)
         assert exc.value.position == (0, 1)
 
+    def test_rejection_of_a_flipped_n13_fixture(self):
+        from approxhad.table import bundled_fixtures
+
+        flipped = bundled_fixtures()[13]["matrix"].entries.copy()
+        flipped[4, 7] = -flipped[4, 7]
+        with pytest.raises(BarbaRejection) as exc:
+            verify_barba(SignMatrix(flipped))
+        assert (exc.value.position, exc.value.got, exc.value.expected) == ((0, 7), 3, 1)
+        assert str(exc.value) == "Gram entry (0, 7) is 3, expected 1"
+
 
 class TestSdsSearch:
     def test_half_1_vacuous(self):

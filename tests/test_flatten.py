@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from approxhad.constructions import build_catalog
+from approxhad.constructions import CatalogGapError, Recipe, build_catalog
 from approxhad.flatten import (
     OrthMatrix,
     SingularSplitError,
@@ -142,6 +143,37 @@ class TestFlatOrthogonal:
             inv = np.linalg.inv(np.eye(cert.k) - A)
             opnorm = np.linalg.svd(inv, compute_uv=False)[0]
             assert opnorm <= 1.0 / (1.0 - cert.k / math.sqrt(cert.m)) + 1e-9
+
+
+# The Hadamard orders flat_orthogonal picks for n <= 300: every order it
+# uses is the smallest constructible m >= n.  3 is not a Hadamard order,
+# the skipped multiples of 4 are catalog gaps, and n = 5 has no m with
+# m - n < sqrt(m).
+CHOSEN_ORDERS = [1, 2] + [
+    m for m in range(4, 301, 4)
+    if m not in (92, 116, 156, 172, 184, 188, 232, 236, 260, 268, 292)
+]
+
+
+class TestOrderChoice:
+    def test_gap_at_5(self):
+        with pytest.raises(CatalogGapError) as exc:
+            flat_orthogonal(5)
+        assert (exc.value.below, exc.value.above) == (4, 8)
+        assert str(exc.value) == (
+            "catalog gap at n=5: no order m >= n with m - n < sqrt(m) "
+            "(nearest orders: 4, 8)"
+        )
+
+    def test_m_and_k_up_to_300(self, monkeypatch):
+        # only the choice of (m, k) is under test: build each Hadamard once
+        monkeypatch.setattr(Recipe, "build", functools.cache(Recipe.build))
+        for n in range(1, 301):
+            if n == 5:
+                continue
+            _, cert = flat_orthogonal(n)
+            m = min(o for o in CHOSEN_ORDERS if o >= n)
+            assert (cert.m, cert.k) == (m, m - n), n
 
 
 class TestUTable:

@@ -17,6 +17,7 @@ from approxhad.matrixio import (
     write_sign_matrix,
 )
 from approxhad.search import Registry, StructureClass, anneal
+from approxhad.table import bundled_fixtures
 
 
 class TestParser:
@@ -90,6 +91,26 @@ class TestCertify:
         assert detect_gram_class(conference_plus_identity(6).matrix) == "conference_plus_I"
         rng = np.random.default_rng(8)
         assert detect_gram_class(SignMatrix(np.ones((3, 3)))) == "none"
+
+    def test_gram_class_of_every_fixture(self):
+        expected = {5: "barba", 13: "barba", 6: "sds_block", 10: "sds_block",
+                    14: "sds_block", 18: "sds_block"}
+        fixtures = bundled_fixtures()
+        assert len(fixtures) == 18
+        for n, fx in fixtures.items():
+            assert detect_gram_class(fx["matrix"]) == expected.get(n, "none"), n
+
+    @pytest.mark.parametrize("n", [6, 10, 14, 18, 30])
+    def test_conference_plus_identity_and_flips(self, n):
+        A = conference_plus_identity(n).matrix
+        assert detect_gram_class(A) == "conference_plus_I"
+        # a diagonal flip, an off-diagonal flip, and a symmetric pair of
+        # flips that keeps C symmetric but breaks C^T C = (n-1) I
+        for cells in ([(0, 0)], [(1, 2)], [(n - 1, n - 2)], [(1, 2), (2, 1)]):
+            flipped = A.entries.copy()
+            for i, j in cells:
+                flipped[i, j] = -flipped[i, j]
+            assert detect_gram_class(SignMatrix(flipped)) == "none", cells
 
     def test_clique_bound_below_kappa(self):
         rng = np.random.default_rng(3)

@@ -10,14 +10,13 @@ from approxhad.linalg import (
     SignMatrix,
     charpoly_exact,
     condition_number,
-    condition_number_orth_perturbed,
     gram,
     gram_float64,
     kronecker,
     minpoly_residual,
     operator_norm,
 )
-from approxhad.constructions import paley_i, sylvester
+from approxhad.constructions import sylvester
 
 
 def random_sign(rng, n):
@@ -32,16 +31,6 @@ class TestSignMatrix:
     def test_rejects_rect(self):
         with pytest.raises(ValueError):
             SignMatrix(np.ones((2, 3)))
-
-    def test_sign_normalized(self):
-        rng = np.random.default_rng(3)
-        A = random_sign(rng, 6)
-        N = A.sign_normalized()
-        assert (N.entries[0, :] == 1).all()
-        assert (N.entries[:, 0] == 1).all()
-        assert condition_number(N).kappa == pytest.approx(
-            condition_number(A).kappa, rel=1e-12, abs=1e-12
-        ) or (math.isinf(condition_number(N).kappa) and math.isinf(condition_number(A).kappa))
 
 
 class TestGram:
@@ -147,31 +136,6 @@ class TestConditionNumber:
             else:
                 assert math.isinf(rep.kappa) or rep.kappa > 1.0 + 1e-12
             assert math.isinf(rep.kappa) or rep.kappa >= 1.0
-
-
-class TestPerturbed:
-    def test_exact_roundtrip_is_degenerate(self):
-        H = sylvester(2)
-        M = H.entries / 2.0
-        rep = condition_number_orth_perturbed(M, H)
-        assert rep.error_norm == pytest.approx(0.0, abs=1e-12)
-        assert rep.report.kappa == pytest.approx(1.0, abs=1e-12)
-        assert rep.sigma_lo == pytest.approx(rep.sigma_hi, abs=1e-9)
-
-    def test_single_flip_sandwich(self):
-        H = paley_i(11)
-        flipped = H.entries.copy()
-        flipped[3, 7] = -flipped[3, 7]
-        X = SignMatrix(flipped)
-        rep = condition_number_orth_perturbed(H.entries / math.sqrt(12), X)
-        # Weyl: all singular values inside [sigma_lo, sigma_hi]
-        assert rep.sigma_lo - 1e-9 <= rep.report.sigma_min
-        assert rep.report.sigma_max <= rep.sigma_hi + 1e-9
-        assert rep.report.kappa <= rep.kappa_bound + 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            condition_number_orth_perturbed(np.eye(3), sylvester(1))
 
 
 class TestCharpoly:

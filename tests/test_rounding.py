@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from approxhad.constructions import build_catalog
+from approxhad.constructions import build_catalog, paley_i
 from approxhad.flatten import OrthMatrix, flat_orthogonal
-from approxhad.linalg import operator_norm
-from approxhad.rounding import RoundingPlan, bernstein_bound, round_best, round_once
+from approxhad.linalg import SignMatrix, condition_number, operator_norm
+from approxhad.rounding import (
+    RoundingPlan,
+    _kappa_from_error,
+    bernstein_bound,
+    round_best,
+    round_once,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +51,22 @@ class TestBernsteinBound:
         bounds = [bernstein_bound(n, float(u)).kappa_bound for u in us]
         finite = [b for b in bounds if math.isfinite(b)]
         assert all(b1 <= b2 + 1e-12 for b1, b2 in zip(finite, finite[1:]))
+
+
+class TestWeylSandwich:
+    def test_single_flip_sandwich(self):
+        H = paley_i(11)
+        flipped = H.entries.copy()
+        flipped[3, 7] = -flipped[3, 7]
+        X = SignMatrix(flipped)
+        M = H.entries / math.sqrt(12)
+        u = float(np.abs(M).max())
+        err = operator_norm(X.entries - M / u)
+        rep = condition_number(X)
+        # Weyl: every singular value of X lies within ||X - M/u||_op of 1/u
+        assert 1.0 / u - err - 1e-9 <= rep.sigma_min
+        assert rep.sigma_max <= 1.0 / u + err + 1e-9
+        assert rep.kappa <= _kappa_from_error(u, err) + 1e-9
 
 
 class TestRoundOnce:

@@ -251,7 +251,7 @@ class TestRegistry:
         # and is killed there
         holder = textwrap.dedent(f"""
             import sys, time
-            import approxhad.matrixio
+            import approxhad.search
             from approxhad.linalg import SignMatrix, condition_number
             from approxhad.search import Registry, SearchRecord
 
@@ -259,7 +259,7 @@ class TestRegistry:
                 print("locked", flush=True)
                 time.sleep(60)
 
-            approxhad.matrixio.write_sign_matrix = stall
+            approxhad.search.write_sign_matrix = stall
             A = SignMatrix([[1, 1], [1, -1]])
             Registry({str(tmp_path)!r}).update(SearchRecord(
                 n=2, structure="general", kappa=condition_number(A).kappa,
