@@ -18,7 +18,8 @@ import sys
 from . import __version__
 from .certify import certify, float_field
 from .constructions import build_catalog, paley_conference
-from .families import conference_plus_identity, sds_block_matrix, sds_search, verify_barba
+from .families import (conference_plus_identity, detect_gram_class, sds_block_matrix,
+                       sds_search, verify_barba)
 from .flatten import flat_orthogonal
 from .linalg import IntPolynomial
 from .matrixio import (
@@ -29,7 +30,7 @@ from .matrixio import (
 )
 from .plotting import plot_kappa_curve
 from .rounding import RoundingPlan, round_best
-from .search import Registry, StructureClass, anneal, exhaustive_min
+from .search import DEFAULT_BUDGET, Registry, StructureClass, anneal, exhaustive_min
 from .table import TARGETS, bundled_fixtures, reproduce_table, table_csv
 
 REGISTRY_ENV = "APPROXHAD_REGISTRY"
@@ -40,6 +41,10 @@ def _seed(value: str) -> int:
     if not 0 <= s < 2**64:
         raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned decimal")
     return s
+
+
+def _seeds(value: str) -> tuple[int, ...]:
+    return tuple(_seed(s) for s in value.split(","))
 
 
 def _emit(report: dict, as_csv: bool) -> None:
@@ -95,6 +100,8 @@ def cmd_construct(args) -> int:
     if kind is None:
         kind = "sds" if n % 2 == 0 else "barba"
     if kind == "sds":
+        if n % 2:
+            raise ValueError(f"SDS block matrices have even order, not {n}")
         pairs = sds_search(n // 2)
         if not pairs:
             raise ValueError(f"no two-circulant pair exists at order {n}")
@@ -103,7 +110,7 @@ def cmd_construct(args) -> int:
         fam = conference_plus_identity(n)
     elif kind == "barba":
         fx = bundled_fixtures().get(n)
-        if fx is None:
+        if fx is None or detect_gram_class(fx["matrix"]) != "barba":
             raise ValueError(f"no bundled Barba witness at order {n}")
         fam = verify_barba(fx["matrix"])
     else:
@@ -193,15 +200,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    registry = _registry(args)
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else ()
-    rows = reproduce_table(
-        args.min,
-        args.max,
-        registry=registry,
-        anneal_budget=args.anneal_budget,
-        seeds=seeds,
-    )
+    rows = reproduce_table(args.min, args.max, registry=_registry(args),
+                           anneal_budget=args.anneal_budget, seeds=args.seeds)
     _write_or_print(table_csv(rows), args.out)
     return 0
 
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--structure", default="general")
     s.add_argument("--seed", type=_seed, default=0)
-    s.add_argument("--budget", type=int, default=20000)
+    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     s.add_argument("--exhaustive", action="store_true")
     s.add_argument("--long-running", action="store_true")
     s.add_argument("--registry")
@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out")
     t.add_argument("--registry")
     t.add_argument("--anneal-budget", type=int, default=0)
-    t.add_argument("--seeds", help="comma-separated seed panel for fresh searches")
+    t.add_argument("--seeds", type=_seeds, default=(),
+                   help="comma-separated seed panel for fresh searches")
     t.set_defaults(func=cmd_table)
 
     q = sub.add_parser("plot", help="SVG of best kappa vs certified bounds")
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

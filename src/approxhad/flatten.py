@@ -16,6 +16,7 @@ import numpy as np
 
 from .constructions import (CatalogGapError, HadamardOrderCatalog, build_catalog,
                             smallest_order_at_least)
+from .linalg import philox
 
 __all__ = [
     "OrthMatrix",
@@ -138,7 +139,7 @@ def flat_orthogonal(
     k = m - n
     H = catalog.build(m).entries
     if seed is not None:
-        rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        rng = philox(seed, 0)
         H = H[rng.permutation(m), :][:, rng.permutation(m)]
     M = OrthMatrix.from_array(H / math.sqrt(m))
     out = M if k == 0 else submatrix_orthogonalize(M, k)

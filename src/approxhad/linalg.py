@@ -34,6 +34,7 @@ __all__ = [
     "minpoly_residual",
     "kronecker",
     "operator_norm",
+    "philox",
 ]
 
 # lambda_min <= n * 2^-40 is treated as exact singularity (kappa = inf);
@@ -146,6 +147,17 @@ def gram_float64(a: np.ndarray) -> np.ndarray:
     float64 through BLAS; see the module docstring for why it is exact."""
     f = np.asarray(a, dtype=np.float64)
     return f.swapaxes(-1, -2) @ f
+
+
+def philox(seed: int, counter: int) -> np.random.Generator:
+    """The Philox stream keyed by (seed, counter), both in [0, 2^64).
+
+    The key is a uint64 array: a plain list goes through float64 above
+    2^63, which would merge distinct seeds into one stream."""
+    if not (0 <= seed < 2**64 and 0 <= counter < 2**64):
+        raise ValueError("seed and counter must lie in [0, 2^64)")
+    key = np.array([seed, counter], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def condition_number(A: SignMatrix) -> SpectralReport:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flatten import OrthMatrix
-from .linalg import SignMatrix, condition_number, operator_norm, SpectralReport
+from .linalg import SignMatrix, condition_number, operator_norm, philox, SpectralReport
 
 __all__ = [
     "RoundingPlan",
@@ -87,13 +87,8 @@ def bernstein_bound(n: int, u: float) -> BernsteinCertificate:
 
 def round_once(plan: RoundingPlan, trial_index: int) -> SignMatrix:
     """One rounding draw: entry (i, j) is +1 with probability (1 + scaled_ij)/2."""
-    if trial_index < 0:
-        raise ValueError("trial index must be >= 0")
     n = plan.n
-    rng = np.random.Generator(
-        np.random.Philox(key=[plan.master_seed, trial_index])
-    )
-    uniforms = rng.random((n, n))
+    uniforms = philox(plan.master_seed, trial_index).random((n, n))
     scaled = plan.scaled
     return SignMatrix(np.where(uniforms < (1.0 + scaled) / 2.0, 1, -1))
 

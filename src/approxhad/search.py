@@ -50,6 +50,7 @@ from .linalg import (
     SignMatrix,
     condition_number,
     gram_float64,
+    philox,
 )
 from .matrixio import parse_sign_matrix, write_sign_matrix
 from .spectral import SCREENED_KINDS, SpectralScreen
@@ -380,7 +381,7 @@ def anneal(
             state.hi = state.lo
         return state
 
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = philox(seed, 0)
 
     def fresh_state() -> _State:
         return settle(_State(rng.integers(0, 2, nbits)))

@@ -7,6 +7,10 @@ bundled fixture witnesses, the closed-form families, exhaustive search
 at tiny orders, an optional registry, and optional fresh annealing, then
 reports the best kappa per order and whether it matches the target.
 
+Every candidate is a (source, structure class, seed, matrix) record and is
+scored by `condition_number`; the least kappa wins, and a tie goes to the
+source listed first in SOURCES.
+
 A row can legitimately fail to match in two ways: the searches may simply
 not reach the target (larger orders are best effort), or they may beat
 it -- the two-circulant-block search at n = 22 finds 1.497493087, below
@@ -21,18 +25,22 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
-from .families import circulant, conference_plus_identity, sds_block_matrix, sds_search, verify_barba
+from .families import conference_plus_identity, sds_block_matrix, sds_search
 from .linalg import IntPolynomial, SignMatrix, condition_number, minpoly_residual
 from .matrixio import parse_sign_matrix
 from .search import DEFAULT_BUDGET, Registry, StructureClass, anneal, exhaustive_min, format_kappa
 
-__all__ = ["TableTarget", "TARGETS", "TableRow", "reproduce_table", "table_csv",
-           "bundled_fixtures", "MATCH_TOLERANCE"]
+__all__ = ["TableTarget", "TARGETS", "TableRow", "Candidate", "SOURCES",
+           "reproduce_table", "table_csv", "bundled_fixtures", "MATCH_TOLERANCE"]
 
 MATCH_TOLERANCE = 5e-10
 # residual threshold scales with the polynomial's coefficients
 RESIDUAL_REL = 1e-6
+# candidate sources, in tie-break order
+SOURCES = ("exhaustive", "fixture", "sds_block", "conference_plus_identity",
+           "registry", "anneal")
 
 
 @dataclass(frozen=True)
@@ -86,9 +94,17 @@ class TableRow:
     kappa: float
     target_kappa: str
     matched: bool
-    structure: str
+    structure: str            # a StructureClass name
     minpoly_residual: float
     seed: int
+    source: str               # one of SOURCES
+
+
+class Candidate(NamedTuple):
+    source: str
+    structure: str
+    seed: int
+    matrix: SignMatrix
 
 
 def bundled_fixtures() -> dict[int, dict]:
@@ -107,48 +123,38 @@ def bundled_fixtures() -> dict[int, dict]:
 
 
 def _candidates(n: int, target: TableTarget, registry: Registry | None,
-                anneal_budget: int, seeds: tuple[int, ...], fixtures: dict):
-    """(kappa, structure-label, seed, matrix) candidates for one order."""
+                anneal_budget: int, seeds: tuple[int, ...], fixtures: dict) -> list[Candidate]:
     cands = []
     fx = fixtures.get(n)
     if fx is not None:
-        kappa = condition_number(fx["matrix"]).kappa
-        cands.append((kappa, f"fixture:{fx['class']}", fx.get("seed", 0), fx["matrix"]))
-    if n == 5:
-        barba5 = verify_barba(SignMatrix(circulant([1, 1, 1, 1, -1])))
-        cands.append((barba5.kappa_closed_form, "circulant", 0, barba5.matrix))
+        cands.append(Candidate("fixture", fx["class"], fx.get("seed", 0), fx["matrix"]))
     if n <= 5:
-        rec = exhaustive_min(n)
-        cands.append((rec.kappa, "exhaustive", 0, rec.matrix))
+        cands.append(Candidate("exhaustive", "general", 0, exhaustive_min(n).matrix))
     if n % 2 == 0:
         pairs = sds_search(n // 2)
         if pairs:
-            fam = sds_block_matrix(pairs[0])
-            cands.append((condition_number(fam.matrix).kappa, "sds_block", 0, fam.matrix))
+            cands.append(Candidate("sds_block", "two_block_circulant", 0,
+                                   sds_block_matrix(pairs[0]).matrix))
     if n % 4 == 2:
         try:
-            fam = conference_plus_identity(n)
-            cands.append((fam.kappa_closed_form, "conference_plus_identity", 0, fam.matrix))
+            cands.append(Candidate("conference_plus_identity", "symmetric", 0,
+                                   conference_plus_identity(n).matrix))
         except ValueError:
             pass
     if registry is not None:
         entry = registry.best(n)
         if entry is not None:
-            cands.append(
-                (entry["kappa"], f"registry:{entry['structure']}",
-                 entry["seed"], registry.load_matrix(n, entry))
-            )
-    if anneal_budget > 0:
-        sclass = StructureClass.parse(target.structure)
-        for seed in seeds:
-            rec = anneal(n, sclass, seed, anneal_budget)
-            cands.append((rec.kappa, rec.structure, seed, rec.matrix))
-    if not cands:
+            cands.append(Candidate("registry", entry["structure"], entry["seed"],
+                                   registry.load_matrix(n, entry)))
+    runs = [(seed, anneal_budget) for seed in seeds if anneal_budget > 0]
+    if not cands and not runs:
         # no witness from any cheap source: fall back to one fresh search so
         # the row still reports an honest best effort
-        rec = anneal(n, StructureClass.parse(target.structure), 0,
-                     max(anneal_budget, DEFAULT_BUDGET))
-        cands.append((rec.kappa, rec.structure, 0, rec.matrix))
+        runs = [(0, max(anneal_budget, DEFAULT_BUDGET))]
+    sclass = StructureClass.parse(target.structure)
+    for seed, budget in runs:
+        rec = anneal(n, sclass, seed, budget)
+        cands.append(Candidate("anneal", rec.structure, seed, rec.matrix))
     return cands
 
 
@@ -166,7 +172,11 @@ def reproduce_table(
             continue
         target = TARGETS[n]
         cands = _candidates(n, target, registry, anneal_budget, seeds, fixtures)
-        kappa, structure, seed, _ = min(cands, key=lambda c: (c[0], c[1]))
+        # ties within one source (the anneal seed panel) keep the earlier seed
+        kappa, _, best = min(
+            ((condition_number(c.matrix).kappa, SOURCES.index(c.source), c) for c in cands),
+            key=lambda scored: scored[:2],
+        )
         residual = minpoly_residual(target.minpoly, kappa)
         scale = max(abs(c) for c in target.minpoly.coefficients)
         matched = (
@@ -174,17 +184,9 @@ def reproduce_table(
             and abs(kappa - target.kappa_value) <= MATCH_TOLERANCE
             and abs(residual) <= RESIDUAL_REL * scale
         )
-        rows.append(
-            TableRow(
-                n=n,
-                kappa=kappa,
-                target_kappa=target.kappa,
-                matched=matched,
-                structure=structure,
-                minpoly_residual=residual,
-                seed=seed,
-            )
-        )
+        rows.append(TableRow(n=n, kappa=kappa, target_kappa=target.kappa, matched=matched,
+                             structure=best.structure, minpoly_residual=residual,
+                             seed=best.seed, source=best.source))
     return rows
 
 
@@ -192,15 +194,8 @@ def table_csv(rows: list[TableRow]) -> str:
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["n", "kappa", "target_kappa", "matched", "structure",
-                "minpoly_residual", "seed"])
+                "minpoly_residual", "seed", "source"])
     for r in rows:
-        w.writerow([
-            r.n,
-            format_kappa(r.kappa),
-            r.target_kappa,
-            str(r.matched).lower(),
-            r.structure,
-            f"{r.minpoly_residual:.6e}",
-            r.seed,
-        ])
+        w.writerow([r.n, format_kappa(r.kappa), r.target_kappa, str(r.matched).lower(),
+                    r.structure, f"{r.minpoly_residual:.6e}", r.seed, r.source])
     return out.getvalue()

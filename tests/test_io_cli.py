@@ -152,6 +152,30 @@ class TestCli:
         assert code == 0
         assert detect_gram_class(parse_sign_matrix(out)) == "barba"
 
+    @pytest.mark.parametrize("order", ["7", "11", "15", "19", "27"])
+    def test_construct_sds_odd_order_is_domain_error(self, capsys, order):
+        code, out, err = run_cli(capsys, "construct", "family", "--kind", "sds",
+                                 "--order", order)
+        assert (code, out) == (1, "")
+        assert err == f"error: SDS block matrices have even order, not {order}\n"
+
+    @pytest.mark.parametrize("kind", [(), ("--kind", "barba")])
+    def test_construct_barba_needs_barba_fixture(self, capsys, kind):
+        # the bundled n = 9 witness is symmetric but not a Barba matrix
+        code, out, err = run_cli(capsys, "construct", "family", "--order", "9", *kind)
+        assert (code, out) == (1, "")
+        assert err == "error: no bundled Barba witness at order 9\n"
+
+    def test_search_budget_default(self):
+        from approxhad.search import DEFAULT_BUDGET
+
+        args = cli.build_parser().parse_args(["search", "--n", "5"])
+        assert args.budget == DEFAULT_BUDGET
+
+    def test_table_seeds_parsed_as_seeds(self):
+        args = cli.build_parser().parse_args(["table", "--seeds", "0,18446744073709551615"])
+        assert args.seeds == (0, 2**64 - 1)
+
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["construct", "hadamard"])  # missing --order
@@ -245,7 +269,7 @@ class TestCli:
                                "--out", str(out_file))
         assert code == 0
         lines = out_file.read_text().splitlines()
-        assert lines[0] == "n,kappa,target_kappa,matched,structure,minpoly_residual,seed"
+        assert lines[0] == "n,kappa,target_kappa,matched,structure,minpoly_residual,seed,source"
         rows = {int(l.split(",")[0]): l.split(",") for l in lines[1:]}
         assert rows[3][3] == "true"
         assert rows[5][3] == "true"
@@ -319,3 +343,36 @@ class TestPlot:
         plot_kappa_curve(reg, str(out))
         golden = pathlib.Path(__file__).parent / "data" / "golden_kappa.svg"
         assert out.read_bytes() == golden.read_bytes()
+
+
+# argv per malformed input; "{tmp}" is a directory holding the files below
+MALFORMED = {
+    "directory": ["certify", "--input", "{tmp}"],
+    "non_utf8": ["certify", "--input", "{tmp}/bytes.mat"],
+    "zero_one_csv": ["certify", "--input", "{tmp}/zero_one.csv"],
+    "bad_minpoly": ["certify", "--input", "{tmp}/b5.mat", "--minpoly", "a,b"],
+    "sds_odd_order": ["construct", "family", "--kind", "sds", "--order", "7"],
+    "registry_is_file": ["search", "--n", "3", "--exhaustive", "--registry", "{tmp}/b5.mat"],
+    "round_seed_negative": ["round", "--n", "7", "--trials", "1", "--seed", "-1"],
+    "round_seed_2_64": ["round", "--n", "7", "--trials", "1", "--seed", str(2**64)],
+    "flatten_seed_text": ["flatten", "--n", "7", "--seed", "x"],
+    "table_seeds_negative": ["table", "--min", "3", "--max", "3", "--seeds", "-1"],
+    "table_seeds_text": ["table", "--min", "3", "--max", "3", "--seeds", "1,x"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1_or_2(capsys, tmp_path, case):
+    (tmp_path / "bytes.mat").write_bytes(b"+-\n\xff\xfe\n")
+    (tmp_path / "zero_one.csv").write_text("0,1\n1,0\n")
+    (tmp_path / "b5.mat").write_text(write_sign_matrix(SignMatrix(circulant([1, 1, 1, 1, -1]))))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in MALFORMED[case]]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (1, 2), (case, code)
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith(("error: ", "approxhad "))

@@ -5,9 +5,10 @@ import pytest
 
 from approxhad.families import verify_barba
 from approxhad.linalg import condition_number, minpoly_residual
-from approxhad.search import Registry, StructureClass, anneal, format_kappa
+from approxhad.search import Registry, SearchRecord, StructureClass, anneal, format_kappa
 from approxhad.table import (
     MATCH_TOLERANCE,
+    SOURCES,
     TARGETS,
     bundled_fixtures,
     reproduce_table,
@@ -94,6 +95,28 @@ class TestReproduceTable:
         rows = {r.n: r for r in reproduce_table(6, 6, registry=reg)}
         assert rows[6].matched  # fixture and registry agree at the optimum
 
+    def test_fixture_wins_tie_with_registry(self, tmp_path):
+        # the registry holds the fixture's own matrix, so kappa ties bit for bit
+        fx = bundled_fixtures()[6]
+        reg = Registry(tmp_path)
+        reg.update(SearchRecord(n=6, structure=fx["class"],
+                                kappa=condition_number(fx["matrix"]).kappa,
+                                matrix=fx["matrix"], seed=99, effort={"mode": "test"}))
+        row = reproduce_table(6, 6, registry=reg)[0]
+        assert SOURCES.index("fixture") < SOURCES.index("registry")
+        assert (row.source, row.structure, row.seed) == ("fixture", fx["class"], fx["seed"])
+
+    def test_rows_name_a_class_and_a_source(self):
+        rows = reproduce_table(3, 30)
+        assert [r.n for r in rows] == sorted(TARGETS)
+        for r in rows:
+            StructureClass.parse(r.structure)
+            assert r.source in SOURCES, r
+        by_n = {r.n: r for r in rows}
+        # the exact optimum wins kappa ties with the n = 5 fixture
+        assert (by_n[5].source, by_n[5].structure) == ("exhaustive", "general")
+        assert {by_n[n].source for n in (15, 17, 25)} == {"anneal"}
+
     def test_fresh_anneal_path(self):
         rows = reproduce_table(7, 7, anneal_budget=4000, seeds=(0, 1))
         assert rows[0].n == 7 and rows[0].matched
@@ -102,6 +125,6 @@ class TestReproduceTable:
         rows = reproduce_table(3, 10)
         csv_text = table_csv(rows)
         lines = csv_text.splitlines()
-        assert lines[0] == "n,kappa,target_kappa,matched,structure,minpoly_residual,seed"
+        assert lines[0] == "n,kappa,target_kappa,matched,structure,minpoly_residual,seed,source"
         assert len(lines) == 1 + len(rows)
-        assert all(len(l.split(",")) == 7 for l in lines[1:])
+        assert all(len(l.split(",")) == 8 for l in lines[1:])
