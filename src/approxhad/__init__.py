@@ -48,7 +48,6 @@ from .linalg import (
     IntPolynomial,
     SignMatrix,
     SpectralReport,
-    charpoly_exact,
     condition_number,
     gram,
     kronecker,

@@ -2,8 +2,7 @@
 
 A certificate bundles the spectral report (kappa to 10 digits plus an
 exact hex-float), the detected exact Gram identity if any, the best
-sign-clique lower bound, an optional minimal-polynomial residual, and an
-optional Bernstein certificate when the matrix came from rounding.
+sign-clique lower bound and an optional minimal-polynomial residual.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .linalg import (
     minpoly_residual,
 )
 from .lower_bound import CliqueCertificate, best_clique_certificate
-from .rounding import BernsteinCertificate
 from .search import format_kappa
 
 __all__ = ["CertifyReport", "certify", "detect_gram_class", "float_field", "SCHEMA"]
@@ -43,11 +41,10 @@ class CertifyReport:
     clique: CliqueCertificate
     minpoly: IntPolynomial | None = None
     minpoly_residual: float | None = None
-    bernstein: BernsteinCertificate | None = None
 
     def to_dict(self) -> dict:
         rep = self.report
-        out = {
+        return {
             "schema": SCHEMA,
             "n": self.n,
             "kappa": float_field(rep.kappa),
@@ -58,31 +55,16 @@ class CertifyReport:
                 **self.clique.to_dict(),
                 "bound": float_field(self.clique.bound),
             },
-            "minpoly": None,
-            "bernstein": None,
-        }
-        if self.minpoly is not None:
-            out["minpoly"] = {
+            "minpoly": None if self.minpoly is None else {
                 "coefficients": list(self.minpoly.coefficients),
                 "residual": float_field(self.minpoly_residual),
-            }
-        if self.bernstein is not None:
-            b = self.bernstein
-            out["bernstein"] = {
-                "n": b.n,
-                "u": float_field(b.u),
-                "e_n": float_field(b.e_n),
-                "kappa_bound": float_field(b.kappa_bound),
-                "kappa_bound_doubled": float_field(b.kappa_bound_doubled),
-            }
-        return out
+            },
+            # nothing fills it; kept so approxhad.certify/1 output is unchanged
+            "bernstein": None,
+        }
 
 
-def certify(
-    A: SignMatrix,
-    minpoly: IntPolynomial | None = None,
-    bernstein: BernsteinCertificate | None = None,
-) -> CertifyReport:
+def certify(A: SignMatrix, minpoly: IntPolynomial | None = None) -> CertifyReport:
     report = condition_number(A)
     clique = best_clique_certificate(A)
     if math.isfinite(report.kappa) and clique.bound > report.kappa + 1e-9:
@@ -100,5 +82,4 @@ def certify(
         clique=clique,
         minpoly=minpoly,
         minpoly_residual=residual,
-        bernstein=bernstein,
     )

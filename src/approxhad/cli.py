@@ -47,6 +47,16 @@ def _seeds(value: str) -> tuple[int, ...]:
     return tuple(_seed(s) for s in value.split(","))
 
 
+def _at_least(low: int):
+    """An argparse type: a decimal integer >= low."""
+    def parse(value: str) -> int:
+        v = int(value)
+        if v < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return v
+    return parse
+
+
 def _emit(report: dict, as_csv: bool) -> None:
     if not as_csv:
         print(json.dumps(report, indent=2))
@@ -91,8 +101,7 @@ def cmd_construct(args) -> int:
         _write_or_print(write_sign_matrix(matrix), args.out)
         return 0
     if args.what == "conference":
-        q = args.q if args.q is not None else args.order - 1
-        _write_or_print(write_conference_matrix(paley_conference(q)), args.out)
+        _write_or_print(write_conference_matrix(paley_conference(args.order - 1)), args.out)
         return 0
     # family: pick by --kind, default to whatever exists at this order
     n = args.order
@@ -222,13 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="emit a matrix in the +/- text format")
     c.add_argument("what", choices=["hadamard", "conference", "family"])
     c.add_argument("--order", type=int, required=True)
-    c.add_argument("--q", type=int, help="field order (conference only)")
     c.add_argument("--kind", choices=["sds", "conference_plus_identity", "barba"])
     c.add_argument("--out")
     c.set_defaults(func=cmd_construct)
 
     g = sub.add_parser("catalog", help="dump constructible Hadamard orders as JSON")
-    g.add_argument("--max-order", type=int, default=256)
+    g.add_argument("--max-order", type=_at_least(1), default=256)
     g.set_defaults(func=cmd_catalog)
 
     f = sub.add_parser("flatten", help="flat orthogonal matrix of order n")
@@ -242,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--trials", type=int, required=True)
     r.add_argument("--seed", type=_seed, required=True)
-    r.add_argument("--workers", type=int, default=1)
+    r.add_argument("--workers", type=_at_least(1), default=1)
     r.add_argument("--out", help="write the best matrix in +/- format")
     r.add_argument("--csv", action="store_true")
     r.set_defaults(func=cmd_round)
@@ -270,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max", type=int, default=max(TARGETS))
     t.add_argument("--out")
     t.add_argument("--registry")
-    t.add_argument("--anneal-budget", type=int, default=0)
+    t.add_argument("--anneal-budget", type=_at_least(0), default=0)
     t.add_argument("--seeds", type=_seeds, default=(),
                    help="comma-separated seed panel for fresh searches")
     t.set_defaults(func=cmd_table)

@@ -55,22 +55,26 @@ def sylvester(t: int) -> SignMatrix:
     return SignMatrix(h)
 
 
+def _bordered_jacobsthal(q: int, residue: int) -> np.ndarray:
+    """[[0, 1^T], [s 1, Q]] for the Jacobsthal matrix Q of GF(q), q == residue
+    mod 4, with s = +1 for residue 1 and s = -1 for residue 3."""
+    FiniteFieldSpec.of(q)  # an unsupported q fails before the residue check
+    if q % 4 != residue:
+        raise ValueError(f"q = {q} is not {residue} mod 4")
+    c = np.zeros((q + 1, q + 1), dtype=np.int64)
+    c[0, 1:] = 1
+    c[1:, 0] = 1 if residue == 1 else -1
+    c[1:, 1:] = field_for(q).jacobsthal()
+    return c
+
+
 def paley_i(q: int) -> SignMatrix:
     """Hadamard matrix of order q + 1 for a prime power q == 3 mod 4.
 
     I + S where S borders the Jacobsthal matrix; S is skew because -1 is a
     non-square in these fields.
     """
-    spec = FiniteFieldSpec.of(q)
-    if q % 4 != 3:
-        raise ValueError(f"q = {q} is not 3 mod 4")
-    Q = field_for(spec.q).jacobsthal()
-    n = q + 1
-    s = np.zeros((n, n), dtype=np.int64)
-    s[0, 1:] = 1
-    s[1:, 0] = -1
-    s[1:, 1:] = Q
-    return SignMatrix(s + np.eye(n, dtype=np.int64))
+    return SignMatrix(_bordered_jacobsthal(q, 3) + np.eye(q + 1, dtype=np.int64))
 
 
 def paley_conference(q: int) -> np.ndarray:
@@ -80,16 +84,7 @@ def paley_conference(q: int) -> np.ndarray:
     Returned as a plain integer array (the zero diagonal keeps it out of
     SignMatrix).
     """
-    spec = FiniteFieldSpec.of(q)
-    if q % 4 != 1:
-        raise ValueError(f"q = {q} is not 1 mod 4")
-    Q = field_for(spec.q).jacobsthal()
-    n = q + 1
-    c = np.zeros((n, n), dtype=np.int64)
-    c[0, 1:] = 1
-    c[1:, 0] = 1
-    c[1:, 1:] = Q
-    return c
+    return _bordered_jacobsthal(q, 1)
 
 
 def paley_ii(q: int) -> SignMatrix:
@@ -175,13 +170,10 @@ class HadamardOrderCatalog:
 
 
 def build_catalog(max_order: int = 256) -> HadamardOrderCatalog:
-    known: dict[int, Recipe] = {
-        1: Recipe("sylvester", 0),
-        2: Recipe("sylvester", 1),
-    }
-    t = 2
+    known: dict[int, Recipe] = {}
+    t = 0
     while 2**t <= max_order:
-        known.setdefault(2**t, Recipe("sylvester", t))
+        known[2**t] = Recipe("sylvester", t)
         t += 1
     for q in _supported_prime_powers(max_order - 1):
         if q % 4 == 3 and q + 1 <= max_order:

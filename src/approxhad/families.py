@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import paley_conference
-from .linalg import SignMatrix, condition_number, gram, gram_float64
+from .linalg import SignMatrix, condition_number, gram_float64
 
 __all__ = [
     "SdsPair",
@@ -140,13 +140,16 @@ def detect_gram_class(A: SignMatrix) -> str:
     return "none"
 
 
-def _check_closed_form(A: SignMatrix, closed: float, family: str) -> None:
+def _certified(family: str, A: SignMatrix, closed: float, identity: str) -> FamilyMatrix:
+    """The family record of A, once its kappa matches the closed form."""
     kappa = condition_number(A).kappa
     if not math.isfinite(kappa) or abs(kappa - closed) > _KAPPA_RTOL * closed:
         raise AssertionError(
             f"{family}: computed kappa {kappa!r} does not match the closed "
             f"form {closed!r}"
         )
+    return FamilyMatrix(family=family, matrix=A, n=A.n, kappa_closed_form=closed,
+                        gram_identity=identity)
 
 
 def conference_plus_identity(n: int) -> FamilyMatrix:
@@ -162,36 +165,20 @@ def conference_plus_identity(n: int) -> FamilyMatrix:
         raise ValueError(f"no supported conference matrix of order {n}: {exc}")
     if not _is_symmetric_conference(C):
         raise AssertionError("C is not a symmetric conference matrix")
-    A = SignMatrix(C + np.eye(n, dtype=np.int64))
     closed = (math.sqrt(q) + 1.0) / (math.sqrt(q) - 1.0)
-    _check_closed_form(A, closed, "conference_plus_identity")
-    return FamilyMatrix(
-        family="conference_plus_identity",
-        matrix=A,
-        n=n,
-        kappa_closed_form=closed,
-        gram_identity="A^T A = n I + 2 C",
-    )
+    return _certified("conference_plus_identity", SignMatrix(C + np.eye(n, dtype=np.int64)),
+                      closed, "A^T A = n I + 2 C")
 
 
 def verify_barba(A: SignMatrix) -> FamilyMatrix:
     """Accept A iff its Gram is exactly (n-1) I + J."""
     n = A.n
-    g = gram(A).entries
+    g = gram_float64(A.entries)
     expected = _expected_gram("barba", n)
     if not np.array_equal(g, expected):
-        diff = np.argwhere(g != expected)
-        i, j = (int(v) for v in diff[0])
+        i, j = (int(v) for v in np.argwhere(g != expected)[0])
         raise BarbaRejection(i, j, int(g[i, j]), int(expected[i, j]))
-    closed = math.sqrt((2 * n - 1) / (n - 1))
-    _check_closed_form(A, closed, "barba")
-    return FamilyMatrix(
-        family="barba",
-        matrix=A,
-        n=n,
-        kappa_closed_form=closed,
-        gram_identity="A^T A = (n-1) I + J",
-    )
+    return _certified("barba", A, math.sqrt((2 * n - 1) / (n - 1)), "A^T A = (n-1) I + J")
 
 
 def _canonical_codes(codes: np.ndarray, half: int) -> np.ndarray:
@@ -262,14 +249,7 @@ def sds_block_matrix(pair: SdsPair) -> FamilyMatrix:
     S = circulant(pair.s)
     A = SignMatrix(np.block([[R, S], [S.T, -R.T]]))
     n = A.n
-    if not np.array_equal(gram(A).entries, _expected_gram("sds_block", n)):
+    if not np.array_equal(gram_float64(A.entries), _expected_gram("sds_block", n)):
         raise AssertionError("block Gram identity failed despite a valid pair")
-    closed = math.sqrt((2 * n - 2) / (n - 2))
-    _check_closed_form(A, closed, "sds_block")
-    return FamilyMatrix(
-        family="sds_block",
-        matrix=A,
-        n=n,
-        kappa_closed_form=closed,
-        gram_identity="A^T A = I_2 (x) ((n-2) I + 2 J)",
-    )
+    return _certified("sds_block", A, math.sqrt((2 * n - 2) / (n - 2)),
+                      "A^T A = I_2 (x) ((n-2) I + 2 J)")

@@ -3,7 +3,8 @@
 Only the handful of fields the construction catalog needs: GF(p) for any
 prime p, plus GF(q) for q in {9, 25, 27, 49, 81, 121, 125} via hardcoded
 irreducible polynomials.  Elements are integers 0..q-1 encoding base-p
-coefficient vectors; addition/multiplication go through small tables.
+coefficient vectors, and GF(p) is the case k = 1 with defining polynomial
+t; every table is built by array arithmetic on those vectors.
 """
 
 from __future__ import annotations
@@ -43,17 +44,17 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FiniteFieldSpec:
-    """q = p^k with the defining polynomial when k > 1."""
+    """q = p^k with its monic defining polynomial, constant term first."""
 
     q: int
     p: int
     k: int
-    irreducible_poly: tuple[int, ...] | None = None
+    irreducible_poly: tuple[int, ...]
 
     @classmethod
     def of(cls, q: int) -> "FiniteFieldSpec":
         if is_prime(q):
-            return cls(q=q, p=q, k=1)
+            return cls(q=q, p=q, k=1, irreducible_poly=(0, 1))
         if q in _IRREDUCIBLE:
             p, k, poly = _IRREDUCIBLE[q]
             return cls(q=q, p=p, k=k, irreducible_poly=poly)
@@ -64,45 +65,25 @@ class FiniteFieldSpec:
 
 
 class PrimePowerField:
-    """GF(q) arithmetic with precomputed add/sub tables and square set."""
+    """GF(q) with its subtraction table and set of nonzero squares."""
 
     def __init__(self, spec: FiniteFieldSpec):
         self.spec = spec
         q, p, k = spec.q, spec.p, spec.k
         self.q = q
-        if k == 1:
-            grid = np.arange(q)
-            self.sub = (grid[:, None] - grid[None, :]) % q
-            squares = {(x * x) % q for x in range(1, q)}
-        else:
-            poly = spec.irreducible_poly
-            to_vec = lambda x: [(x // p**i) % p for i in range(k)]
-            from_vec = lambda v: sum(c * p**i for i, c in enumerate(v))
-
-            def mul(x, y):
-                vx, vy = to_vec(x), to_vec(y)
-                prod = [0] * (2 * k - 1)
-                for i, a in enumerate(vx):
-                    for j, b in enumerate(vy):
-                        prod[i + j] = (prod[i + j] + a * b) % p
-                while len(prod) > k:
-                    lead = prod[-1]
-                    for i in range(k + 1):
-                        prod[len(prod) - 1 - k + i] = (
-                            prod[len(prod) - 1 - k + i] - lead * poly[i]
-                        ) % p
-                    prod.pop()
-                return from_vec(prod)
-
-            sub = np.zeros((q, q), dtype=np.int64)
-            for x in range(q):
-                vx = to_vec(x)
-                for y in range(q):
-                    vy = to_vec(y)
-                    sub[x, y] = from_vec([(a - b) % p for a, b in zip(vx, vy)])
-            self.sub = sub
-            squares = {mul(x, x) for x in range(1, q)}
-        self._squares = frozenset(squares)
+        weights = p ** np.arange(k)
+        digits = np.arange(q)[:, None] // weights % p  # digit i: coefficient of t^i
+        self.sub = sum((digits[:, None, i] - digits[None, :, i]) % p * weights[i]
+                       for i in range(k))
+        # x^2 by convolving each digit vector with itself, then reduced by
+        # the monic defining polynomial from the top degree down
+        prod = np.zeros((q, 2 * k - 1), dtype=np.int64)
+        for i in range(k):
+            prod[:, i:i + k] += digits[:, i:i + 1] * digits
+        poly = np.array(spec.irreducible_poly)
+        for d in range(2 * k - 2, k - 1, -1):
+            prod[:, d - k:d + 1] -= prod[:, d:d + 1] * poly
+        self._squares = frozenset((prod[1:, :k] % p @ weights).tolist())
 
     def quadratic_character(self, x: int) -> int:
         """chi(0) = 0; chi(x) = +1 iff x is a nonzero square."""
@@ -112,10 +93,7 @@ class PrimePowerField:
 
     def jacobsthal(self) -> np.ndarray:
         """Matrix Q with Q[a, b] = chi(a - b) over the element enumeration."""
-        q = self.q
-        chi = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            chi[x] = 1 if x in self._squares else -1
+        chi = np.array([self.quadratic_character(x) for x in range(self.q)])
         return chi[self.sub]
 
 

@@ -84,9 +84,6 @@ class FlatCertificate:
     max_entry: float
     bound: float  # 1 / (sqrt(m) - k)
 
-    def holds(self, slack: float = 1e-12) -> bool:
-        return self.k < math.sqrt(self.m) and self.max_entry <= self.bound + slack
-
 
 def submatrix_orthogonalize(M: OrthMatrix, k: int) -> OrthMatrix:
     """Collapse the leading k x k block: returns D + C (I - A)^-1 B.

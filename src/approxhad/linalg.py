@@ -30,7 +30,6 @@ __all__ = [
     "gram",
     "gram_float64",
     "condition_number",
-    "charpoly_exact",
     "minpoly_residual",
     "kronecker",
     "operator_norm",
@@ -113,10 +112,6 @@ class IntPolynomial:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def __call__(self, x: float) -> float:
         """Evaluate at a binary64 point, exactly in rational arithmetic."""
         if math.isinf(x) or math.isnan(x):
@@ -185,35 +180,6 @@ def operator_norm(E: np.ndarray) -> float:
     if E.size == 0:
         return 0.0
     return math.sqrt(max(float(np.linalg.eigvalsh(E.T @ E)[-1]), 0.0))
-
-
-def charpoly_exact(G: GramMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial of G with exact integer coefficients.
-
-    Faddeev-LeVerrier recurrence over Python ints: the trace divisions are
-    exact for integer matrices, and coefficients beyond 64-bit range (they
-    exceed it near n = 30) stay exact.
-    """
-    n = G.n
-    a = [[int(x) for x in row] for row in G.entries]
-
-    def matmul(p, q):
-        return [
-            [sum(p[i][k] * q[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    coeffs_desc = [1]  # leading coefficient of t^n
-    for k in range(1, n + 1):
-        am = matmul(a, m)
-        tr = sum(am[i][i] for i in range(n))
-        c, rem = divmod(-tr, k)
-        if rem:
-            raise ArithmeticError("trace recurrence produced a non-integer")
-        coeffs_desc.append(c)
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return IntPolynomial(tuple(reversed(coeffs_desc)))
 
 
 def minpoly_residual(p: IntPolynomial, kappa: float) -> float:

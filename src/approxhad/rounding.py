@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,9 +39,9 @@ class RoundingPlan:
     trials: int
     master_seed: int
 
-    @property
+    @cached_property
     def scaled(self) -> np.ndarray:
-        """Expectation matrix M/||M||_max, entries in [-1, 1]."""
+        """Expectation matrix M/||M||_max, entries in [-1, 1]; computed once."""
         return self.target.entries / self.target.max_abs_entry
 
     @property
@@ -89,8 +90,7 @@ def round_once(plan: RoundingPlan, trial_index: int) -> SignMatrix:
     """One rounding draw: entry (i, j) is +1 with probability (1 + scaled_ij)/2."""
     n = plan.n
     uniforms = philox(plan.master_seed, trial_index).random((n, n))
-    scaled = plan.scaled
-    return SignMatrix(np.where(uniforms < (1.0 + scaled) / 2.0, 1, -1))
+    return SignMatrix(np.where(uniforms < (1.0 + plan.scaled) / 2.0, 1, -1))
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,9 @@ class RoundingResult:
     best_trial: int
 
 
-def _run_trial(plan: RoundingPlan, scaled: np.ndarray, t: int):
+def _run_trial(plan: RoundingPlan, t: int):
     X = round_once(plan, t)
-    rep = condition_number(X)
-    err = operator_norm(X.entries - scaled)
-    return X, rep, err
+    return X, condition_number(X), operator_norm(X.entries - plan.scaled)
 
 
 def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
@@ -117,14 +115,11 @@ def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
     """
     if plan.trials < 1:
         raise ValueError("need at least one trial")
-    scaled = plan.scaled
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda t: _run_trial(plan, scaled, t), range(plan.trials))
-            )
+            results = list(pool.map(lambda t: _run_trial(plan, t), range(plan.trials)))
     else:
-        results = [_run_trial(plan, scaled, t) for t in range(plan.trials)]
+        results = [_run_trial(plan, t) for t in range(plan.trials)]
     best_t = min(range(plan.trials), key=lambda t: (results[t][1].kappa, t))
     min_err = min(err for _, _, err in results)
     cert = bernstein_bound(plan.n, plan.target.max_abs_entry)

@@ -71,6 +71,8 @@ DEFAULT_BUDGET = 20000
 SEED_PANEL = tuple(range(16))
 
 _KAPPA_TIE = 1e-12
+# matrices per batch of exhaustive_min
+_CHUNK = 1 << 14
 
 
 def format_kappa(x: float) -> str:
@@ -115,21 +117,7 @@ class StructureClass:
         return cls(name)
 
     def n_bits(self, n: int) -> int:
-        if self.kind == "general":
-            return (n - 1) * (n - 1)
-        if self.kind == "symmetric":
-            return (n - 1) * n // 2
-        if self.kind == "circulant":
-            return n
-        if self.kind == "circulant_core":
-            return n - 1
-        if self.kind == "two_block_circulant":
-            if n % 2:
-                raise ValueError("two_block_circulant needs an even order")
-            return n
-        if n % self.block_size:
-            raise ValueError(f"order {n} is not a multiple of block size {self.block_size}")
-        return n
+        return _layout(self, n)[0]
 
     def build(self, n: int, bits: np.ndarray) -> np.ndarray:
         """Map a 0/1 vector to the matrix it encodes (int64 entries)."""
@@ -154,8 +142,13 @@ def _layout(sclass: StructureClass, n: int) -> tuple[int, np.ndarray]:
     +-1 bits, a constant +1 at index n_bits, and then the negations of
     those n_bits + 1 values, so a negated entry adds n_bits + 1 to its index.
     """
-    nbits = sclass.n_bits(n)
     kind = sclass.kind
+    if kind == "two_block_circulant" and n % 2:
+        raise ValueError("two_block_circulant needs an even order")
+    if kind == "block_circulant" and n % sclass.block_size:
+        raise ValueError(f"order {n} is not a multiple of block size {sclass.block_size}")
+    nbits = {"general": (n - 1) ** 2, "symmetric": (n - 1) * n // 2,
+             "circulant_core": n - 1}.get(kind, n)
     idx = np.full((n, n), nbits, dtype=np.int64)
     if kind == "general":
         idx[1:, 1:] = np.arange(nbits).reshape(n - 1, n - 1)
@@ -256,7 +249,7 @@ class _Best:
         self.bits = tuple(int(b) for b in bits)
 
 
-def exhaustive_min(n: int, long_running: bool = False, chunk: int = 1 << 14) -> SearchRecord:
+def exhaustive_min(n: int, long_running: bool = False) -> SearchRecord:
     """Exact minimum kappa over all +-1 matrices of order n.
 
     Enumerates sign-normalized matrices (all-+1 first row and column);
@@ -281,8 +274,8 @@ def exhaustive_min(n: int, long_running: bool = False, chunk: int = 1 << 14) -> 
     iu = np.triu_indices(n, 1)
     shifts = (2 * n).bit_length() * np.arange(len(iu[0]), dtype=np.int64)
     t0 = time.time()
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         bits = ((idx[:, None] >> powers) & 1).astype(np.int64)
         mats = np.ones((len(idx), n, n), dtype=np.float64)
         if n > 1:
@@ -298,7 +291,7 @@ def exhaustive_min(n: int, long_running: bool = False, chunk: int = 1 << 14) -> 
         near = np.flatnonzero(kap <= best.kappa + _KAPPA_TIE)
         for i in near:
             best.offer(float(kap[i]), bits[i], mats[i])
-        if long_running and start % (chunk * 64) == 0 and start:
+        if long_running and start % (_CHUNK * 64) == 0 and start:
             done = start / total
             print(
                 f"exhaustive n={n}: {done:.1%} ({time.time() - t0:.0f}s)",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from approxhad.constructions import (
     CatalogGapError,
+    _supported_prime_powers,
     build_catalog,
     gap_bound,
     gap_bound_exponent,
@@ -46,6 +48,22 @@ class TestFiniteField:
         Q = field_for(13).jacobsthal()
         assert (Q.sum(axis=1) == 0).all()
         assert (np.diag(Q) == 0).all()
+
+    def test_tables_pinned(self):
+        # sha256 over every supported q <= 256 of the subtraction table, the
+        # sorted nonzero squares and the Jacobsthal matrix, each as int64
+        digests = {k: hashlib.sha256() for k in ("sub", "squares", "jacobsthal")}
+        for q in _supported_prime_powers(256):
+            f = field_for(q)
+            squares = [x for x in range(1, q) if f.quadratic_character(x) == 1]
+            for key, table in (("sub", f.sub), ("squares", squares),
+                               ("jacobsthal", f.jacobsthal())):
+                digests[key].update(np.asarray(table, dtype=np.int64).tobytes())
+        assert {k: d.hexdigest() for k, d in digests.items()} == {
+            "sub": "faf4472f1cbb53f752301fa1a4261edb625f242e2a84e544e0f3799a6723c727",
+            "squares": "f17f3f7a781cc1424091dca9e45f4435a889ca598b4f2a0f4f6fd411913abdc6",
+            "jacobsthal": "8af36d87574a76f86daf23a3aaabf475a93228aa27c8a7967a5029dd18e26822",
+        }
 
 
 class TestSylvester:
@@ -130,6 +148,9 @@ class TestCatalog:
             catalog.build(92)
         assert exc.value.below == 88
         assert exc.value.above == 96
+
+    def test_no_order_above_max(self):
+        assert build_catalog(1).orders() == [1]
 
     def test_json_dump(self, catalog):
         rows = json.loads(catalog.to_json())

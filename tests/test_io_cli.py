@@ -84,6 +84,9 @@ class TestCertify:
         assert d["clique_certificate"]["k"] == 5
         assert d["clique_certificate"]["bound"]["dec"] == "1.500000000"
         assert abs(float.fromhex(d["minpoly"]["residual"]["hex"])) <= 1e-12
+        assert d["bernstein"] is None
+        assert list(d) == ["schema", "n", "kappa", "sigma_min", "sigma_max", "gram_class",
+                           "clique_certificate", "minpoly", "bernstein"]
 
     def test_gram_class_detection(self):
         assert detect_gram_class(sylvester(3)) == "hadamard"
@@ -358,6 +361,13 @@ MALFORMED = {
     "flatten_seed_text": ["flatten", "--n", "7", "--seed", "x"],
     "table_seeds_negative": ["table", "--min", "3", "--max", "3", "--seeds", "-1"],
     "table_seeds_text": ["table", "--min", "3", "--max", "3", "--seeds", "1,x"],
+    "round_workers_zero": ["round", "--n", "7", "--trials", "1", "--seed", "0", "--workers", "0"],
+    "round_workers_negative": ["round", "--n", "7", "--trials", "1", "--seed", "0",
+                               "--workers", "-2"],
+    "table_anneal_budget_negative": ["table", "--min", "3", "--max", "3",
+                                     "--anneal-budget", "-5", "--seeds", "1"],
+    "catalog_max_order_negative": ["catalog", "--max-order", "-1"],
+    "catalog_max_order_zero": ["catalog", "--max-order", "0"],
 }
 
 
@@ -376,3 +386,13 @@ def test_malformed_input_exits_1_or_2(capsys, tmp_path, case):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.splitlines()[-1].startswith(("error: ", "approxhad "))
+
+
+def test_construct_conference_has_no_q_option(capsys):
+    # the order alone fixes q = order - 1; a second way to give it is refused
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", "conference", "--order", "6", "--q", "13"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "approxhad: error: unrecognized arguments: --q 13"

@@ -8,7 +8,6 @@ from approxhad.linalg import (
     GramMatrix,
     IntPolynomial,
     SignMatrix,
-    charpoly_exact,
     condition_number,
     gram,
     gram_float64,
@@ -136,46 +135,6 @@ class TestConditionNumber:
             else:
                 assert math.isinf(rep.kappa) or rep.kappa > 1.0 + 1e-12
             assert math.isinf(rep.kappa) or rep.kappa >= 1.0
-
-
-class TestCharpoly:
-    def test_2i_plus_j(self):
-        p = charpoly_exact(GramMatrix(2 * np.eye(3, dtype=np.int64) + 1))
-        assert p.coefficients == (-20, 24, -9, 1)
-
-    def test_hadamard_gram(self):
-        p = charpoly_exact(GramMatrix(4 * np.eye(4, dtype=np.int64)))
-        assert p.coefficients == (256, -256, 96, -16, 1)
-
-    def test_barba5_gram(self):
-        g = gram(SignMatrix(circulant([1, 1, 1, 1, -1])))
-        p = charpoly_exact(g)
-        # (t-4)^4 (t-9)
-        t4 = IntPolynomial((256, -256, 96, -16, 1))
-        expected = np.polynomial.polynomial.polymul(t4.coefficients, (-9, 1))
-        assert p.coefficients == tuple(int(c) for c in expected)
-
-    def test_residual_at_eigenvalues(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            n = int(rng.integers(2, 11))
-            g = gram(random_sign(rng, n))
-            p = charpoly_exact(g)
-            scale = max(abs(c) for c in p.coefficients)
-            ev = np.linalg.eigvalsh(g.entries.astype(float))
-            for lam in ev:
-                assert abs(p(float(lam))) <= 1e-6 * scale
-
-    def test_big_coefficients_exact(self):
-        # det(A)^2 at n = 30 is far beyond int64; the constant term must
-        # still match det(A)^2 (checked in log scale against slogdet)
-        rng = np.random.default_rng(30)
-        A = random_sign(rng, 30)
-        p = charpoly_exact(gram(A))
-        const = abs(p.coefficients[0])
-        assert const > 2**63
-        _, logdet = np.linalg.slogdet(A.entries.astype(float))
-        assert math.log(const) == pytest.approx(2 * logdet, rel=1e-9)
 
 
 class TestMinpolyResidual:

@@ -1,10 +1,12 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from approxhad.families import verify_barba
-from approxhad.linalg import condition_number, minpoly_residual
+from approxhad.families import circulant, sds_block_matrix, sds_search, verify_barba
+from approxhad.linalg import SignMatrix, condition_number, minpoly_residual
+from approxhad.matrixio import write_sign_matrix
 from approxhad.search import Registry, SearchRecord, StructureClass, anneal, format_kappa
 from approxhad.table import (
     MATCH_TOLERANCE,
@@ -68,6 +70,17 @@ class TestFixtures:
                         blk = a[i * s:(i + 1) * s, j * s:(j + 1) * s]
                         ref = a[0:s, ((j - i) % b) * s:((j - i) % b + 1) * s]
                         assert np.array_equal(blk, ref)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 10, 14, 18])
+    def test_constructed_fixtures_rebuild(self, n):
+        # the direct constructions of scripts/generate_fixtures.py
+        if n in (3, 5):
+            matrix = SignMatrix(circulant([1] * (n - 1) + [-1]))
+        else:
+            matrix = sds_block_matrix(sds_search(n // 2)[0]).matrix
+        fname = bundled_fixtures()[n]["file"]
+        bundled = (resources.files("approxhad") / "fixtures" / fname).read_text()
+        assert write_sign_matrix(matrix) == bundled
 
     def test_barba_13_verifies(self):
         fam = verify_barba(bundled_fixtures()[13]["matrix"])
