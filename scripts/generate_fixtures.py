@@ -24,9 +24,7 @@ from approxhad.families import circulant, sds_block_matrix, sds_search, verify_b
 from approxhad.linalg import SignMatrix, condition_number
 from approxhad.matrixio import write_sign_matrix
 from approxhad.search import SEED_PANEL, StructureClass, anneal, format_kappa
-from approxhad.table import TARGETS
-
-MATCH = 5e-10
+from approxhad.table import MATCH_TOLERANCE, TARGETS
 
 
 def pg2_barba_13() -> SignMatrix:
@@ -110,7 +108,7 @@ def main() -> int:
         hit = None
         for seed in SEED_PANEL:
             rec = anneal(n, sclass, seed, budget)
-            if abs(rec.kappa - target) <= MATCH:
+            if abs(rec.kappa - target) <= MATCH_TOLERANCE:
                 hit = (seed, rec)
                 break
         if hit is None:

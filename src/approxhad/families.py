@@ -171,8 +171,10 @@ def conference_plus_identity(n: int) -> FamilyMatrix:
 
 
 def verify_barba(A: SignMatrix) -> FamilyMatrix:
-    """Accept A iff its Gram is exactly (n-1) I + J."""
+    """Accept A iff its Gram is exactly (n-1) I + J, at order n >= 2."""
     n = A.n
+    if n < 2:
+        raise ValueError(f"the Barba closed form sqrt((2n-1)/(n-1)) needs order >= 2, not {n}")
     g = gram_float64(A.entries)
     expected = _expected_gram("barba", n)
     if not np.array_equal(g, expected):
@@ -244,11 +246,14 @@ def sds_search(half: int) -> list[SdsPair]:
 
 
 def sds_block_matrix(pair: SdsPair) -> FamilyMatrix:
-    """Assemble [[R, S], [S^T, -R^T]] and certify its Gram identity."""
+    """Assemble [[R, S], [S^T, -R^T]] and certify its Gram identity, at
+    order n = 2 * pair.half >= 4."""
+    n = 2 * pair.half
+    if n < 4:
+        raise ValueError(f"the SDS closed form sqrt((2n-2)/(n-2)) needs order >= 4, not {n}")
     R = circulant(pair.r)
     S = circulant(pair.s)
     A = SignMatrix(np.block([[R, S], [S.T, -R.T]]))
-    n = A.n
     if not np.array_equal(gram_float64(A.entries), _expected_gram("sds_block", n)):
         raise AssertionError("block Gram identity failed despite a valid pair")
     return _certified("sds_block", A, math.sqrt((2 * n - 2) / (n - 2)),

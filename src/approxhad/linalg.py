@@ -29,6 +29,7 @@ __all__ = [
     "SINGULAR_TOLERANCE_PER_N",
     "gram",
     "gram_float64",
+    "gram_kappa",
     "condition_number",
     "minpoly_residual",
     "kronecker",
@@ -155,20 +156,21 @@ def philox(seed: int, counter: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def gram_kappa(lmin: float, lmax: float, n: int) -> float:
+    """kappa from the extreme eigenvalues of an order-n Gram, and the one
+    place a kappa is formed: sqrt(lmax / lmin) rounds twice, where
+    sigma_max / sigma_min would round three times."""
+    return math.inf if lmin <= n * SINGULAR_TOLERANCE_PER_N else math.sqrt(lmax / lmin)
+
+
 def condition_number(A: SignMatrix) -> SpectralReport:
-    """kappa(A) = sigma_max/sigma_min via eigenvalues of the exact Gram."""
-    n = A.n
+    """kappa(A) = sigma_max/sigma_min, formed by `gram_kappa` from the
+    eigenvalues of the exact Gram; sigma_min is 0 when kappa is inf."""
     ev = np.linalg.eigvalsh(gram_float64(A.entries))
-    lmin = float(ev[0])
-    lmax = float(ev[-1])
-    sigma_max = math.sqrt(max(lmax, 0.0))
-    if lmin <= n * SINGULAR_TOLERANCE_PER_N:
-        sigma_min = 0.0
-        kappa = math.inf
-    else:
-        sigma_min = math.sqrt(lmin)
-        kappa = sigma_max / sigma_min
-    return SpectralReport(sigma_min=sigma_min, sigma_max=sigma_max, kappa=kappa)
+    lmin, lmax = float(ev[0]), float(ev[-1])
+    kappa = gram_kappa(lmin, lmax, A.n)
+    sigma_min = 0.0 if math.isinf(kappa) else math.sqrt(lmin)
+    return SpectralReport(sigma_min, math.sqrt(max(lmax, 0.0)), kappa)
 
 
 def operator_norm(E: np.ndarray) -> float:

@@ -36,6 +36,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -45,13 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .families import circulant
-from .linalg import (
-    SINGULAR_TOLERANCE_PER_N,
-    SignMatrix,
-    condition_number,
-    gram_float64,
-    philox,
-)
+from .linalg import SignMatrix, condition_number, gram_float64, gram_kappa, philox
 from .matrixio import parse_sign_matrix, write_sign_matrix
 from .spectral import SCREENED_KINDS, SpectralScreen
 
@@ -101,8 +96,8 @@ class StructureClass:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown structure class {self.kind!r}")
-        if self.kind == "block_circulant" and not self.block_size:
-            raise ValueError("block_circulant needs a block_size")
+        if self.kind == "block_circulant" and (self.block_size or 0) < 1:
+            raise ValueError(f"block_circulant needs a block size >= 1, got {self.block_size}")
 
     @property
     def name(self) -> str:
@@ -112,8 +107,9 @@ class StructureClass:
 
     @classmethod
     def parse(cls, name: str) -> "StructureClass":
-        if name.startswith("block_circulant") and name != "block_circulant":
-            return cls("block_circulant", block_size=int(name[len("block_circulant"):]))
+        size = re.fullmatch(r"block_circulant(-?[0-9]+)", name)
+        if size:
+            return cls("block_circulant", block_size=int(size[1]))
         return cls(name)
 
     def n_bits(self, n: int) -> int:
@@ -248,6 +244,12 @@ class _Best:
         self.logdet = _logabsdet(matrix) if logdet is None else logdet
         self.bits = tuple(int(b) for b in bits)
 
+    def record(self, n: int, sclass: StructureClass, seed: int, effort: dict) -> SearchRecord:
+        """The incumbent as a search result."""
+        matrix = SignMatrix(sclass.build(n, np.array(self.bits)))
+        return SearchRecord(n=n, structure=sclass.name, kappa=self.kappa, matrix=matrix,
+                            seed=seed, effort=effort)
+
 
 def exhaustive_min(n: int, long_running: bool = False) -> SearchRecord:
     """Exact minimum kappa over all +-1 matrices of order n.
@@ -283,11 +285,8 @@ def exhaustive_min(n: int, long_running: bool = False) -> SearchRecord:
         grams = gram_float64(mats)
         keys = ((grams[:, iu[0], iu[1]].astype(np.int64) + n) << shifts).sum(axis=1)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        ev = np.linalg.eigvalsh(grams[first])[inverse]
-        lmin, lmax = ev[:, 0], ev[:, -1]
-        ok = lmin > n * SINGULAR_TOLERANCE_PER_N
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kap = np.where(ok, np.sqrt(lmax / np.where(ok, lmin, 1.0)), np.inf)
+        ev = np.linalg.eigvalsh(grams[first])
+        kap = np.array([gram_kappa(e[0], e[-1], n) for e in ev.tolist()])[inverse]
         near = np.flatnonzero(kap <= best.kappa + _KAPPA_TIE)
         for i in near:
             best.offer(float(kap[i]), bits[i], mats[i])
@@ -298,15 +297,7 @@ def exhaustive_min(n: int, long_running: bool = False) -> SearchRecord:
                 flush=True,
                 file=sys.stderr,
             )
-    matrix = SignMatrix(sclass.build(n, np.array(best.bits)))
-    return SearchRecord(
-        n=n,
-        structure="general",
-        kappa=best.kappa,
-        matrix=matrix,
-        seed=0,
-        effort={"mode": "exhaustive", "candidates": total},
-    )
+    return best.record(n, sclass, 0, {"mode": "exhaustive", "candidates": total})
 
 
 class _State:
@@ -347,19 +338,8 @@ def anneal(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     nbits = sclass.n_bits(n)
-    if nbits == 0:
-        # order 1 with a fixed border: [[1]] is the only matrix
-        return SearchRecord(
-            n=n,
-            structure=sclass.name,
-            kappa=1.0,
-            matrix=SignMatrix(np.ones((1, 1), dtype=np.int64)),
-            seed=seed,
-            effort={"mode": "anneal", "budget": budget, "restarts": 0},
-        )
     best = _Best()
     restarts = 0
-    singular = n * SINGULAR_TOLERANCE_PER_N
     screen = _screen(sclass, n)
 
     def settle(state: _State) -> _State:
@@ -367,17 +347,16 @@ def anneal(
         if state.kappa is None:
             state.mat = sclass.build(n, state.bits)
             ev = np.linalg.eigvalsh(gram_float64(state.mat))
-            if ev[0] <= singular:
-                state.kappa, state.lo = math.inf, _SINGULAR_ENERGY
-            else:
-                state.kappa = state.lo = math.sqrt(ev[-1] / ev[0])
-            state.hi = state.lo
+            state.kappa = gram_kappa(ev[0], ev[-1], n)
+            state.lo = state.hi = min(state.kappa, _SINGULAR_ENERGY)
         return state
 
     rng = philox(seed, 0)
 
     def fresh_state() -> _State:
-        return settle(_State(rng.integers(0, 2, nbits)))
+        state = settle(_State(rng.integers(0, 2, nbits)))
+        best.offer(state.kappa, state.bits, state.mat)
+        return state
 
     def neighbour(state: _State) -> _State:
         """A random single-bit neighbour, made once per visit of `state`:
@@ -393,10 +372,8 @@ def anneal(
             if state.spectra is None:
                 state.spectra = screen.spectra(state.bits)
             lo, hi = screen.kappa_bounds(state.spectra, i)
-            if hi < math.inf:
-                hit.lo, hit.hi = lo, hi
-            elif lo == math.inf:
-                hit.lo = hit.hi = _SINGULAR_ENERGY
+            if hi < math.inf or lo == math.inf:
+                hit.lo, hit.hi = min(lo, _SINGULAR_ENERGY), min(hi, _SINGULAR_ENERGY)
             else:
                 settle(hit)
         return hit
@@ -424,7 +401,10 @@ def anneal(
         return u < math.exp(-(cand.lo - cur.lo) / t)
 
     state = fresh_state()
-    best.offer(state.kappa, state.bits, state.mat)
+    if nbits == 0:
+        # order 1 with a fixed border: [[1]] is the only matrix
+        return best.record(n, sclass, seed,
+                           {"mode": "anneal", "budget": budget, "restarts": 0})
 
     uphill = []
     cur = state.kappa
@@ -459,20 +439,12 @@ def anneal(
         temperature *= 0.995
         if stall >= stall_limit:
             state = fresh_state()
-            best.offer(state.kappa, state.bits, state.mat)
             temperature = t0
             stall = 0
             restarts += 1
 
-    matrix = SignMatrix(sclass.build(n, np.array(best.bits)))
-    return SearchRecord(
-        n=n,
-        structure=sclass.name,
-        kappa=best.kappa,
-        matrix=matrix,
-        seed=seed,
-        effort={"mode": "anneal", "budget": budget, "restarts": restarts},
-    )
+    return best.record(n, sclass, seed,
+                       {"mode": "anneal", "budget": budget, "restarts": restarts})
 
 
 # --- registry --------------------------------------------------------------

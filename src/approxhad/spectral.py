@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .linalg import SINGULAR_TOLERANCE_PER_N
+from .linalg import gram_kappa
 
 __all__ = ["SCREENED_KINDS", "SpectralScreen"]
 
@@ -114,18 +114,14 @@ class SpectralScreen:
 
     def kappa_bounds(self, spectra, i: int) -> tuple[float, float]:
         """lo <= kappa <= hi for the kappa that eigvalsh of neighbour i's
-        exact Gram gives (inf when lambda_min <= n * 2^-40).
+        exact Gram gives, both from `gram_kappa` with the eigenvalues
+        moved by eta.
 
-        (inf, inf) when the screen proves the Gram singular; (0, inf) when
+        (inf, inf) when the screen proves the Gram singular; hi = inf when
         lambda_min is within eta of the singular tolerance.  Every
         operation rounds monotonically, so the float bounds hold.
         """
         lmin, lmax = self.extremes(spectra, i)
         eta = self.eta(lmax)
-        singular = self.n * SINGULAR_TOLERANCE_PER_N
-        floor = lmin - eta
-        if floor > singular:
-            return math.sqrt((lmax - eta) / (lmin + eta)), math.sqrt((lmax + eta) / floor)
-        if lmin + eta <= singular:
-            return math.inf, math.inf
-        return 0.0, math.inf
+        return (gram_kappa(lmin + eta, lmax - eta, self.n),
+                gram_kappa(lmin - eta, lmax + eta, self.n))

@@ -86,6 +86,14 @@ class TestBarba:
             verify_barba(A)
         assert exc.value.position == (0, 1)
 
+    @pytest.mark.parametrize("entry", [1, -1])
+    def test_order_1_has_no_closed_form(self, entry):
+        # [[+-1]] has Gram [[1]] = (n-1) I + J, but sqrt((2n-1)/(n-1)) has no value
+        with pytest.raises(ValueError) as exc:
+            verify_barba(SignMatrix([[entry]]))
+        assert str(exc.value) == (
+            "the Barba closed form sqrt((2n-1)/(n-1)) needs order >= 2, not 1")
+
     def test_rejection_of_a_flipped_n13_fixture(self):
         from approxhad.table import bundled_fixtures
 
@@ -187,6 +195,11 @@ class TestSdsBlockMatrix:
         assert condition_number(fam.matrix).kappa == pytest.approx(expected, abs=5e-10)
         closed = math.sqrt((2 * fam.n - 2) / (fam.n - 2))
         assert fam.kappa_closed_form == pytest.approx(closed, rel=1e-12)
+
+    def test_order_2_has_no_closed_form(self):
+        with pytest.raises(ValueError) as exc:
+            sds_block_matrix(sds_search(1)[0])
+        assert str(exc.value) == "the SDS closed form sqrt((2n-2)/(n-2)) needs order >= 4, not 2"
 
     def test_circulants_commute(self):
         pair = sds_search(7)[0]

@@ -162,6 +162,12 @@ class TestCli:
         assert (code, out) == (1, "")
         assert err == f"error: SDS block matrices have even order, not {order}\n"
 
+    @pytest.mark.parametrize("kind", [(), ("--kind", "sds")])
+    def test_construct_sds_order_2_is_domain_error(self, capsys, kind):
+        code, out, err = run_cli(capsys, "construct", "family", "--order", "2", *kind)
+        assert (code, out) == (1, "")
+        assert err == "error: the SDS closed form sqrt((2n-2)/(n-2)) needs order >= 4, not 2\n"
+
     @pytest.mark.parametrize("kind", [(), ("--kind", "barba")])
     def test_construct_barba_needs_barba_fixture(self, capsys, kind):
         # the bundled n = 9 witness is symmetric but not a Barba matrix
@@ -247,6 +253,27 @@ class TestCli:
         code, out, err = run_cli(capsys, "search", "--n", n)
         assert code == 1
         assert err == "error: order must be >= 1\n"
+
+    @pytest.mark.parametrize("name,message", [
+        ("block_circulant-3", "block_circulant needs a block size >= 1, got -3"),
+        ("block_circulantx", "unknown structure class 'block_circulantx'"),
+    ])
+    def test_search_bad_structure_is_domain_error(self, capsys, name, message):
+        code, out, err = run_cli(capsys, "search", "--n", "27", "--structure", name)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_search_and_certify_print_the_same_kappa(self, capsys, tmp_path):
+        path = tmp_path / "m.mat"
+        code, out, _ = run_cli(capsys, "search", "--n", "18", "--structure",
+                               "two_block_circulant", "--seed", "0", "--budget", "5000",
+                               "--out", str(path))
+        assert code == 0
+        searched = json.loads(out)["kappa"]
+        code, out, _ = run_cli(capsys, "certify", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["kappa"] == searched
+        assert searched["hex"] == "0x1.752e50db3a3a6p+0"
 
     def test_search_exhaustive(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--n", "3", "--exhaustive")

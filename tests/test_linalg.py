@@ -8,9 +8,11 @@ from approxhad.linalg import (
     GramMatrix,
     IntPolynomial,
     SignMatrix,
+    SINGULAR_TOLERANCE_PER_N,
     condition_number,
     gram,
     gram_float64,
+    gram_kappa,
     kronecker,
     minpoly_residual,
     operator_norm,
@@ -102,6 +104,14 @@ class TestConditionNumber:
         rep = condition_number(SignMatrix(np.ones((2, 2))))
         assert math.isinf(rep.kappa)
         assert rep.sigma_min == 0.0
+
+    @pytest.mark.parametrize("n", [1, 5, 29])
+    def test_gram_kappa_singular_boundary(self, n):
+        boundary = n * 2.0 ** -40
+        assert boundary == n * SINGULAR_TOLERANCE_PER_N
+        assert gram_kappa(boundary, 2.0 * n, n) == math.inf
+        above = math.nextafter(boundary, math.inf)
+        assert gram_kappa(above, 2.0 * n, n) == math.sqrt(2.0 * n / above)
 
     def test_barba_5(self):
         rep = condition_number(SignMatrix(circulant([1, 1, 1, 1, -1])))

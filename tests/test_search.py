@@ -54,6 +54,21 @@ class TestStructureClasses:
                      "two_block_circulant", "block_circulant9"):
             assert StructureClass.parse(name).name == name
 
+    @pytest.mark.parametrize("name,size", [("block_circulant-3", -3),
+                                           ("block_circulant0", 0),
+                                           ("block_circulant", None)])
+    def test_block_size_below_one_rejected(self, name, size):
+        with pytest.raises(ValueError) as exc:
+            StructureClass.parse(name)
+        assert str(exc.value) == f"block_circulant needs a block size >= 1, got {size}"
+
+    @pytest.mark.parametrize("name", ["block_circulantx", "block_circulant3x",
+                                      "block_circulant 3", "block_circulant+3"])
+    def test_unparsable_name_is_unknown(self, name):
+        with pytest.raises(ValueError) as exc:
+            StructureClass.parse(name)
+        assert str(exc.value) == f"unknown structure class {name!r}"
+
     def test_general_bijective(self):
         sclass = StructureClass("general")
         rng = np.random.default_rng(0)

@@ -16,6 +16,7 @@ cannot flip; one taken without a margin would.
 import pytest
 
 from approxhad import search
+from approxhad.linalg import condition_number
 from approxhad.search import StructureClass, anneal
 from approxhad.spectral import SCREENED_KINDS, SpectralScreen
 from test_search_determinism import ANNEAL_PANEL, pattern
@@ -67,6 +68,7 @@ SCREEN_PANEL = [
 def check(n, name, seed, budget, kappa_hex, restarts, plus):
     rec = anneal(n, StructureClass.parse(name), seed, budget)
     assert rec.kappa.hex() == kappa_hex
+    assert rec.kappa == condition_number(rec.matrix).kappa
     assert pattern(rec.matrix) == plus
     assert rec.effort == {"mode": "anneal", "budget": budget, "restarts": restarts}
 
