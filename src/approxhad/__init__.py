@@ -41,7 +41,6 @@ from .flatten import (
     SingularSplitError,
     flat_orthogonal,
     submatrix_orthogonalize,
-    u_upper_bound_table,
 )
 from .linalg import (
     GramMatrix,
@@ -56,7 +55,6 @@ from .linalg import (
 from .lower_bound import (
     CliqueCertificate,
     best_clique_certificate,
-    check_orthogonal_triple_obstruction,
     kappa_floor,
     sign_coloring,
 )

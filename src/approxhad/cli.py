@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max", type=int, default=max(TARGETS))
     t.add_argument("--out")
     t.add_argument("--registry")
-    t.add_argument("--anneal-budget", type=_at_least(0), default=0)
+    t.add_argument("--anneal-budget", type=_at_least(1), default=DEFAULT_BUDGET,
+                   help="moves per fresh search: each --seeds run, or the fallback")
     t.add_argument("--seeds", type=_seeds, default=(),
                    help="comma-separated seed panel for fresh searches")
     t.set_defaults(func=cmd_table)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .finite_field import FiniteFieldSpec, field_for, is_prime
+from .finite_field import _IRREDUCIBLE, FiniteFieldSpec, field_for, is_prime
 from .linalg import SignMatrix, kronecker
 
 __all__ = [
@@ -131,7 +131,7 @@ class Recipe:
 
 def _supported_prime_powers(limit: int) -> list[int]:
     out = [q for q in range(2, limit + 1) if is_prime(q)]
-    out.extend(q for q in (9, 25, 27, 49, 81, 121, 125) if q <= limit)
+    out.extend(q for q in _IRREDUCIBLE if q <= limit)
     return sorted(out)
 
 

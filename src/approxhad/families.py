@@ -91,11 +91,9 @@ class SdsPair:
 
 @dataclass(frozen=True)
 class FamilyMatrix:
-    family: str  # "conference_plus_identity" | "barba" | "sds_block"
     matrix: SignMatrix
     n: int
     kappa_closed_form: float
-    gram_identity: str
 
 
 class BarbaRejection(ValueError):
@@ -140,7 +138,7 @@ def detect_gram_class(A: SignMatrix) -> str:
     return "none"
 
 
-def _certified(family: str, A: SignMatrix, closed: float, identity: str) -> FamilyMatrix:
+def _certified(family: str, A: SignMatrix, closed: float) -> FamilyMatrix:
     """The family record of A, once its kappa matches the closed form."""
     kappa = condition_number(A).kappa
     if not math.isfinite(kappa) or abs(kappa - closed) > _KAPPA_RTOL * closed:
@@ -148,8 +146,7 @@ def _certified(family: str, A: SignMatrix, closed: float, identity: str) -> Fami
             f"{family}: computed kappa {kappa!r} does not match the closed "
             f"form {closed!r}"
         )
-    return FamilyMatrix(family=family, matrix=A, n=A.n, kappa_closed_form=closed,
-                        gram_identity=identity)
+    return FamilyMatrix(matrix=A, n=A.n, kappa_closed_form=closed)
 
 
 def conference_plus_identity(n: int) -> FamilyMatrix:
@@ -167,7 +164,7 @@ def conference_plus_identity(n: int) -> FamilyMatrix:
         raise AssertionError("C is not a symmetric conference matrix")
     closed = (math.sqrt(q) + 1.0) / (math.sqrt(q) - 1.0)
     return _certified("conference_plus_identity", SignMatrix(C + np.eye(n, dtype=np.int64)),
-                      closed, "A^T A = n I + 2 C")
+                      closed)
 
 
 def verify_barba(A: SignMatrix) -> FamilyMatrix:
@@ -180,7 +177,7 @@ def verify_barba(A: SignMatrix) -> FamilyMatrix:
     if not np.array_equal(g, expected):
         i, j = (int(v) for v in np.argwhere(g != expected)[0])
         raise BarbaRejection(i, j, int(g[i, j]), int(expected[i, j]))
-    return _certified("barba", A, math.sqrt((2 * n - 1) / (n - 1)), "A^T A = (n-1) I + J")
+    return _certified("barba", A, math.sqrt((2 * n - 1) / (n - 1)))
 
 
 def _canonical_codes(codes: np.ndarray, half: int) -> np.ndarray:
@@ -256,5 +253,4 @@ def sds_block_matrix(pair: SdsPair) -> FamilyMatrix:
     A = SignMatrix(np.block([[R, S], [S.T, -R.T]]))
     if not np.array_equal(gram_float64(A.entries), _expected_gram("sds_block", n)):
         raise AssertionError("block Gram identity failed despite a valid pair")
-    return _certified("sds_block", A, math.sqrt((2 * n - 2) / (n - 2)),
-                      "A^T A = I_2 (x) ((n-2) I + 2 J)")
+    return _certified("sds_block", A, math.sqrt((2 * n - 2) / (n - 2)))

@@ -24,7 +24,6 @@ __all__ = [
     "SingularSplitError",
     "submatrix_orthogonalize",
     "flat_orthogonal",
-    "u_upper_bound_table",
 ]
 
 ORTH_DEFECT_PER_N = 1e-10
@@ -145,37 +144,3 @@ def flat_orthogonal(
     )
     return out, cert
 
-
-def u_upper_bound_table(
-    n_min: int,
-    n_max: int,
-    catalog: HadamardOrderCatalog | None = None,
-) -> list[dict]:
-    """Per-order achieved flatness vs the pipeline bound vs 1/sqrt(n).
-
-    Rows where the catalog has no usable order are flagged, not fatal.
-    """
-    if catalog is None:
-        catalog = build_catalog(max(256, 2 * n_max))
-    rows = []
-    for n in range(n_min, n_max + 1):
-        try:
-            orth, cert = flat_orthogonal(n, catalog)
-        except CatalogGapError:
-            rows.append(
-                {"n": n, "gap": True, "max_entry": None, "bound": None,
-                 "lower": 1.0 / math.sqrt(n)}
-            )
-            continue
-        rows.append(
-            {
-                "n": n,
-                "gap": False,
-                "m": cert.m,
-                "k": cert.k,
-                "max_entry": cert.max_entry,
-                "bound": cert.bound,
-                "lower": 1.0 / math.sqrt(n),
-            }
-        )
-    return rows

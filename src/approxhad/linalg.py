@@ -49,16 +49,17 @@ class SignMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.int64)
+        a = np.asarray(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("order must be >= 1")
-        if not np.isin(a, (-1, 1)).all():
-            bad = np.argwhere(~np.isin(a, (-1, 1)))[0]
-            raise ValueError(
-                f"entry at ({bad[0]}, {bad[1]}) is {a[bad[0], bad[1]]}, not +-1"
-            )
+        # check before the cast, which would truncate 1.9 to 1
+        bad = (a != 1) & (a != -1)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"entry at ({i}, {j}) is {a[i, j]}, not +-1")
+        a = np.asarray(a, dtype=np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -128,14 +129,10 @@ class IntPolynomial:
         """Parse comma-separated integer coefficients, constant first."""
         return cls(tuple(int(t.strip()) for t in text.split(",")))
 
-    def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coefficients)
-
 
 def gram(A: SignMatrix) -> GramMatrix:
     """Exact integer A^T A."""
-    a = A.entries
-    return GramMatrix(a.T @ a)
+    return GramMatrix(gram_float64(A.entries))
 
 
 def gram_float64(a: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "sign_coloring",
     "best_clique_certificate",
     "verify_certificate",
-    "check_orthogonal_triple_obstruction",
     "kappa_floor",
     "max_clique",
     "orthogonal_triple_exists",
@@ -238,41 +237,6 @@ def verify_certificate(cert: CliqueCertificate, A: SignMatrix) -> None:
     expected = _bound(cert.sign, cert.k, cert.n)
     if abs(cert.bound - expected) > 1e-12:
         raise AssertionError("certificate bound does not match its formula")
-
-
-@dataclass(frozen=True)
-class TripleObstructionReport:
-    n: int
-    multiple_of_4: bool
-    zero_triangle: tuple[int, int, int] | None
-
-    @property
-    def confirmed(self) -> bool:
-        """True when the order forbids zero triangles and none was found."""
-        return self.multiple_of_4 or self.zero_triangle is None
-
-
-def check_orthogonal_triple_obstruction(A: SignMatrix) -> TripleObstructionReport:
-    """Search the columns for a mutually orthogonal triple.
-
-    For n not divisible by 4 a found triple would be a contradiction (and
-    indicate a bug); for multiples of 4 triples are allowed.
-    """
-    n = A.n
-    zero = gram_float64(A.entries) == 0
-    np.fill_diagonal(zero, False)
-    triangle = None
-    for i, j in itertools.combinations(range(n), 2):
-        if not zero[i, j]:
-            continue
-        both = np.flatnonzero(zero[i] & zero[j])
-        both = both[both > j]
-        if both.size:
-            triangle = (i, j, int(both[0]))
-            break
-    return TripleObstructionReport(
-        n=n, multiple_of_4=(n % 4 == 0), zero_triangle=triangle
-    )
 
 
 def kappa_floor(n: int) -> float:

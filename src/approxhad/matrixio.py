@@ -43,24 +43,18 @@ def parse_sign_matrix(text: str) -> SignMatrix:
     if not lines:
         raise ParseError("empty input")
     n = len(lines[0])
-    rows = []
     for i, line in enumerate(lines, start=1):
         if len(line) != n:
             raise ParseError(
                 f"ragged line: expected {n} characters, got {len(line)}", line=i
             )
-        row = []
-        for j, ch in enumerate(line, start=1):
-            if ch == "+":
-                row.append(1)
-            elif ch == "-":
-                row.append(-1)
-            else:
-                raise ParseError(f"illegal character {ch!r}", line=i, column=j)
-        rows.append(row)
-    if len(rows) != n:
-        raise ParseError(f"expected {n} lines for a square matrix, got {len(rows)}")
-    return SignMatrix(np.array(rows, dtype=np.int64))
+        if line.strip("+-"):
+            j = next(j for j, ch in enumerate(line, start=1) if ch not in "+-")
+            raise ParseError(f"illegal character {line[j - 1]!r}", line=i, column=j)
+    if len(lines) != n:
+        raise ParseError(f"expected {n} lines for a square matrix, got {len(lines)}")
+    plus = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8) == ord("+")
+    return SignMatrix(np.where(plus, 1, -1).reshape(n, n))
 
 
 def write_sign_matrix(A: SignMatrix) -> str:

@@ -496,15 +496,11 @@ class Registry:
     def update(self, record: SearchRecord) -> bool:
         """Persist the record iff it strictly improves its (n, class) slot.
 
-        The record's kappa is recomputed from the matrix first; a mismatch
-        beyond 1e-9 is rejected outright.
+        The record's kappa is recomputed from the matrix first, by the one
+        rule search also uses, and anything but the same float is rejected.
         """
         recomputed = condition_number(record.matrix).kappa
-        if not (
-            math.isinf(recomputed)
-            and math.isinf(record.kappa)
-            or abs(recomputed - record.kappa) <= 1e-9
-        ):
+        if recomputed != record.kappa:
             raise RegistryRejection(
                 f"stored kappa {record.kappa!r} does not match recomputed "
                 f"{recomputed!r}"

@@ -146,14 +146,13 @@ def _candidates(n: int, target: TableTarget, registry: Registry | None,
         if entry is not None:
             cands.append(Candidate("registry", entry["structure"], entry["seed"],
                                    registry.load_matrix(n, entry)))
-    runs = [(seed, anneal_budget) for seed in seeds if anneal_budget > 0]
-    if not cands and not runs:
+    if not cands and not seeds:
         # no witness from any cheap source: fall back to one fresh search so
         # the row still reports an honest best effort
-        runs = [(0, max(anneal_budget, DEFAULT_BUDGET))]
+        seeds = (0,)
     sclass = StructureClass.parse(target.structure)
-    for seed, budget in runs:
-        rec = anneal(n, sclass, seed, budget)
+    for seed in seeds:
+        rec = anneal(n, sclass, seed, anneal_budget)
         cands.append(Candidate("anneal", rec.structure, seed, rec.matrix))
     return cands
 
@@ -162,7 +161,7 @@ def reproduce_table(
     n_min: int,
     n_max: int,
     registry: Registry | None = None,
-    anneal_budget: int = 0,
+    anneal_budget: int = DEFAULT_BUDGET,
     seeds: tuple[int, ...] = (),
 ) -> list[TableRow]:
     fixtures = bundled_fixtures()

@@ -10,7 +10,6 @@ from approxhad.flatten import (
     SingularSplitError,
     flat_orthogonal,
     submatrix_orthogonalize,
-    u_upper_bound_table,
 )
 
 
@@ -136,6 +135,7 @@ class TestFlatOrthogonal:
         for n in (11, 30, 60, 92):
             m, recipe = None, None
             orth, cert = flat_orthogonal(n, catalog)
+            assert cert.max_entry >= 1.0 / math.sqrt(n) - 1e-12
             if cert.k == 0:
                 continue
             H = catalog.build(cert.m).entries / math.sqrt(cert.m)
@@ -175,21 +175,3 @@ class TestOrderChoice:
             m = min(o for o in CHOSEN_ORDERS if o >= n)
             assert (cert.m, cert.k) == (m, m - n), n
 
-
-class TestUTable:
-    def test_rows(self, catalog):
-        rows = u_upper_bound_table(3, 16, catalog)
-        by_n = {r["n"]: r for r in rows}
-        assert by_n[4]["max_entry"] == pytest.approx(0.5)
-        assert by_n[3]["max_entry"] == pytest.approx(1.0, abs=1e-12)
-        assert by_n[3]["bound"] == pytest.approx(1.0)
-        assert by_n[3]["lower"] == pytest.approx(1 / math.sqrt(3))
-        for r in rows:
-            if not r["gap"]:
-                assert r["max_entry"] <= r["bound"] + 1e-12
-                assert r["max_entry"] >= r["lower"] - 1e-12
-
-    def test_sweep_60_70(self, catalog):
-        rows = u_upper_bound_table(60, 70, catalog)
-        assert all(not r["gap"] for r in rows)
-        assert all(r["max_entry"] <= r["bound"] + 1e-12 for r in rows)

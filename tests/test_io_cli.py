@@ -393,6 +393,7 @@ MALFORMED = {
                                "--workers", "-2"],
     "table_anneal_budget_negative": ["table", "--min", "3", "--max", "3",
                                      "--anneal-budget", "-5", "--seeds", "1"],
+    "table_anneal_budget_zero": ["table", "--min", "3", "--max", "3", "--anneal-budget", "0"],
     "catalog_max_order_negative": ["catalog", "--max-order", "-1"],
     "catalog_max_order_zero": ["catalog", "--max-order", "0"],
 }

@@ -33,6 +33,11 @@ class TestSignMatrix:
         with pytest.raises(ValueError):
             SignMatrix(np.ones((2, 3)))
 
+    def test_rejects_non_integer_before_cast(self):
+        # an int64 cast first would truncate 1.9 to 1 and -1.2 to -1
+        with pytest.raises(ValueError, match=r"entry at \(0, 0\) is 1.9, not \+-1"):
+            SignMatrix(np.array([[1.9, -1.2], [1, 1]]))
+
 
 class TestGram:
     def test_h2(self):

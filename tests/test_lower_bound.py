@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from approxhad.constructions import sylvester
-from approxhad.families import circulant, conference_plus_identity, sds_block_matrix, sds_search
+from approxhad.families import circulant
 from approxhad.linalg import SignMatrix, condition_number, gram
 from approxhad.lower_bound import (
     best_clique_certificate,
-    check_orthogonal_triple_obstruction,
     kappa_floor,
     max_clique,
     orthogonal_triple_exists,
@@ -151,32 +150,6 @@ class TestCliqueCertificate:
             ev = np.linalg.eigvalsh(g.astype(float))
             kappa = math.sqrt(ev[-1] / ev[0])
             assert kappa == pytest.approx(math.sqrt(1 + k / (n + 1 - k)), abs=1e-12)
-
-
-class TestTripleObstruction:
-    def test_sds6_confirmed(self):
-        fam = sds_block_matrix(sds_search(3)[0])
-        report = check_orthogonal_triple_obstruction(fam.matrix)
-        assert report.confirmed
-        assert report.zero_triangle is None
-
-    def test_hadamard4_has_triangle(self):
-        report = check_orthogonal_triple_obstruction(sylvester(2))
-        assert report.multiple_of_4
-        assert report.zero_triangle is not None
-        assert report.confirmed  # allowed at multiples of 4
-
-    def test_conference10_confirmed(self):
-        fam = conference_plus_identity(10)
-        report = check_orthogonal_triple_obstruction(fam.matrix)
-        assert report.confirmed and report.zero_triangle is None
-
-    def test_random_non_multiples_never_violate(self):
-        rng = np.random.default_rng(77)
-        for n in (3, 5, 6, 7, 9, 10, 11):
-            for _ in range(20):
-                report = check_orthogonal_triple_obstruction(random_sign(rng, n))
-                assert report.confirmed
 
 
 class TestOrthogonalTriples:

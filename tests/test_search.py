@@ -337,6 +337,17 @@ class TestRegistry:
         with pytest.raises(RegistryRejection, match="recomputed"):
             reg.update(tampered)
 
+    def test_kappa_5e10_above_its_matrix_rejected(self, tmp_path):
+        # search and condition_number form kappa by one rule, so only the
+        # same float is the matrix's kappa; 5e-10 more can change its 10 digits
+        rec = self._record()
+        nudged = SearchRecord(
+            n=rec.n, structure=rec.structure, kappa=rec.kappa + 5e-10,
+            matrix=rec.matrix, seed=rec.seed, effort=rec.effort,
+        )
+        with pytest.raises(RegistryRejection, match="recomputed"):
+            Registry(tmp_path).update(nudged)
+
     def test_roundtrip_matrix(self, tmp_path):
         reg = Registry(tmp_path)
         rec = self._record()

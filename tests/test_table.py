@@ -4,6 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from approxhad import table
 from approxhad.families import circulant, sds_block_matrix, sds_search, verify_barba
 from approxhad.linalg import SignMatrix, condition_number, minpoly_residual
 from approxhad.matrixio import write_sign_matrix
@@ -133,6 +134,22 @@ class TestReproduceTable:
     def test_fresh_anneal_path(self):
         rows = reproduce_table(7, 7, anneal_budget=4000, seeds=(0, 1))
         assert rows[0].n == 7 and rows[0].matched
+
+    def test_seeds_alone_run_the_panel(self):
+        # no cheap witness at n = 15, so the given seed is the only anneal run
+        rows = reproduce_table(15, 15, seeds=(3,))
+        assert (rows[0].source, rows[0].seed) == ("anneal", 3)
+
+    def test_budget_alone_sets_the_fallback_budget(self, monkeypatch):
+        calls = []
+
+        def traced(n, sclass, seed, budget):
+            calls.append((n, seed, budget))
+            return anneal(n, sclass, seed, budget)
+
+        monkeypatch.setattr(table, "anneal", traced)
+        reproduce_table(15, 15, anneal_budget=100)
+        assert calls == [(15, 0, 100)]
 
     def test_csv_shape(self):
         rows = reproduce_table(3, 10)
