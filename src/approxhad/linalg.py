@@ -59,7 +59,8 @@ class SignMatrix:
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise ValueError(f"entry at ({i}, {j}) is {a[i, j]}, not +-1")
-        a = np.asarray(a, dtype=np.int64)
+        # a copy, so freezing it leaves the caller's array writable
+        a = np.array(a, dtype=np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 

@@ -27,6 +27,12 @@ become the incumbent take the exact path (build, exact Gram, eigvalsh).
 So every decision, RNG draw, restart and reported kappa is the one the
 exact path alone would give.  general and symmetric always take the
 exact path.
+
+Every anneal draw is read from the raw Philox4x64 outputs of
+philox(seed, 0), in blocks, by `_Draws`: a bounded integer by Lemire's
+method on 32-bit halves, low half first; a double from the top 53 bits of
+one output.  These are the draws NumPy 2.4.6's Generator makes, but the
+rule now lives here, where a NumPy release cannot change it.
 """
 
 from __future__ import annotations
@@ -300,6 +306,62 @@ def exhaustive_min(n: int, long_running: bool = False) -> SearchRecord:
     return best.record(n, sclass, 0, {"mode": "exhaustive", "candidates": total})
 
 
+# raw 64-bit outputs fetched per refill of a _Draws block
+_RAW_BLOCK = 256
+
+
+class _Draws:
+    """The draws of `philox(seed, 0)`, served from raw Philox4x64 outputs
+    read in blocks: integers(high) and random() return what the
+    Generator's methods return under NumPy 2.4.6, draw for draw.
+
+    A bounded integer takes Lemire's method (Lemire 2019) on 32-bit draws,
+    each 64-bit output giving its low half first and keeping its high half
+    for the next 32-bit draw; high == 1 draws nothing.  A double takes the
+    top 53 bits of a fresh 64-bit output and leaves a kept half in place.
+    """
+
+    __slots__ = ("_raw", "_block", "_half")
+
+    def __init__(self, seed: int):
+        self._raw = philox(seed, 0).bit_generator.random_raw
+        self._block: list[int] = []
+        self._half: int | None = None
+
+    def _next64(self) -> int:
+        if not self._block:
+            # reversed, so pop() serves the block in stream order
+            self._block = self._raw(_RAW_BLOCK).tolist()[::-1]
+        return self._block.pop()
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            x = self._next64()
+            self._half = x >> 32
+            return x & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def integers(self, high: int) -> int:
+        """A uniform integer in [0, high), 1 <= high <= 2^32."""
+        if not 1 <= high <= 1 << 32:
+            raise ValueError(f"high must lie in [1, 2^32], got {high}")
+        if high == 1:
+            return 0
+        m = self._next32() * high
+        if m & 0xFFFFFFFF < high:
+            # reject the low products that would bias the result
+            threshold = (1 << 32) % high
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * high
+        return m >> 32
+
+    def random(self) -> float:
+        """A uniform double in [0, 1)."""
+        return (self._next64() >> 11) * 2.0 ** -53
+
+
 class _State:
     """A chain state and what is known of its exact-path kappa.
 
@@ -351,17 +413,18 @@ def anneal(
             state.lo = state.hi = min(state.kappa, _SINGULAR_ENERGY)
         return state
 
-    rng = philox(seed, 0)
+    draws = _Draws(seed)
 
     def fresh_state() -> _State:
-        state = settle(_State(rng.integers(0, 2, nbits)))
+        bits = np.array([draws.integers(2) for _ in range(nbits)], dtype=np.int64)
+        state = settle(_State(bits))
         best.offer(state.kappa, state.bits, state.mat)
         return state
 
     def neighbour(state: _State) -> _State:
         """A random single-bit neighbour, made once per visit of `state`:
         the chain often stays on one state for hundreds of proposals."""
-        i = int(rng.integers(nbits))
+        i = draws.integers(nbits)
         hit = state.near.get(i)
         if hit is None:
             bits = state.bits.copy()
@@ -388,7 +451,7 @@ def anneal(
             settle(cur)
             if cand.lo <= cur.lo:
                 return True
-        u = rng.random()
+        u = draws.random()
         t = max(temperature, 1e-300)
         if cand.kappa is None or cur.kappa is None:
             # delta lies in [cand.lo - cur.hi, cand.hi - cur.lo]

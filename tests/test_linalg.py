@@ -38,6 +38,13 @@ class TestSignMatrix:
         with pytest.raises(ValueError, match=r"entry at \(0, 0\) is 1.9, not \+-1"):
             SignMatrix(np.array([[1.9, -1.2], [1, 1]]))
 
+    def test_leaves_callers_array_writable(self):
+        a = np.ones((2, 2), dtype=np.int64)
+        m = SignMatrix(a)
+        a[0, 0] = -1
+        assert m.entries.tolist() == [[1, 1], [1, 1]]
+        assert not m.entries.flags.writeable
+
 
 class TestGram:
     def test_h2(self):

@@ -78,13 +78,14 @@ def test_screen_panel(n, name, seed, kappa_hex, restarts, plus):
     check(n, name, seed, BUDGET, kappa_hex, restarts, plus)
 
 
-def shifted_extremes(direction):
+def shifted_extremes(direction, calls):
     """SpectralScreen.extremes with lambda_min moved by +-eta/2 and
     lambda_max by the opposite amount; direction(i) = +1 lowers the
-    neighbour's kappa."""
+    neighbour's kappa.  Each call appends i to calls."""
     extremes = SpectralScreen.extremes
 
     def shifted(self, spectra, i):
+        calls.append(i)
         lmin, lmax = extremes(self, spectra, i)
         half = self.eta(lmax) / 2
         s = direction(i)
@@ -102,12 +103,16 @@ DIRECTIONS = {
 
 @pytest.mark.parametrize("direction", sorted(DIRECTIONS))
 def test_shifted_screen_keeps_every_decision(monkeypatch, direction):
-    monkeypatch.setattr(SpectralScreen, "extremes", shifted_extremes(DIRECTIONS[direction]))
+    calls = []
+    monkeypatch.setattr(SpectralScreen, "extremes",
+                        shifted_extremes(DIRECTIONS[direction], calls))
     for n, name, seed, kappa_hex, restarts, plus in SCREEN_PANEL:
         check(n, name, seed, BUDGET, kappa_hex, restarts, plus)
     for n, name, seed, kappa_hex, restarts, plus in ANNEAL_PANEL:
         if StructureClass.parse(name).kind in SCREENED_KINDS:
             check(n, name, seed, ANNEAL_PANEL_BUDGET, kappa_hex, restarts, plus)
+    # an anneal that bypassed the screen would pass the checks above untested
+    assert calls
 
 
 @pytest.mark.parametrize("n,name", [(19, "circulant"), (21, "circulant_core"),

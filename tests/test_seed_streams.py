@@ -2,15 +2,22 @@
 
 A Philox key given as a plain list of Python ints passes through float64
 above 2^63, so seed 2^64 - 1 ran seed 0's stream and 2^63 + 1 ran 2^63's.
+
+anneal reads its draws from the raw Philox outputs through search._Draws;
+the draw-for-draw tests hold it to numpy.random.Generator on the same key.
 """
+
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from approxhad import search
 from approxhad.flatten import flat_orthogonal
 from approxhad.linalg import philox
 from approxhad.rounding import RoundingPlan, round_once
-from approxhad.search import StructureClass, anneal
+from approxhad.search import StructureClass, anneal, _Draws
 
 COLLIDING_PAIRS = [(2**64 - 1, 0), (2**63, 2**63 + 1)]
 
@@ -51,3 +58,45 @@ def test_anneal_streams_distinct(a, b):
 def test_flatten_streams_distinct(a, b):
     assert not np.array_equal(flat_orthogonal(12, seed=a)[0].entries,
                               flat_orthogonal(12, seed=b)[0].entries)
+
+
+DRAW_SEEDS = [0, 5, 2**63 + 1, 2**64 - 1]
+# 3 * 2^30 and 2^31 + 1 reject about a quarter and half of their 32-bit
+# draws, so Lemire's rejection loop runs too
+HIGHS = [1, 2, 3, 4, 7, 8, 17, 105, 576, 841, 2**31, 2**32, 3 * 2**30, 2**31 + 1]
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_draws_match_generator(seed):
+    draws = _Draws(seed)
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    script = random.Random(seed)
+    for step in range(20000):
+        pick = script.random()
+        if pick < 0.15:
+            assert draws.random() == gen.random(), step
+        elif pick < 0.2:
+            m = script.randrange(40)
+            bits = [draws.integers(2) for _ in range(m)]
+            assert bits == gen.integers(0, 2, m).tolist(), step
+        else:
+            high = script.choice(HIGHS)
+            assert draws.integers(high) == gen.integers(high), (step, high)
+
+
+@pytest.mark.parametrize("high", [0, -1, 2**32 + 1])
+def test_draws_reject_high_outside_32_bits(high):
+    with pytest.raises(ValueError):
+        _Draws(0).integers(high)
+
+
+@pytest.mark.parametrize("name", ["circulant_core", "general"])
+def test_anneal_draws_only_raw_outputs(monkeypatch, name):
+    sclass = StructureClass(name)
+    want = anneal(9, sclass, 3, 400)
+    # any Generator method anneal called would now raise AttributeError
+    monkeypatch.setattr(search, "philox", lambda seed, counter: SimpleNamespace(
+        bit_generator=philox(seed, counter).bit_generator))
+    got = anneal(9, sclass, 3, 400)
+    assert (got.kappa, got.effort) == (want.kappa, want.effort)
+    assert np.array_equal(got.matrix.entries, want.matrix.entries)
