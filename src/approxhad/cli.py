@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("round", help="randomized rounding with a Bernstein certificate")
     r.add_argument("--n", type=int, required=True)
-    r.add_argument("--trials", type=int, required=True)
+    r.add_argument("--trials", type=_at_least(1), required=True)
     r.add_argument("--seed", type=_seed, required=True)
     r.add_argument("--workers", type=_at_least(1), default=1)
     r.add_argument("--out", help="write the best matrix in +/- format")
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--structure", default="general")
     s.add_argument("--seed", type=_seed, default=0)
-    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    s.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET)
     s.add_argument("--exhaustive", action="store_true")
     s.add_argument("--long-running", action="store_true")
     s.add_argument("--registry")

@@ -10,6 +10,19 @@ RNG contract: trial t of a plan with master seed s draws its n*n uniforms
 from a Philox4x64 stream keyed by (s, t), consumed in row-major entry
 order.  This is deterministic across runs, machines, and worker counts,
 and it never changes silently.
+
+Best of trials: `round_best` reports the trial of least kappa (ties to the
+lower index) and the least ||X - EX||_op over all trials, but runs the
+exact `condition_number` and `operator_norm` only on the trials that can
+decide them.  Every trial is drawn as above and gets lower bounds on its
+kappa and ||X - EX||_op from Rayleigh quotients, which hold for any
+vector; a few power and inverse-iteration steps only make them tight.
+Trials are visited by ascending bound, and the sweep stops at the first
+bound that, lowered by a margin eta covering float rounding and the
+eigensolver's error, exceeds the best exact value so far: neither that
+trial nor any later one can win or tie.  A trial whose draw repeats an
+earlier trial's matrix is never evaluated.  So the reported trial, kappa,
+error norm and matrix are bit for bit those of evaluating every trial.
 """
 
 from __future__ import annotations
@@ -22,7 +35,8 @@ from functools import cached_property
 import numpy as np
 
 from .flatten import OrthMatrix
-from .linalg import SignMatrix, condition_number, operator_norm, philox, SpectralReport
+from .linalg import SignMatrix, SpectralReport, condition_number, gram_kappa, operator_norm, philox
+from .spectral import ETA_PER_N2_LMAX
 
 __all__ = [
     "RoundingPlan",
@@ -102,32 +116,160 @@ class RoundingResult:
     best_trial: int
 
 
-def _run_trial(plan: RoundingPlan, t: int):
-    X = round_once(plan, t)
-    return X, condition_number(X), operator_norm(X.entries - plan.scaled)
+# Trials whose bounds are formed together: one float64 (_BLOCK, n, n) stack
+# per array, so memory does not grow with the trial count.
+_BLOCK = 8
+_E_STEPS = 24  # power steps towards the top right singular vector of E
+_GRAM_STEPS = 4  # power steps on X^T X, started from E's vector
+_INVERSE_COLUMNS = 8  # width of the block that inverse iteration moves
+_INVERSE_STEPS = 3  # steps of (X^T X)^-1 on that block
+
+
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    return (v * v).sum(axis=-2)
+
+
+def _rayleigh(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||a v||^2 / ||v||^2 for each matrix of a stack and each column of v."""
+    return _sq_norms(a @ v) / _sq_norms(v)
+
+
+def _power(a: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
+    """`steps` power steps on a^T a, normalizing each column."""
+    at = a.swapaxes(-1, -2)
+    for _ in range(steps):
+        v = at @ (a @ v)
+        v = v / np.sqrt(_sq_norms(v))[..., None, :]
+    return v
+
+
+def _inverse(x: np.ndarray) -> np.ndarray:
+    """x^-1 for each trial of a stack, and the identity for an exactly
+    singular x: its inverse steps then leave their block as it was, which
+    makes its quotient looser, never wrong."""
+    try:
+        return np.linalg.inv(x)
+    except np.linalg.LinAlgError:
+        if len(x) == 1:
+            return np.eye(x.shape[-1])[None]
+        return np.concatenate([_inverse(x[i:i + 1]) for i in range(len(x))])
+
+
+def _ritz_min(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The quotient of x at the Ritz vector of the least eigenvalue of
+    x^T x on the span of w's columns, recomputed from x itself; NaN (no
+    bound) for the whole stack if LAPACK does not converge."""
+    try:
+        q = np.linalg.qr(w)[0]
+        xq = x @ q
+        y = np.linalg.eigh(xq.swapaxes(-1, -2) @ xq)[1][..., :1]
+    except np.linalg.LinAlgError:
+        return np.full(len(x), np.nan)
+    return _rayleigh(x, q @ y)[:, 0]
+
+
+def _rayleigh_bounds(plan: RoundingPlan, x8: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rayleigh quotients for a stack of drawn trials (int8 entries):
+    rho_e <= lambda_max(E^T E), rho_max <= lambda_max(X^T X) and
+    rho_min >= lambda_min(X^T X).  Each holds for whatever vector it is
+    taken at, up to float rounding that the margin of `_lower_bounds`
+    covers; the vectors only make it tight, so E's power steps run in
+    float32, and every quotient is formed in float64.  NaN where a
+    quotient could not be formed."""
+    n = plan.n
+    x = x8.astype(np.float64)
+    e = x - plan.scaled
+    start = np.cos(np.outer(np.arange(1, n + 1), np.arange(1, _INVERSE_COLUMNS + 1)))
+    with np.errstate(all="ignore"):
+        v = _power(e.astype(np.float32), np.ones((len(x), n, 1), np.float32), _E_STEPS)
+        v = v.astype(np.float64)
+        rho_e = _rayleigh(e, v)[:, 0]
+        rho_max = _rayleigh(x, _power(x, v, _GRAM_STEPS))[:, 0]
+        b = np.repeat(start[None], len(x), axis=0)
+        b[..., :1] = np.where(np.isfinite(v), v, 1.0)
+        w = _power(_inverse(x).swapaxes(-1, -2), b, _INVERSE_STEPS)
+        bad = ~np.isfinite(w).all(axis=(-2, -1))
+        w[bad] = b[bad]
+        rho_min = _ritz_min(x, w)
+    return tuple(np.where(np.isfinite(r), r, np.nan) for r in (rho_e, rho_max, rho_min))
+
+
+def _lower_bounds(n: int, rho_e, rho_max, rho_min) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bounds on each trial's kappa and ||E||_op as `condition_number`
+    and `operator_norm` compute them: its quotients moved by the margin eta,
+    and -inf (no bound) where a quotient is NaN."""
+    # eta = n^2 lambda 2^-52, the spectral screen's form, at an upper bound on
+    # lambda_max: ||X||_F^2 = n^2 for X^T X, and 4 n^2 >= ||E||_F^2 for E^T E
+    eta = n * n * ETA_PER_N2_LMAX * n * n
+    kappa = np.array([gram_kappa(lo + eta, hi - eta, n) if hi > eta else math.nan
+                      for lo, hi in zip(rho_min.tolist(), rho_max.tolist())])
+    e = np.sqrt(np.maximum(rho_e - 4 * eta, 0.0))
+    return tuple(np.where(np.isnan(b), -np.inf, b) for b in (kappa, e))
+
+
+def _least(lower: np.ndarray, trials, exact):
+    """(value, t, payload) least by (value, t) over `trials`, where
+    exact(t) gives (value, payload) and lower[t] <= value.  Trials are
+    visited by ascending bound; once a bound exceeds the incumbent's value
+    no later trial can win or tie, so exact runs only before that."""
+    best = None
+    for t in sorted(trials, key=lambda t: (lower[t], t)):
+        if best is not None and lower[t] > best[0]:
+            break
+        value, payload = exact(t)
+        if best is None or (value, t) < best[:2]:
+            best = (value, t, payload)
+    return best
 
 
 def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
-    """Best-of-trials rounding: minimize kappa, break ties on trial index.
+    """Best-of-trials rounding: minimize kappa, break ties on trial index,
+    and report the least ||X - EX||_op over all trials.
 
-    Trials are independent streams; the reduction is deterministic no
-    matter how many workers execute them.
+    Every trial is drawn by `round_once` and bounded from below by
+    `_rayleigh_bounds`, _BLOCK trials at a time (on `workers` threads).
+    `condition_number` and `operator_norm` then run only on trials whose
+    bound, lowered by the margin eta, does not exceed the incumbent, and
+    never on a trial whose matrix repeats an earlier one, so the result is
+    the one every trial's exact evaluation would give.
     """
     if plan.trials < 1:
         raise ValueError("need at least one trial")
+    n = plan.n
+
+    def block(b0: int):
+        signs = np.stack([round_once(plan, t).entries.astype(np.int8)
+                          for t in range(b0, min(b0 + _BLOCK, plan.trials))])
+        return signs, _rayleigh_bounds(plan, signs)
+
+    starts = range(0, plan.trials, _BLOCK)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _run_trial(plan, t), range(plan.trials)))
+            blocks = list(pool.map(block, starts))
     else:
-        results = [_run_trial(plan, t) for t in range(plan.trials)]
-    best_t = min(range(plan.trials), key=lambda t: (results[t][1].kappa, t))
-    min_err = min(err for _, _, err in results)
-    cert = bernstein_bound(plan.n, plan.target.max_abs_entry)
-    X, rep, _ = results[best_t]
+        blocks = [block(b0) for b0 in starts]
+    signs, bounds = zip(*blocks)
+    x8 = np.concatenate(signs)
+
+    kappa_lower, e_lower = _lower_bounds(n, *(np.concatenate(r) for r in zip(*bounds)))
+    # a repeated draw ties an earlier trial in both values, with a larger index
+    first: dict[bytes, int] = {}
+    for t, x in enumerate(x8):
+        first.setdefault(x.tobytes(), t)
+    distinct = list(first.values())
+
+    def kappa(t: int):
+        X = SignMatrix(x8[t])
+        report = condition_number(X)
+        return report.kappa, (X, report)
+
+    _, best_t, (X, report) = _least(kappa_lower, distinct, kappa)
+    min_err = _least(e_lower, distinct,
+                     lambda t: (operator_norm(x8[t] - plan.scaled), None))[0]
     return RoundingResult(
         matrix=X,
-        report=rep,
-        certificate=cert,
+        report=report,
+        certificate=bernstein_bound(n, plan.target.max_abs_entry),
         empirical_error_norm=min_err,
         best_trial=best_t,
     )

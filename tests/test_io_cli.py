@@ -416,6 +416,22 @@ def test_malformed_input_exits_1_or_2(capsys, tmp_path, case):
     assert captured.err.splitlines()[-1].startswith(("error: ", "approxhad "))
 
 
+@pytest.mark.parametrize("argv", [
+    ["round", "--n", "7", "--trials", "0", "--seed", "0"],
+    ["round", "--n", "7", "--trials", "-3", "--seed", "0"],
+    ["search", "--n", "5", "--structure", "circulant", "--budget", "0"],
+    ["search", "--n", "5", "--structure", "circulant", "--budget", "-1"],
+])
+def test_counts_below_one_are_usage_errors(capsys, argv):
+    # like --workers and --anneal-budget: argparse refuses them with exit 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("must be >= 1")
+
+
 def test_construct_conference_has_no_q_option(capsys):
     # the order alone fixes q = order - 1; a second way to give it is refused
     with pytest.raises(SystemExit) as exc:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from approxhad import rounding
 from approxhad.constructions import build_catalog, paley_i
 from approxhad.flatten import OrthMatrix, flat_orthogonal
 from approxhad.linalg import SignMatrix, condition_number, operator_norm
 from approxhad.rounding import (
     RoundingPlan,
     _kappa_from_error,
+    _least,
     bernstein_bound,
     round_best,
     round_once,
@@ -157,3 +159,78 @@ class TestRoundBest:
         # ||E|| <= 2 e_n holds with huge margin
         assert result.empirical_error_norm <= 2 * b.e_n
         assert result.report.kappa <= b.kappa_bound_doubled
+
+
+def every_trial(plan):
+    """The reference: exact kappa, ||E|| and matrix of every trial."""
+    rows = []
+    for t in range(plan.trials):
+        X = round_once(plan, t)
+        rows.append((condition_number(X), operator_norm(X.entries - plan.scaled), X))
+    return rows
+
+
+def brute_force(rows):
+    """The reference reduction over rows: the least (kappa, t), and the least ||E||."""
+    best = min(range(len(rows)), key=lambda t: (rows[t][0].kappa, t))
+    return best, rows[best][0], rows[best][2], min(err for _, err, _ in rows)
+
+
+REFERENCE_ORDERS = (3, 12, 16, 22, 46, 70, 92, 116, 126, 127)
+REFERENCE_SEEDS = (0, 5, 2**64 - 1)
+
+
+def assert_matches_reference(result, reference):
+    best, report, matrix, err = reference
+    assert result.best_trial == best
+    assert result.report == report
+    assert result.matrix.entries.tobytes() == matrix.entries.tobytes()
+    assert result.empirical_error_norm.hex() == err.hex()
+
+
+class TestPrunedReduction:
+    """round_best evaluates few trials exactly; its result must be the one
+    that evaluating every trial gives, bit for bit."""
+
+    @pytest.mark.parametrize("i", range(len(REFERENCE_ORDERS)))
+    def test_matches_every_trial_evaluated(self, i):
+        # each order gets one seed and one worker count for its 64-trial
+        # run, so every seed and worker count meets small and large orders
+        n, seed, workers = REFERENCE_ORDERS[i], REFERENCE_SEEDS[i % 3], 1 + i % 2
+        orth, _ = flat_orthogonal(n)
+        rows = every_trial(RoundingPlan(target=orth, trials=64, master_seed=seed))
+        for trials in (1, 2, 7, 64):
+            plan = RoundingPlan(target=orth, trials=trials, master_seed=seed)
+            result = round_best(plan, workers=workers if trials == 64 else 1)
+            # trial t draws from stream (seed, t) alone, so a prefix of rows
+            assert_matches_reference(result, brute_force(rows[:trials]))
+            if n == 16:  # k = 0: every draw is the same matrix, so trial 0 wins
+                assert result.best_trial == 0
+
+    def test_singular_draws_at_n3(self):
+        orth, _ = flat_orthogonal(3)
+        plan = RoundingPlan(target=orth, trials=64, master_seed=1)
+        kappas = [condition_number(round_once(plan, t)).kappa for t in range(64)]
+        assert any(math.isinf(k) for k in kappas) and any(math.isfinite(k) for k in kappas)
+        assert_matches_reference(round_best(plan), brute_force(every_trial(plan)))
+
+    def test_nan_bounds_mean_evaluate_exactly(self, monkeypatch):
+        # with no usable bound, every distinct draw gets the exact eigensolve
+        def no_bounds(plan, signs):
+            return tuple(np.full(len(signs), np.nan) for _ in range(3))
+
+        calls = []
+        counted = rounding.condition_number
+        monkeypatch.setattr(rounding, "_rayleigh_bounds", no_bounds)
+        monkeypatch.setattr(rounding, "condition_number", lambda X: calls.append(1) or counted(X))
+        orth, _ = flat_orthogonal(22)
+        plan = RoundingPlan(target=orth, trials=7, master_seed=5)
+        assert_matches_reference(round_best(plan), brute_force(every_trial(plan)))
+        assert len(calls) == 7
+
+    def test_bound_equal_to_incumbent_is_evaluated(self):
+        # trial 1's lower bound is visited first; trial 0 ties its value with
+        # a bound equal to it, and wins the tie on its smaller index
+        values = {0: 1.5, 1: 1.5}
+        best = _least(np.array([1.5, 0.5]), [0, 1], lambda t: (values[t], None))
+        assert best[:2] == (1.5, 0)
