@@ -27,6 +27,7 @@ __all__ = [
     "SpectralReport",
     "IntPolynomial",
     "SINGULAR_TOLERANCE_PER_N",
+    "ETA_PER_N2_LMAX",
     "gram",
     "gram_float64",
     "gram_kappa",
@@ -40,6 +41,10 @@ __all__ = [
 # lambda_min <= n * 2^-40 is treated as exact singularity (kappa = inf);
 # nonsingular integer Grams at desk scale have lambda_min >> this.
 SINGULAR_TOLERANCE_PER_N = 2.0 ** -40
+
+# an eigenvalue that eigvalsh returns for an order-n symmetric matrix whose
+# largest eigenvalue is at most lambda is trusted to eta = n^2 lambda 2^-52
+ETA_PER_N2_LMAX = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -161,24 +166,59 @@ def gram_kappa(lmin: float, lmax: float, n: int) -> float:
     return math.inf if lmin <= n * SINGULAR_TOLERANCE_PER_N else math.sqrt(lmax / lmin)
 
 
-def condition_number(A: SignMatrix) -> SpectralReport:
+def _quotient(a: np.ndarray, v: np.ndarray) -> float:
+    """||a v||^2 / ||v||^2 in float64, which lies between the least and the
+    largest eigenvalue of a^T a for any v; NaN where it cannot be formed."""
+    av = a @ v
+    num, den = float(av @ av), float(v @ v)
+    return num / den if 0.0 < den < math.inf and math.isfinite(num) else math.nan
+
+
+def condition_number(A: SignMatrix, probes=None, above: float = math.inf) -> SpectralReport | None:
     """kappa(A) = sigma_max/sigma_min, formed by `gram_kappa` from the
-    eigenvalues of the exact Gram; sigma_min is 0 when kappa is inf."""
+    eigenvalues of the exact Gram; sigma_min is 0 when kappa is inf.
+
+    Early exit: given `probes` = (v, w), the quotients at v and w bound
+    lambda_max and lambda_min of A^T A from the inside, whatever the
+    vectors.  Moved outwards by the margin eta (at lambda = n^2 = ||A||_F^2,
+    which also covers the rounding of the quotients) they give a kappa
+    that the eigensolve's cannot fall below.  If it exceeds `above`, None
+    is returned without the eigensolve: kappa(A) > above.
+    """
+    n = A.n
+    if probes is not None:
+        a = A.entries.astype(np.float64)
+        eta = n * n * ETA_PER_N2_LMAX * n * n
+        hi = _quotient(a, probes[0]) - eta
+        lo = _quotient(a, probes[1]) + eta
+        if hi > 0 and gram_kappa(lo, hi, n) > above:
+            return None
     ev = np.linalg.eigvalsh(gram_float64(A.entries))
     lmin, lmax = float(ev[0]), float(ev[-1])
-    kappa = gram_kappa(lmin, lmax, A.n)
+    kappa = gram_kappa(lmin, lmax, n)
     sigma_min = 0.0 if math.isinf(kappa) else math.sqrt(lmin)
     return SpectralReport(sigma_min, math.sqrt(max(lmax, 0.0)), kappa)
 
 
-def operator_norm(E: np.ndarray) -> float:
+def operator_norm(E: np.ndarray, probe=None, above: float = math.inf) -> float:
     """Largest singular value of a dense matrix: sqrt of the top eigenvalue
     of E^T E.  A full symmetric eigensolve cannot miss the top eigenvalue,
     as power iteration does when its start vector lies in another
-    eigenspace."""
+    eigenspace.
+
+    Early exit: the quotient at `probe`, lowered by the margin eta (at
+    lambda = ||E||_F^2), bounds the eigensolve's value from below.  If its
+    square root exceeds `above`, that bound is returned without the
+    eigensolve, so min(above, result) is exact either way.
+    """
     E = np.asarray(E, dtype=np.float64)
     if E.size == 0:
         return 0.0
+    if probe is not None:
+        m = E.shape[1]
+        floor = _quotient(E, probe) - m * m * ETA_PER_N2_LMAX * float(np.vdot(E, E))
+        if floor > 0 and math.sqrt(floor) > above:
+            return math.sqrt(floor)
     return math.sqrt(max(float(np.linalg.eigvalsh(E.T @ E)[-1]), 0.0))
 
 

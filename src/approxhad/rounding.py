@@ -12,17 +12,19 @@ order.  This is deterministic across runs, machines, and worker counts,
 and it never changes silently.
 
 Best of trials: `round_best` reports the trial of least kappa (ties to the
-lower index) and the least ||X - EX||_op over all trials, but runs the
-exact `condition_number` and `operator_norm` only on the trials that can
-decide them.  Every trial is drawn as above and gets lower bounds on its
-kappa and ||X - EX||_op from Rayleigh quotients, which hold for any
-vector; a few power and inverse-iteration steps only make them tight.
-Trials are visited by ascending bound, and the sweep stops at the first
-bound that, lowered by a margin eta covering float rounding and the
-eigensolver's error, exceeds the best exact value so far: neither that
-trial nor any later one can win or tie.  A trial whose draw repeats an
-earlier trial's matrix is never evaluated.  So the reported trial, kappa,
-error norm and matrix are bit for bit those of evaluating every trial.
+lower index) and the least ||X - EX||_op over all trials, but only the
+trials that can decide them get an exact eigensolve.  Every trial is
+drawn as above and gets probe vectors from a few power and
+inverse-iteration steps.  It is then passed to `condition_number` and
+`operator_norm` with the best exact value so far: these bound the value
+from below by Rayleigh quotients at the probes, which hold for any
+vector, lowered by a margin eta covering float rounding and the
+eigensolver's error, and return without an eigensolve when the bound
+exceeds the best value, so the trial can neither win nor tie.  Trials are
+visited in ascending order of the quotients' estimate, so that the best
+values come early.  A trial whose draw repeats an earlier trial's matrix
+is skipped.  So the reported trial, kappa, error norm and matrix are bit
+for bit those of evaluating every trial.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .flatten import OrthMatrix
-from .linalg import SignMatrix, SpectralReport, condition_number, gram_kappa, operator_norm, philox
-from .spectral import ETA_PER_N2_LMAX
+from .linalg import SignMatrix, SpectralReport, condition_number, operator_norm, philox
 
 __all__ = [
     "RoundingPlan",
@@ -116,7 +117,7 @@ class RoundingResult:
     best_trial: int
 
 
-# Trials whose bounds are formed together: one float64 (_BLOCK, n, n) stack
+# Trials whose probes are formed together: one float64 (_BLOCK, n, n) stack
 # per array, so memory does not grow with the trial count.
 _BLOCK = 8
 _E_STEPS = 24  # power steps towards the top right singular vector of E
@@ -156,26 +157,28 @@ def _inverse(x: np.ndarray) -> np.ndarray:
 
 
 def _ritz_min(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The quotient of x at the Ritz vector of the least eigenvalue of
-    x^T x on the span of w's columns, recomputed from x itself; NaN (no
-    bound) for the whole stack if LAPACK does not converge."""
+    """The Ritz vector of the least eigenvalue of x^T x on the span of w's
+    columns, for each trial of a stack; NaN for the whole stack if LAPACK
+    does not converge."""
     try:
         q = np.linalg.qr(w)[0]
         xq = x @ q
         y = np.linalg.eigh(xq.swapaxes(-1, -2) @ xq)[1][..., :1]
     except np.linalg.LinAlgError:
-        return np.full(len(x), np.nan)
-    return _rayleigh(x, q @ y)[:, 0]
+        return np.full(w.shape[:-1] + (1,), np.nan)
+    return q @ y
 
 
-def _rayleigh_bounds(plan: RoundingPlan, x8: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rayleigh quotients for a stack of drawn trials (int8 entries):
-    rho_e <= lambda_max(E^T E), rho_max <= lambda_max(X^T X) and
-    rho_min >= lambda_min(X^T X).  Each holds for whatever vector it is
-    taken at, up to float rounding that the margin of `_lower_bounds`
-    covers; the vectors only make it tight, so E's power steps run in
-    float32, and every quotient is formed in float64.  NaN where a
-    quotient could not be formed."""
+def _probes(plan: RoundingPlan, x8: np.ndarray):
+    """Probe vectors for a stack of drawn trials (int8 entries), one row
+    per trial: towards the top right singular vector of E, of X, and the
+    bottom one of X.  `operator_norm` and `condition_number` take their
+    early-exit quotients at them, which bound the spectrum whatever the
+    vectors; the iterations here only make the bounds tight, so E's power
+    steps run in float32.  A row is NaN where no vector could be formed.
+
+    Also the estimates of ||E||_op^2 and kappa^2 that those quotients give,
+    as visiting orders: -inf where there is none, which visits first."""
     n = plan.n
     x = x8.astype(np.float64)
     e = x - plan.scaled
@@ -183,64 +186,38 @@ def _rayleigh_bounds(plan: RoundingPlan, x8: np.ndarray) -> tuple[np.ndarray, ..
     with np.errstate(all="ignore"):
         v = _power(e.astype(np.float32), np.ones((len(x), n, 1), np.float32), _E_STEPS)
         v = v.astype(np.float64)
-        rho_e = _rayleigh(e, v)[:, 0]
-        rho_max = _rayleigh(x, _power(x, v, _GRAM_STEPS))[:, 0]
+        v_max = _power(x, v, _GRAM_STEPS)
         b = np.repeat(start[None], len(x), axis=0)
         b[..., :1] = np.where(np.isfinite(v), v, 1.0)
         w = _power(_inverse(x).swapaxes(-1, -2), b, _INVERSE_STEPS)
         bad = ~np.isfinite(w).all(axis=(-2, -1))
         w[bad] = b[bad]
-        rho_min = _ritz_min(x, w)
-    return tuple(np.where(np.isfinite(r), r, np.nan) for r in (rho_e, rho_max, rho_min))
-
-
-def _lower_bounds(n: int, rho_e, rho_max, rho_min) -> tuple[np.ndarray, np.ndarray]:
-    """Lower bounds on each trial's kappa and ||E||_op as `condition_number`
-    and `operator_norm` compute them: its quotients moved by the margin eta,
-    and -inf (no bound) where a quotient is NaN."""
-    # eta = n^2 lambda 2^-52, the spectral screen's form, at an upper bound on
-    # lambda_max: ||X||_F^2 = n^2 for X^T X, and 4 n^2 >= ||E||_F^2 for E^T E
-    eta = n * n * ETA_PER_N2_LMAX * n * n
-    kappa = np.array([gram_kappa(lo + eta, hi - eta, n) if hi > eta else math.nan
-                      for lo, hi in zip(rho_min.tolist(), rho_max.tolist())])
-    e = np.sqrt(np.maximum(rho_e - 4 * eta, 0.0))
-    return tuple(np.where(np.isnan(b), -np.inf, b) for b in (kappa, e))
-
-
-def _least(lower: np.ndarray, trials, exact):
-    """(value, t, payload) least by (value, t) over `trials`, where
-    exact(t) gives (value, payload) and lower[t] <= value.  Trials are
-    visited by ascending bound; once a bound exceeds the incumbent's value
-    no later trial can win or tie, so exact runs only before that."""
-    best = None
-    for t in sorted(trials, key=lambda t: (lower[t], t)):
-        if best is not None and lower[t] > best[0]:
-            break
-        value, payload = exact(t)
-        if best is None or (value, t) < best[:2]:
-            best = (value, t, payload)
-    return best
+        w_min = _ritz_min(x, w)
+        orders = (_rayleigh(e, v), _rayleigh(x, v_max) / _rayleigh(x, w_min))
+    orders = tuple(np.where(np.isnan(o[:, 0]), -np.inf, o[:, 0]) for o in orders)
+    return orders, tuple(p[..., 0] for p in (v, v_max, w_min))
 
 
 def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
     """Best-of-trials rounding: minimize kappa, break ties on trial index,
     and report the least ||X - EX||_op over all trials.
 
-    Every trial is drawn by `round_once` and bounded from below by
-    `_rayleigh_bounds`, _BLOCK trials at a time (on `workers` threads).
-    `condition_number` and `operator_norm` then run only on trials whose
-    bound, lowered by the margin eta, does not exceed the incumbent, and
-    never on a trial whose matrix repeats an earlier one, so the result is
-    the one every trial's exact evaluation would give.
+    Every trial is drawn by `round_once` and gets its `_probes`, _BLOCK
+    trials at a time (on `workers` threads).  Trials are then visited in
+    the probes' estimated order, each passing the best kappa and error
+    norm so far to `condition_number` and `operator_norm` as the value to
+    beat: where the probe quotients show that a trial cannot reach it,
+    they return without an eigensolve.  A trial whose matrix repeats an
+    earlier one ties it with a larger index and is skipped.  So the result
+    is the one every trial's exact evaluation would give.
     """
     if plan.trials < 1:
         raise ValueError("need at least one trial")
-    n = plan.n
 
     def block(b0: int):
         signs = np.stack([round_once(plan, t).entries.astype(np.int8)
                           for t in range(b0, min(b0 + _BLOCK, plan.trials))])
-        return signs, _rayleigh_bounds(plan, signs)
+        return (signs, *_probes(plan, signs))
 
     starts = range(0, plan.trials, _BLOCK)
     if workers > 1:
@@ -248,28 +225,31 @@ def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
             blocks = list(pool.map(block, starts))
     else:
         blocks = [block(b0) for b0 in starts]
-    signs, bounds = zip(*blocks)
+    signs, orders, probes = zip(*blocks)
     x8 = np.concatenate(signs)
-
-    kappa_lower, e_lower = _lower_bounds(n, *(np.concatenate(r) for r in zip(*bounds)))
+    e_order, kappa_order = (np.concatenate(o) for o in zip(*orders))
+    v_e, v_max, w_min = (np.concatenate(p) for p in zip(*probes))
     # a repeated draw ties an earlier trial in both values, with a larger index
     first: dict[bytes, int] = {}
     for t, x in enumerate(x8):
         first.setdefault(x.tobytes(), t)
-    distinct = list(first.values())
+    distinct = first.values()
 
-    def kappa(t: int):
+    best = None
+    for t in sorted(distinct, key=lambda t: (kappa_order[t], t)):
         X = SignMatrix(x8[t])
-        report = condition_number(X)
-        return report.kappa, (X, report)
-
-    _, best_t, (X, report) = _least(kappa_lower, distinct, kappa)
-    min_err = _least(e_lower, distinct,
-                     lambda t: (operator_norm(x8[t] - plan.scaled), None))[0]
+        report = condition_number(X, (v_max[t], w_min[t]),
+                                  above=best[0].kappa if best else math.inf)
+        if report is not None and (best is None or (report.kappa, t) < (best[0].kappa, best[1])):
+            best = (report, t, X)
+    min_err = math.inf
+    for t in sorted(distinct, key=lambda t: e_order[t]):
+        min_err = min(min_err, operator_norm(x8[t] - plan.scaled, v_e[t], above=min_err))
+    report, best_t, X = best
     return RoundingResult(
         matrix=X,
         report=report,
-        certificate=bernstein_bound(n, plan.target.max_abs_entry),
+        certificate=bernstein_bound(plan.n, plan.target.max_abs_entry),
         empirical_error_norm=min_err,
         best_trial=best_t,
     )

@@ -28,14 +28,14 @@ import math
 
 import numpy as np
 
-from .linalg import gram_kappa
+from .linalg import ETA_PER_N2_LMAX, gram_kappa
 
 __all__ = ["SCREENED_KINDS", "SpectralScreen"]
 
 SCREENED_KINDS = ("circulant", "circulant_core", "two_block_circulant", "block_circulant")
 
 # a screened Gram eigenvalue is trusted to eta = n^2 * lambda_max * 2^-52
-ETA_PER_N2_LMAX = 2.0 ** -52
+# (linalg.ETA_PER_N2_LMAX)
 _PLUS_MINUS = np.array([-1.0, 1.0])
 
 

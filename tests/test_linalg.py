@@ -107,6 +107,17 @@ class TestOperatorNorm:
         assert operator_norm(np.zeros((3, 3))) == 0.0
         assert operator_norm(np.zeros((0, 0))) == 0.0
 
+    def test_early_exit_returns_a_bound_above_the_value_to_beat(self):
+        E = np.diag([3.0, 1.0])
+        e1 = np.array([1.0, 0.0])
+        floor = operator_norm(E, e1, above=2.0)
+        assert 2.0 < floor < 3.0
+        # a value to beat the bound does not clear gets the eigensolve
+        assert operator_norm(E, e1, above=3.0) == operator_norm(E)
+        assert operator_norm(E, np.array([0.0, 1.0]), above=2.0) == operator_norm(E)
+        for probe in (np.zeros(2), np.array([np.nan, 1.0])):
+            assert operator_norm(E, probe, above=0.0) == operator_norm(E)
+
 
 class TestConditionNumber:
     def test_hadamard_4(self):
@@ -124,6 +135,18 @@ class TestConditionNumber:
         assert gram_kappa(boundary, 2.0 * n, n) == math.inf
         above = math.nextafter(boundary, math.inf)
         assert gram_kappa(above, 2.0 * n, n) == math.sqrt(2.0 * n / above)
+
+    def test_early_exit_only_when_kappa_exceeds_the_value_to_beat(self):
+        A = SignMatrix(np.ones((2, 2)))
+        probes = (np.array([1.0, 1.0]), np.array([1.0, -1.0]))
+        # w spans the null space, so the bound is inf: None for any finite
+        # value to beat, but kappa = inf only ties a value to beat of inf
+        assert condition_number(A, probes, above=1e300) is None
+        assert condition_number(A, probes, above=math.inf) == condition_number(A)
+        nan = (np.full(2, np.nan),) * 2
+        assert condition_number(A, nan, above=1.0) == condition_number(A)
+        H = sylvester(2)
+        assert condition_number(H, (np.ones(4), np.ones(4)), above=1.0) == condition_number(H)
 
     def test_barba_5(self):
         rep = condition_number(SignMatrix(circulant([1, 1, 1, 1, -1])))

@@ -10,7 +10,6 @@ from approxhad.linalg import SignMatrix, condition_number, operator_norm
 from approxhad.rounding import (
     RoundingPlan,
     _kappa_from_error,
-    _least,
     bernstein_bound,
     round_best,
     round_once,
@@ -214,23 +213,18 @@ class TestPrunedReduction:
         assert any(math.isinf(k) for k in kappas) and any(math.isfinite(k) for k in kappas)
         assert_matches_reference(round_best(plan), brute_force(every_trial(plan)))
 
-    def test_nan_bounds_mean_evaluate_exactly(self, monkeypatch):
-        # with no usable bound, every distinct draw gets the exact eigensolve
-        def no_bounds(plan, signs):
-            return tuple(np.full(len(signs), np.nan) for _ in range(3))
+    def test_nan_probes_mean_evaluate_exactly(self, monkeypatch):
+        # with no usable probe, every distinct draw gets both eigensolves
+        def no_probes(plan, signs):
+            nan = np.full((len(signs), plan.n), np.nan)
+            return (np.full(len(signs), -np.inf),) * 2, (nan,) * 3
 
-        calls = []
-        counted = rounding.condition_number
-        monkeypatch.setattr(rounding, "_rayleigh_bounds", no_bounds)
-        monkeypatch.setattr(rounding, "condition_number", lambda X: calls.append(1) or counted(X))
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(rounding, "_probes", no_probes)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
         orth, _ = flat_orthogonal(22)
         plan = RoundingPlan(target=orth, trials=7, master_seed=5)
-        assert_matches_reference(round_best(plan), brute_force(every_trial(plan)))
-        assert len(calls) == 7
-
-    def test_bound_equal_to_incumbent_is_evaluated(self):
-        # trial 1's lower bound is visited first; trial 0 ties its value with
-        # a bound equal to it, and wins the tie on its smaller index
-        values = {0: 1.5, 1: 1.5}
-        best = _least(np.array([1.5, 0.5]), [0, 1], lambda t: (values[t], None))
-        assert best[:2] == (1.5, 0)
+        result = round_best(plan)
+        assert len(solves) == 2 * 7
+        assert_matches_reference(result, brute_force(every_trial(plan)))

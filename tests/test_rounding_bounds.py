@@ -1,10 +1,11 @@
-"""Property and mutation tests of the bounds that prune round_best.
+"""Property and mutation tests of the early exits that prune round_best.
 
-Each Rayleigh-quotient bound, moved by half its margin eta, must lie on
-the safe side of what condition_number and operator_norm return (round_best
-moves it by the full eta), including for singular and near-singular
-draws.  Widening eta only adds exact evaluations, so it changes no output;
-and at n = 92 the bounds must settle most trials without an eigensolve.
+condition_number and operator_norm skip the eigensolve where the Rayleigh
+quotients at round_best's probe vectors, moved by a margin eta, exceed the
+value to beat.  At half that margin, passing the exact value as the one to
+beat must still get the eigensolve, for singular and near-singular draws
+too.  Widening eta only adds eigensolves, so it changes no output; and at
+n = 92 the probes must settle most trials without one.
 """
 
 import functools
@@ -16,11 +17,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from approxhad import rounding  # noqa: E402
+from approxhad import linalg, rounding  # noqa: E402
 from approxhad.flatten import flat_orthogonal  # noqa: E402
 from approxhad.linalg import SignMatrix, condition_number, operator_norm  # noqa: E402
 from approxhad.rounding import RoundingPlan, round_best, round_once  # noqa: E402
-
 
 
 @functools.cache
@@ -29,15 +29,16 @@ def plan_at(n, seed=0):
 
 
 def assert_bounds_hold(plan, signs, monkeypatch):
-    """Both lower bounds, at half the margin, against the exact values."""
-    monkeypatch.setattr(rounding, "ETA_PER_N2_LMAX", rounding.ETA_PER_N2_LMAX / 2)
-    kappa_lower, e_lower = rounding._lower_bounds(
-        plan.n, *rounding._rayleigh_bounds(plan, signs.astype(np.int8)))
+    """Neither early exit, at half the margin, skips a trial whose exact
+    value equals the value to beat."""
+    monkeypatch.setattr(linalg, "ETA_PER_N2_LMAX", linalg.ETA_PER_N2_LMAX / 2)
+    _, (v_e, v_max, w_min) = rounding._probes(plan, signs.astype(np.int8))
     for t, x in enumerate(signs):
-        kappa = condition_number(SignMatrix(x)).kappa
+        report = condition_number(SignMatrix(x))
         err = operator_norm(x - plan.scaled)
-        assert kappa_lower[t] <= kappa, (plan.n, t, kappa_lower[t], kappa)
-        assert e_lower[t] <= err, (plan.n, t, e_lower[t], err)
+        assert condition_number(SignMatrix(x), (v_max[t], w_min[t]), above=report.kappa) == report, \
+            (plan.n, t, report)
+        assert operator_norm(x - plan.scaled, v_e[t], above=err) == err, (plan.n, t, err)
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -68,7 +69,7 @@ def test_bounds_hold_for_drawn_trials(n, monkeypatch):
 def test_wider_margin_changes_no_output(n, seed, monkeypatch):
     plan = plan_at(n, seed)
     expected = round_best(plan)
-    monkeypatch.setattr(rounding, "ETA_PER_N2_LMAX", 2 * rounding.ETA_PER_N2_LMAX)
+    monkeypatch.setattr(linalg, "ETA_PER_N2_LMAX", 2 * linalg.ETA_PER_N2_LMAX)
     result = round_best(plan)
     assert result.best_trial == expected.best_trial
     assert result.report == expected.report
@@ -79,18 +80,28 @@ def test_wider_margin_changes_no_output(n, seed, monkeypatch):
 @pytest.mark.parametrize("n, most", [(92, 15), (16, 1)])
 def test_most_trials_skip_the_eigensolve(n, most, monkeypatch):
     # at n = 16 (k = 0) all 64 draws are one matrix: it is evaluated once
-    calls = {"condition_number": 0, "operator_norm": 0}
+    solves = {"condition_number": 0, "operator_norm": 0}
+    inside = []
+    eigvalsh = np.linalg.eigvalsh
 
     def counted(name):
         original = getattr(rounding, name)
 
-        def call(*args):
-            calls[name] += 1
-            return original(*args)
+        def call(*args, **kwargs):
+            inside.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
         return call
 
-    for name in calls:
+    def solve(a):
+        solves[inside[-1]] += 1
+        return eigvalsh(a)
+
+    for name in solves:
         monkeypatch.setattr(rounding, name, counted(name))
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
     round_best(plan_at(n))
-    assert 1 <= calls["condition_number"] <= most, calls
-    assert 1 <= calls["operator_norm"] <= most, calls
+    assert 1 <= solves["condition_number"] <= most, solves
+    assert 1 <= solves["operator_norm"] <= most, solves
