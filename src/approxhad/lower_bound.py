@@ -11,7 +11,9 @@ zero-colored triangle (three mutually orthogonal +-1 columns require
 Gram signs come from the exact float64 Gram.  Both clique searches run
 on one neighbour table of bit masks, and the greedy search's tie-breaks
 (listed in `max_clique`) belong to the determinism contract, because
-`certify` prints the clique's indices.
+`certify` prints the clique's indices.  The greedy search walks all its
+starts in lockstep, one matrix product per step, under the same tie
+rules as one start at a time.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def max_clique(adjacency: np.ndarray) -> list[int]:
     nb = [int.from_bytes(row.tobytes(), "little") for row in packed]
     if n <= EXACT_CLIQUE_LIMIT:
         return _max_clique_exact(nb)
-    return _max_clique_greedy(nb)
+    return _max_clique_greedy(adj, nb)
 
 
 def _greedy_color_order(cand: list[int], nb: list[int]) -> tuple[list[int], list[int]]:
@@ -171,19 +173,26 @@ def _first_swap(clique: list[int], nb: list[int]) -> list[int] | None:
     return None
 
 
-def _max_clique_greedy(nb: list[int]) -> list[int]:
+def _max_clique_greedy(adj: np.ndarray, nb: list[int]) -> list[int]:
+    """The greedy walks of all starts run in lockstep: row s of `cand` is
+    start s's candidate set, and one product counts, for every start and
+    vertex, the vertex's neighbours among the candidates."""
+    starts = np.argsort(-adj.sum(axis=1), kind="stable")
+    cand = adj[starts]
+    weights = adj.T.astype(np.float64)
+    walks = [[int(s)] for s in starts]
+    live = np.flatnonzero(cand.any(axis=1))
+    while live.size:
+        c = cand[live]
+        # argmax takes the first maximum: ties go to the smaller index
+        picks = np.where(c, c @ weights, -1.0).argmax(axis=1)
+        for row, v in zip(live.tolist(), picks.tolist()):
+            walks[row].append(v)
+        c &= adj[picks]
+        cand[live] = c
+        live = live[c.any(axis=1)]
     best: list[int] = []
-    for start in sorted(range(len(nb)), key=lambda v: -nb[v].bit_count()):
-        clique = [start]
-        cand = nb[start]
-        members = [u for u in range(len(nb)) if cand >> u & 1]
-        while members:
-            # list.index takes the first maximum: ties go to the smaller index
-            counts = [(nb[u] & cand).bit_count() for u in members]
-            v = members[counts.index(max(counts))]
-            clique.append(v)
-            cand &= nb[v]
-            members = [u for u in members if cand >> u & 1]
+    for clique in walks:
         while (swapped := _first_swap(clique, nb)) is not None:
             clique = swapped
         if len(clique) > len(best):

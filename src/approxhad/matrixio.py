@@ -58,9 +58,10 @@ def parse_sign_matrix(text: str) -> SignMatrix:
 
 
 def write_sign_matrix(A: SignMatrix) -> str:
-    return "\n".join(
-        "".join("+" if v > 0 else "-" for v in row) for row in A.entries
-    ) + "\n"
+    n = A.n
+    text = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
+    text[:, :n] = np.where(A.entries > 0, ord("+"), ord("-"))
+    return text.tobytes().decode("ascii")
 
 
 def parse_sign_matrix_csv(text: str) -> SignMatrix:

@@ -8,14 +8,16 @@ number certificate through Weyl's inequality.
 
 RNG contract: trial t of a plan with master seed s draws its n*n uniforms
 from a Philox4x64 stream keyed by (s, t), consumed in row-major entry
-order.  This is deterministic across runs, machines, and worker counts,
-and it never changes silently.
+order, one raw 64-bit output per uniform (its top 53 bits times 2^-53).
+This is deterministic across runs, machines, and worker counts, and it
+never changes silently.
 
 Best of trials: `round_best` reports the trial of least kappa (ties to the
 lower index) and the least ||X - EX||_op over all trials, but only the
 trials that can decide them get an exact eigensolve.  Every trial is
-drawn as above and gets probe vectors from a few power and
-inverse-iteration steps.  It is then passed to `condition_number` and
+drawn as above and gets probe vectors from a few power steps and one
+solve against the squared Gram (X^T X)^2, which is two steps of inverse
+iteration in one LU.  It is then passed to `condition_number` and
 `operator_norm` with the best exact value so far: these bound the value
 from below by Rayleigh quotients at the probes, which hold for any
 vector, lowered by a margin eta covering float rounding and the
@@ -37,7 +39,8 @@ from functools import cached_property
 import numpy as np
 
 from .flatten import OrthMatrix
-from .linalg import SignMatrix, SpectralReport, condition_number, operator_norm, philox
+from .linalg import (SignMatrix, SpectralReport, condition_number, gram_float64,
+                     operator_norm, philox)
 
 __all__ = [
     "RoundingPlan",
@@ -58,6 +61,11 @@ class RoundingPlan:
     def scaled(self) -> np.ndarray:
         """Expectation matrix M/||M||_max, entries in [-1, 1]; computed once."""
         return self.target.entries / self.target.max_abs_entry
+
+    @cached_property
+    def plus_probability(self) -> np.ndarray:
+        """(1 + scaled)/2, the chance that each entry rounds to +1; computed once."""
+        return (1.0 + self.scaled) / 2.0
 
     @property
     def n(self) -> int:
@@ -102,10 +110,16 @@ def bernstein_bound(n: int, u: float) -> BernsteinCertificate:
 
 
 def round_once(plan: RoundingPlan, trial_index: int) -> SignMatrix:
-    """One rounding draw: entry (i, j) is +1 with probability (1 + scaled_ij)/2."""
+    """One rounding draw: entry (i, j) is +1 with probability (1 + scaled_ij)/2.
+
+    Uniform (i, j) is the top 53 bits of the (i n + j)-th raw output of the
+    trial's Philox stream, times 2^-53: what `Generator.random` draws, read
+    from the bit generator so the stream does not rest on a `Generator`
+    method, which NumPy may change between releases (NEP 19)."""
     n = plan.n
-    uniforms = philox(plan.master_seed, trial_index).random((n, n))
-    return SignMatrix(np.where(uniforms < (1.0 + plan.scaled) / 2.0, 1, -1))
+    raw = philox(plan.master_seed, trial_index).bit_generator.random_raw(n * n)
+    uniforms = (raw >> np.uint64(11)) * 2.0**-53
+    return SignMatrix(np.where(uniforms.reshape(n, n) < plan.plus_probability, 1, -1))
 
 
 @dataclass(frozen=True)
@@ -123,7 +137,6 @@ _BLOCK = 8
 _E_STEPS = 24  # power steps towards the top right singular vector of E
 _GRAM_STEPS = 4  # power steps on X^T X, started from E's vector
 _INVERSE_COLUMNS = 8  # width of the block that inverse iteration moves
-_INVERSE_STEPS = 3  # steps of (X^T X)^-1 on that block
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -144,16 +157,23 @@ def _power(a: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
     return v
 
 
-def _inverse(x: np.ndarray) -> np.ndarray:
-    """x^-1 for each trial of a stack, and the identity for an exactly
-    singular x: its inverse steps then leave their block as it was, which
-    makes its quotient looser, never wrong."""
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for each trial of a stack, and b itself where a is exactly
+    singular: that trial's block then stays as it started, which makes its
+    quotient looser, never wrong."""
     try:
-        return np.linalg.inv(x)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        if len(x) == 1:
-            return np.eye(x.shape[-1])[None]
-        return np.concatenate([_inverse(x[i:i + 1]) for i in range(len(x))])
+        if len(a) == 1:
+            return b
+        return np.concatenate([_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
+
+
+def _squared_gram(x: np.ndarray) -> np.ndarray:
+    """(X^T X)^2 for each trial of a stack, exact in float64 while
+    n^3 < 2^53: every partial sum is an integer of magnitude at most n^3."""
+    g = gram_float64(x)
+    return g @ g
 
 
 def _ritz_min(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -186,14 +206,18 @@ def _probes(plan: RoundingPlan, x8: np.ndarray):
     with np.errstate(all="ignore"):
         v = _power(e.astype(np.float32), np.ones((len(x), n, 1), np.float32), _E_STEPS)
         v = v.astype(np.float64)
+        e_order = _rayleigh(e, v)
+        del e  # freed before the Gram stacks exist, which keeps the peak down
         v_max = _power(x, v, _GRAM_STEPS)
         b = np.repeat(start[None], len(x), axis=0)
         b[..., :1] = np.where(np.isfinite(v), v, 1.0)
-        w = _power(_inverse(x).swapaxes(-1, -2), b, _INVERSE_STEPS)
+        # two steps of inverse iteration on X^T X in one LU per trial
+        w = _solve(_squared_gram(x), b)
+        w = w / np.sqrt(_sq_norms(w))[..., None, :]
         bad = ~np.isfinite(w).all(axis=(-2, -1))
         w[bad] = b[bad]
         w_min = _ritz_min(x, w)
-        orders = (_rayleigh(e, v), _rayleigh(x, v_max) / _rayleigh(x, w_min))
+        orders = (e_order, _rayleigh(x, v_max) / _rayleigh(x, w_min))
     orders = tuple(np.where(np.isnan(o[:, 0]), -np.inf, o[:, 0]) for o in orders)
     return orders, tuple(p[..., 0] for p in (v, v_max, w_min))
 

@@ -23,6 +23,7 @@ import pytest
 
 from approxhad.flatten import flat_orthogonal
 from approxhad.linalg import SignMatrix, condition_number, gram
+from approxhad import lower_bound
 from approxhad.lower_bound import (
     EXACT_CLIQUE_LIMIT,
     best_clique_certificate,
@@ -190,3 +191,52 @@ def test_greedy_path_certificate_is_sound_and_maximal(kind, n):
         common = adj[clique].all(axis=0)
         common[clique] = False
         assert not common.any(), f"clique {clique} extends by {np.flatnonzero(common)}"
+
+
+def _scalar_greedy(adj):
+    """The reference: the greedy search one start at a time, each step
+    scanning the candidates in index order for the first maximum."""
+    nb = [int.from_bytes(row.tobytes(), "little")
+          for row in np.packbits(adj, axis=1, bitorder="little")]
+    best = []
+    for start in sorted(range(len(nb)), key=lambda v: -nb[v].bit_count()):
+        clique = [start]
+        cand = nb[start]
+        members = [u for u in range(len(nb)) if cand >> u & 1]
+        while members:
+            counts = [(nb[u] & cand).bit_count() for u in members]
+            v = members[counts.index(max(counts))]
+            clique.append(v)
+            cand &= nb[v]
+            members = [u for u in members if cand >> u & 1]
+        while (swapped := lower_bound._first_swap(clique, nb)) is not None:
+            clique = swapped
+        if len(clique) > len(best):
+            best = sorted(clique)
+    return best
+
+
+def _tied_graphs(n, seed):
+    """Graphs whose greedy steps meet many ties: a circulant graph (every
+    vertex alike), a blow-up of a random graph into classes of twins, and
+    a dense and a sparse random graph."""
+    rng = np.random.default_rng([n, seed])
+    shifts = rng.random(n // 2 + 1) < 0.5
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    yield shifts[np.minimum(d, n - d)]
+    classes = rng.integers(0, max(2, n // 4), n)
+    small = np.triu(rng.random((n, n)) < 0.5, 1)
+    small |= small.T
+    yield small[np.ix_(classes, classes)]
+    for p in (0.8, 0.15):
+        a = np.triu(rng.random((n, n)) < p, 1)
+        yield a | a.T
+
+
+@pytest.mark.parametrize("n", (21, 57, 64, 100, 128))
+def test_lockstep_greedy_matches_the_scalar_walk(n):
+    for seed in range(3):
+        for adj in _tied_graphs(n, seed):
+            adj = adj.copy()
+            np.fill_diagonal(adj, False)
+            assert max_clique(adj) == _scalar_greedy(adj), (n, seed)

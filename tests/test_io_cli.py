@@ -61,6 +61,14 @@ class TestParser:
             assert np.array_equal(A.entries, B.entries)
             assert write_sign_matrix(B) == text
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 92])
+    def test_writer_matches_the_per_entry_form(self, n):
+        A = SignMatrix(np.random.default_rng(n).integers(0, 2, (n, n)) * 2 - 1)
+        per_entry = "\n".join(
+            "".join("+" if v > 0 else "-" for v in row) for row in A.entries
+        ) + "\n"
+        assert write_sign_matrix(A).encode("ascii") == per_entry.encode("ascii")
+
     def test_csv_variant(self):
         A = parse_sign_matrix_csv("1,-1\n1,1\n")
         assert A.entries.tolist() == [[1, -1], [1, 1]]

@@ -77,9 +77,12 @@ def test_wider_margin_changes_no_output(n, seed, monkeypatch):
     assert result.empirical_error_norm.hex() == expected.empirical_error_norm.hex()
 
 
-@pytest.mark.parametrize("n, most", [(92, 15), (16, 1)])
+@pytest.mark.parametrize("n, most", [(92, 15), (16, 1), (70, 6), (116, 14)])
 def test_most_trials_skip_the_eigensolve(n, most, monkeypatch):
-    # at n = 16 (k = 0) all 64 draws are one matrix: it is evaluated once
+    # at n = 16 (k = 0) all 64 draws are one matrix: it is evaluated once.
+    # The caps at n = 70 and 116 are twice the larger of the two counts
+    # measured when they were set (3 and 7), so a probe that stops pruning
+    # fails.
     solves = {"condition_number": 0, "operator_norm": 0}
     inside = []
     eigvalsh = np.linalg.eigvalsh
@@ -105,3 +108,29 @@ def test_most_trials_skip_the_eigensolve(n, most, monkeypatch):
     round_best(plan_at(n))
     assert 1 <= solves["condition_number"] <= most, solves
     assert 1 <= solves["operator_norm"] <= most, solves
+
+
+def test_only_a_singular_trial_keeps_its_start_block(monkeypatch):
+    # one exactly singular draw among eight: its squared Gram has no LU, and
+    # the others must still be moved by the solve
+    plan = RoundingPlan(target=flat_orthogonal(3)[0], trials=64, master_seed=1)
+    draws = [round_once(plan, t) for t in range(plan.trials)]
+    singular = [x.entries for x in draws if math.isinf(condition_number(x).kappa)]
+    regular = [x.entries for x in draws if math.isfinite(condition_number(x).kappa)]
+    signs = np.stack(regular[:3] + singular[:1] + regular[3:7]).astype(np.int8)
+    blocks = []
+    ritz_min = rounding._ritz_min
+    monkeypatch.setattr(rounding, "_ritz_min", lambda x, w: blocks.append(w) or ritz_min(x, w))
+    _, (v_e, _, _) = rounding._probes(plan, signs)
+    (w,) = blocks
+
+    def unit(a):
+        return a / np.linalg.norm(a, axis=-2, keepdims=True)
+
+    start = np.cos(np.outer(np.arange(1, 4), np.arange(1, rounding._INVERSE_COLUMNS + 1)))
+    kept = []
+    for t in range(len(signs)):
+        b = start.copy()
+        b[:, 0] = v_e[t]
+        kept.append(np.allclose(unit(w[t]), unit(b), rtol=0, atol=1e-12))
+    assert kept == [t == 3 for t in range(len(signs))]

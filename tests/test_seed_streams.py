@@ -3,8 +3,9 @@
 A Philox key given as a plain list of Python ints passes through float64
 above 2^63, so seed 2^64 - 1 ran seed 0's stream and 2^63 + 1 ran 2^63's.
 
-anneal reads its draws from the raw Philox outputs through search._Draws;
-the draw-for-draw tests hold it to numpy.random.Generator on the same key.
+anneal reads its draws from the raw Philox outputs through search._Draws,
+and round_once its uniforms; the draw-for-draw tests hold both to
+numpy.random.Generator on the same key.
 """
 
 import random
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from approxhad import search
+from approxhad import rounding, search
 from approxhad.flatten import flat_orthogonal
 from approxhad.linalg import philox
 from approxhad.rounding import RoundingPlan, round_once
@@ -100,3 +101,15 @@ def test_anneal_draws_only_raw_outputs(monkeypatch, name):
     got = anneal(9, sclass, 3, 400)
     assert (got.kappa, got.effort) == (want.kappa, want.effort)
     assert np.array_equal(got.matrix.entries, want.matrix.entries)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_round_once_draws_generator_uniforms(seed, monkeypatch):
+    plan = RoundingPlan(target=flat_orthogonal(22)[0], trials=64, master_seed=seed)
+    want = [np.where(philox(seed, t).random((22, 22)) < (1.0 + plan.scaled) / 2.0, 1, -1)
+            for t in (0, 1, 63)]
+    # any Generator method round_once called would now raise AttributeError
+    monkeypatch.setattr(rounding, "philox", lambda seed, counter: SimpleNamespace(
+        bit_generator=philox(seed, counter).bit_generator))
+    got = [round_once(plan, t).entries for t in (0, 1, 63)]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
