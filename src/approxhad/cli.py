@@ -294,6 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "search" and args.exhaustive and args.structure != "general":
+        # exhaustive_min enumerates the general class only
+        parser.exit(2, f"approxhad search: error: --exhaustive searches the general "
+                       f"class, not --structure {args.structure}\n")
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:

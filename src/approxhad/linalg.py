@@ -31,6 +31,7 @@ __all__ = [
     "gram",
     "gram_float64",
     "gram_kappa",
+    "gram_kappas",
     "condition_number",
     "minpoly_residual",
     "kronecker",
@@ -164,6 +165,12 @@ def gram_kappa(lmin: float, lmax: float, n: int) -> float:
     place a kappa is formed: sqrt(lmax / lmin) rounds twice, where
     sigma_max / sigma_min would round three times."""
     return math.inf if lmin <= n * SINGULAR_TOLERANCE_PER_N else math.sqrt(lmax / lmin)
+
+
+def gram_kappas(lmin: np.ndarray, lmax: np.ndarray, n: int) -> np.ndarray:
+    """`gram_kappa` elementwise over arrays, equal to it bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lmin <= n * SINGULAR_TOLERANCE_PER_N, math.inf, np.sqrt(lmax / lmin))
 
 
 def _quotient(a: np.ndarray, v: np.ndarray) -> float:

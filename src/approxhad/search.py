@@ -28,6 +28,17 @@ So every decision, RNG draw, restart and reported kappa is the one the
 exact path alone would give.  general and symmetric always take the
 exact path.
 
+Once the chain has rejected _RUN_AFTER moves in a row at one state, the
+screened classes prove the rejections ahead in array form: `_Draws.peek`
+reads the coming moves' draws without consuming them, the screen bounds
+every neighbour at once, and `_proven_rejections` marks each move whose
+neighbour lies above the state by a margin that the uniform clears.  The
+leading run of proven moves is committed in one step -- draws,
+temperatures, stall count -- short of the budget and of the move on
+which a restart falls; the first unproven move takes the move-by-move
+path.  A proven move is one that path rejects from the bounds alone, so
+the draws and decisions are unchanged.
+
 Every anneal draw is read from the raw Philox4x64 outputs of
 philox(seed, 0), in blocks, by `_Draws`: a bounded integer by Lemire's
 method on 32-bit halves, low half first; a double from the top 53 bits of
@@ -52,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from .families import circulant
-from .linalg import SignMatrix, condition_number, gram_float64, gram_kappa, philox
+from .linalg import SignMatrix, condition_number, gram_float64, gram_kappa, gram_kappas, philox
 from .matrixio import parse_sign_matrix, write_sign_matrix
 from .spectral import SCREENED_KINDS, SpectralScreen
 
@@ -292,7 +303,7 @@ def exhaustive_min(n: int, long_running: bool = False) -> SearchRecord:
         keys = ((grams[:, iu[0], iu[1]].astype(np.int64) + n) << shifts).sum(axis=1)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         ev = np.linalg.eigvalsh(grams[first])
-        kap = np.array([gram_kappa(e[0], e[-1], n) for e in ev.tolist()])[inverse]
+        kap = gram_kappas(ev[:, 0], ev[:, -1], n)[inverse]
         near = np.flatnonzero(kap <= best.kappa + _KAPPA_TIE)
         for i in near:
             best.offer(float(kap[i]), bits[i], mats[i])
@@ -319,19 +330,31 @@ class _Draws:
     each 64-bit output giving its low half first and keeping its high half
     for the next 32-bit draw; high == 1 draws nothing.  A double takes the
     top 53 bits of a fresh 64-bit output and leaves a kept half in place.
+
+    `peek` reads the draws of many (integers(high), random()) moves ahead
+    as arrays by the same rule, and `commit` consumes the first j of them.
     """
 
-    __slots__ = ("_raw", "_block", "_half")
+    __slots__ = ("_raw", "_block", "_half", "_ahead", "_peeked")
 
     def __init__(self, seed: int):
         self._raw = philox(seed, 0).bit_generator.random_raw
         self._block: list[int] = []
         self._half: int | None = None
+        # outputs read by `peek` that no draw has consumed yet, served
+        # after _block
+        self._ahead = np.empty(0, dtype=np.uint64)
+        self._peeked: np.ndarray | None = None
 
     def _next64(self) -> int:
         if not self._block:
+            ahead = self._ahead
+            if len(ahead):
+                chunk, self._ahead = ahead[:_RAW_BLOCK], ahead[_RAW_BLOCK:]
+            else:
+                chunk = self._raw(_RAW_BLOCK)
             # reversed, so pop() serves the block in stream order
-            self._block = self._raw(_RAW_BLOCK).tolist()[::-1]
+            self._block = chunk.tolist()[::-1]
         return self._block.pop()
 
     def _next32(self) -> int:
@@ -361,6 +384,57 @@ class _Draws:
         """A uniform double in [0, 1)."""
         return (self._next64() >> 11) * 2.0 ** -53
 
+    def peek(self, high: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """What k moves of integers(high) then random() would draw, as an
+        int64 and a float64 array, without consuming them.
+
+        Cut before the first move whose Lemire product has a low word
+        below high, where integers may draw again; empty when high == 1,
+        which draws no integer.
+        """
+        if not 2 <= high <= 1 << 32:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        # A move takes one 32-bit half and one fresh output, so moves pair
+        # up on output triples (a, b, c): low(a) and b, then high(a) and c.
+        # A kept half is the high half of a triple before the stream whose
+        # first move is spent.
+        s = 0 if self._half is None else 1
+        pairs = (s + k + 1) // 2
+        need = 3 * pairs - 2 * s
+        stored = len(self._block) + len(self._ahead)
+        if need > stored:
+            self._ahead = np.concatenate([self._ahead, self._raw(need - stored)])
+        out = self._peeked = np.empty((pairs, 3), dtype="<u8")
+        flat = out.reshape(-1)
+        if s:
+            flat[0] = self._half << 32
+        head = self._block[::-1][:need]
+        flat[2 * s:2 * s + len(head)] = head
+        flat[2 * s + len(head):] = self._ahead[:need - len(head)]
+        # the little-endian 32-bit view of a is (low(a), high(a))
+        words = out.view("<u4")[:, :2].reshape(-1)[s:s + k]
+        m = words.astype(np.uint64) * np.uint64(high)
+        retry = (m & np.uint64(0xFFFFFFFF)) < high
+        cut = int(retry.argmax()) if retry.any() else k
+        doubles = out[:, 1:].reshape(-1)[s:s + cut]
+        return (m[:cut] >> np.uint64(32)).astype(np.int64), (doubles >> np.uint64(11)) * 2.0 ** -53
+
+    def commit(self, j: int) -> None:
+        """Consume the first j moves of the last `peek`."""
+        peeked, self._peeked = self._peeked, None
+        if j == 0:
+            return
+        s = 0 if self._half is None else 1
+        done = s + j
+        used = 3 * (done // 2) + 2 * (done % 2) - 2 * s
+        self._half = int(peeked[done // 2, 0] >> np.uint64(32)) if done % 2 else None
+        stored = len(self._block)
+        if used <= stored:
+            del self._block[stored - used:]
+        else:
+            self._block = []
+            self._ahead = self._ahead[used - stored:]
+
 
 class _State:
     """A chain state and what is known of its exact-path kappa.
@@ -368,17 +442,48 @@ class _State:
     lo <= energy <= hi, the energy being kappa with inf read as
     _SINGULAR_ENERGY.  kappa and mat stay None until the exact path runs,
     and then lo = hi = the energy (lo = hi also when the screen proves the
-    Gram singular).  near holds the neighbours made so far and spectra the
-    screen's view of all of them.
+    Gram singular).  near holds the neighbours made so far, spectra the
+    screen's view of all of them and floor, once a rejection run is tried
+    here, a lower bound on each one's lo.
     """
 
-    __slots__ = ("bits", "mat", "kappa", "lo", "hi", "near", "spectra")
+    __slots__ = ("bits", "mat", "kappa", "lo", "hi", "near", "spectra", "floor")
 
     def __init__(self, bits: np.ndarray):
         self.bits = bits
-        self.mat = self.kappa = self.spectra = None
+        self.mat = self.kappa = self.spectra = self.floor = None
         self.lo, self.hi = -math.inf, math.inf
         self.near: dict[int, _State] = {}
+
+
+# a rejection run is tried once the chain has rejected this many moves in
+# a row at one state; it covers up to _RUN_FIRST moves, twice as many after
+# each run that went its full length, up to _RUN_CAP
+_RUN_AFTER = 64
+_RUN_FIRST = 512
+_RUN_CAP = 8192
+# relative slack on a run's np.exp against the scalar path's slacked math.exp
+_RUN_EXP_SLACK = 2.0 ** -38
+
+
+def _temperatures(temperature: float, k: int) -> np.ndarray:
+    """temperature, then k times multiplied by 0.995: accumulate multiplies
+    in sequence, so entry j is the float that j steps of
+    `temperature *= 0.995` give."""
+    temps = np.full(k + 1, 0.995)
+    temps[0] = temperature
+    return np.multiply.accumulate(temps, out=temps)
+
+
+def _proven_rejections(lo: np.ndarray, hi: float, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Which moves `accepted` rejects from the bounds alone, given lower
+    bounds lo on the neighbours' lo, the state's hi, the uniforms u and
+    the temperatures t: lo > hi, and u at or above the scalar path's
+    exp(-(lo - hi) / T) * (1 + _EXP_SLACK) + 1e-300 with room for np.exp
+    rounding apart from math.exp.  Never true for u = 0."""
+    with np.errstate(over="ignore"):
+        bar = np.exp(-(lo - hi) / np.maximum(t, 1e-300))
+    return (lo > hi) & (u >= bar * (1 + _RUN_EXP_SLACK) + 1e-300)
 
 
 def anneal(
@@ -439,6 +544,8 @@ def anneal(
                 hit.lo, hit.hi = min(lo, _SINGULAR_ENERGY), min(hi, _SINGULAR_ENERGY)
             else:
                 settle(hit)
+                if state.floor is not None:
+                    state.floor[i] = hit.lo
         return hit
 
     def accepted(cand: _State, cur: _State, temperature: float) -> bool:
@@ -463,6 +570,36 @@ def anneal(
             settle(cur)
         return u < math.exp(-(cand.lo - cur.lo) / t)
 
+    def floor(cur: _State) -> np.ndarray:
+        """A lower bound on the lo that `neighbour` gives each neighbour
+        of cur: the screen's lo, or -inf where `neighbour` would take the
+        exact path and the neighbour is not made yet."""
+        if cur.floor is None:
+            if cur.spectra is None:
+                cur.spectra = screen.spectra(cur.bits)
+            lo, hi = screen.all_kappa_bounds(cur.spectra)
+            cur.floor = np.minimum(lo, _SINGULAR_ENERGY)
+            for i in np.flatnonzero((hi == math.inf) & (lo < math.inf)).tolist():
+                hit = cur.near.get(i)
+                cur.floor[i] = -math.inf if hit is None else hit.lo
+        return cur.floor
+
+    def rejection_run(cur: _State, temperature: float, k: int) -> tuple[int, float]:
+        """Commit the leading run of the next k moves that the bounds
+        prove rejected; its length and the temperature after it.
+
+        In such a move the scalar path draws one integer and one double,
+        `accepted` returns False from the bounds, and nothing changes but
+        the draws, the temperature and the stall count (the neighbour is
+        not made, and `near` is only a cache).
+        """
+        idx, u = draws.peek(nbits, k)
+        temps = _temperatures(temperature, len(idx))
+        proven = _proven_rejections(floor(cur)[idx], cur.hi, u, temps[:-1])
+        j = len(idx) if proven.all() else int(proven.argmin())
+        draws.commit(j)
+        return j, float(temps[j])
+
     state = fresh_state()
     if nbits == 0:
         # order 1 with a fixed border: [[1]] is the only matrix
@@ -482,11 +619,32 @@ def anneal(
     temperature = t0
     stall_limit = 10 * n * n
     stall = 0
+    # rejection runs need a screen and a drawn move index
+    runs = screen is not None and nbits > 1
+    rejected = 0
+    run = _RUN_FIRST
 
-    for _ in range(budget):
+    moves = 0
+    while moves < budget:
+        if runs and rejected >= _RUN_AFTER and stall < stall_limit - 1:
+            # a run stops short of the budget and of the move that would
+            # bring stall to stall_limit
+            k = min(run, budget - moves, stall_limit - 1 - stall)
+            j, temperature = rejection_run(state, temperature, k)
+            moves += j
+            stall += j
+            if j == k:
+                run = min(2 * run, _RUN_CAP)
+                continue
+            # the run was cut; wait for another _RUN_AFTER rejections
+            rejected = 0
+            run = _RUN_FIRST
+        moves += 1
         cand = neighbour(state)
         if accepted(cand, state, temperature):
             state = cand
+            rejected = 0
+            run = _RUN_FIRST
             # an offer above the incumbent plus the tie tolerance is declined
             if cand.lo > best.kappa + _KAPPA_TIE:
                 improved = False
@@ -498,6 +656,7 @@ def anneal(
             # an unchanged state again against an unchanged incumbent is
             # declined, so the offer is skipped
             improved = False
+            rejected += 1
         stall = 0 if improved else stall + 1
         temperature *= 0.995
         if stall >= stall_limit:
@@ -505,6 +664,8 @@ def anneal(
             temperature = t0
             stall = 0
             restarts += 1
+            rejected = 0
+            run = _RUN_FIRST
 
     return best.record(n, sclass, seed,
                        {"mode": "anneal", "budget": budget, "restarts": restarts})

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .linalg import ETA_PER_N2_LMAX, gram_kappa
+from .linalg import ETA_PER_N2_LMAX, gram_kappa, gram_kappas
 
 __all__ = ["SCREENED_KINDS", "SpectralScreen"]
 
@@ -107,6 +107,22 @@ class SpectralScreen:
             lmax = max(lmax, big)
         return lmin, lmax
 
+    def all_extremes(self, spectra) -> tuple[np.ndarray, np.ndarray]:
+        """`extremes` of every neighbour at once, as two arrays indexed by
+        flipped bit; the same operations, so the same floats."""
+        lam, pm = spectra
+        lmin = lam.min(axis=1, initial=math.inf)
+        lmax = lam.max(axis=1, initial=0.0)
+        if self.core:
+            m = self.core
+            c0 = pm.sum() - 2 * pm
+            trace = (1 + 2 * m) + c0 * c0
+            det = (m - c0) ** 2
+            big = (trace + np.sqrt(trace * trace - 4 * det)) / 2
+            lmin = np.minimum(lmin, det / big)
+            lmax = np.maximum(lmax, big)
+        return lmin, lmax
+
     def eta(self, lmax: float) -> float:
         """The bound on |screened - eigvalsh| for an eigenvalue of a Gram
         whose largest eigenvalue is lmax."""
@@ -125,3 +141,11 @@ class SpectralScreen:
         eta = self.eta(lmax)
         return (gram_kappa(lmin + eta, lmax - eta, self.n),
                 gram_kappa(lmin - eta, lmax + eta, self.n))
+
+    def all_kappa_bounds(self, spectra) -> tuple[np.ndarray, np.ndarray]:
+        """`kappa_bounds` of every neighbour at once, as two arrays indexed
+        by flipped bit, equal to it bit for bit."""
+        lmin, lmax = self.all_extremes(spectra)
+        eta = self.eta(lmax)
+        return (gram_kappas(lmin + eta, lmax - eta, self.n),
+                gram_kappas(lmin - eta, lmax + eta, self.n))

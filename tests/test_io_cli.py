@@ -391,6 +391,7 @@ MALFORMED = {
     "bad_minpoly": ["certify", "--input", "{tmp}/b5.mat", "--minpoly", "a,b"],
     "sds_odd_order": ["construct", "family", "--kind", "sds", "--order", "7"],
     "registry_is_file": ["search", "--n", "3", "--exhaustive", "--registry", "{tmp}/b5.mat"],
+    "exhaustive_structured": ["search", "--n", "4", "--exhaustive", "--structure", "circulant"],
     "round_seed_negative": ["round", "--n", "7", "--trials", "1", "--seed", "-1"],
     "round_seed_2_64": ["round", "--n", "7", "--trials", "1", "--seed", str(2**64)],
     "flatten_seed_text": ["flatten", "--n", "7", "--seed", "x"],
@@ -438,6 +439,22 @@ def test_counts_below_one_are_usage_errors(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[-1].endswith("must be >= 1")
+
+
+def test_exhaustive_with_a_structure_is_a_usage_error(capsys, tmp_path):
+    # exhaustive_min searches the general class only; it once ran anyway and
+    # reported, and stored, its result as "general"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--n", "4", "--exhaustive", "--structure", "circulant",
+                  "--registry", str(tmp_path / "reg")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "approxhad search: error: --exhaustive searches the general class, "
+        "not --structure circulant")
+    assert not (tmp_path / "reg").exists()
+    assert cli.main(["search", "--n", "3", "--exhaustive", "--structure", "general"]) == 0
 
 
 def test_construct_conference_has_no_q_option(capsys):

@@ -3,7 +3,9 @@
 For random bits of every screened class, including the smallest orders,
 each neighbour's screened extreme Gram eigenvalues lie within eta / 2 of
 what eigvalsh returns on its exact Gram (anneal trusts them to eta), and
-the screen's kappa bounds contain the neighbour's exact-path kappa.
+the screen's kappa bounds contain the neighbour's exact-path kappa.  The
+bounds of all neighbours at once, which anneal's rejection runs read, are
+the per-neighbour ones bit for bit, so never above them.
 """
 
 import math
@@ -58,3 +60,39 @@ def test_screen_matches_eigvalsh(case, data):
         assert abs(lmax - lmax_exact) <= half_eta, (name, n, i)
         lo, hi = screen.kappa_bounds(spectra, i)
         assert lo <= kappa <= hi, (name, n, i)
+
+
+def near_singular_bits(nbits):
+    """Bit vectors whose Grams are often singular or nearly so: a short
+    pattern repeated (a periodic row has DFT zeros), then a few bits
+    flipped."""
+    @st.composite
+    def draw(draw):
+        period = draw(st.integers(1, max(1, min(nbits, 4))))
+        pattern = draw(st.lists(st.integers(0, 1), min_size=period, max_size=period))
+        bits = np.array([pattern[i % period] for i in range(nbits)], dtype=np.int64)
+        for i in draw(st.lists(st.integers(0, max(nbits - 1, 0)), max_size=2)):
+            if nbits:
+                bits[i] ^= 1
+        return bits
+    return draw()
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(case=st.sampled_from(CASES), data=st.data())
+def test_all_bounds_are_the_per_neighbour_bounds(case, data):
+    name, n = case
+    sclass = StructureClass.parse(name)
+    nbits = sclass.n_bits(n)
+    bits = data.draw(st.one_of(
+        st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits).map(
+            lambda b: np.array(b, dtype=np.int64)),
+        near_singular_bits(nbits)))
+    screen = search._screen(sclass, n)
+    spectra = screen.spectra(bits)
+    lo_all, hi_all = screen.all_kappa_bounds(spectra)
+    assert lo_all.shape == hi_all.shape == (nbits,)
+    for i in range(nbits):
+        lo, hi = screen.kappa_bounds(spectra, i)
+        assert lo_all[i] <= lo, (name, n, i)
+        assert lo_all[i] == lo and hi_all[i] == hi, (name, n, i)

@@ -11,13 +11,20 @@ screen's stated error bound eta before anneal reads it.  The screen's true
 error is below eta / 2 (see test_screen_properties.py), so the exact value
 stays inside the bounds anneal derives, and a decision the bounds settle
 cannot flip; one taken without a margin would.
+
+Rejection runs (search._proven_rejections) commit many proven rejections
+at once; with them tried from the first rejection, or before every move,
+every record must be the one the move-by-move loop gives.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from approxhad import search
 from approxhad.linalg import condition_number
-from approxhad.search import StructureClass, anneal
+from approxhad.search import StructureClass, anneal, _Draws
 from approxhad.spectral import SCREENED_KINDS, SpectralScreen
 from test_search_determinism import ANNEAL_PANEL, pattern
 from test_search_determinism import BUDGET as ANNEAL_PANEL_BUDGET
@@ -65,6 +72,10 @@ SCREEN_PANEL = [
 ]
 
 
+SCREENED_ANNEAL_PANEL = [row for row in ANNEAL_PANEL
+                         if StructureClass.parse(row[1]).kind in SCREENED_KINDS]
+
+
 def check(n, name, seed, budget, kappa_hex, restarts, plus):
     rec = anneal(n, StructureClass.parse(name), seed, budget)
     assert rec.kappa.hex() == kappa_hex
@@ -94,6 +105,22 @@ def shifted_extremes(direction, calls):
     return shifted
 
 
+def shifted_all_extremes(direction, calls):
+    """SpectralScreen.all_extremes shifted as shifted_extremes shifts each
+    neighbour.  Each call, one per state a rejection run reads, appends
+    the state's neighbour count to calls."""
+    all_extremes = SpectralScreen.all_extremes
+
+    def shifted(self, spectra):
+        lmin, lmax = all_extremes(self, spectra)
+        calls.append(len(lmin))
+        half = self.eta(lmax) / 2
+        s = np.array([direction(i) for i in range(len(lmin))])
+        return lmin + s * half, lmax - s * half
+
+    return shifted
+
+
 DIRECTIONS = {
     "down": lambda i: 1,
     "up": lambda i: -1,
@@ -103,16 +130,19 @@ DIRECTIONS = {
 
 @pytest.mark.parametrize("direction", sorted(DIRECTIONS))
 def test_shifted_screen_keeps_every_decision(monkeypatch, direction):
-    calls = []
+    calls, run_calls = [], []
     monkeypatch.setattr(SpectralScreen, "extremes",
                         shifted_extremes(DIRECTIONS[direction], calls))
+    monkeypatch.setattr(SpectralScreen, "all_extremes",
+                        shifted_all_extremes(DIRECTIONS[direction], run_calls))
     for n, name, seed, kappa_hex, restarts, plus in SCREEN_PANEL:
         check(n, name, seed, BUDGET, kappa_hex, restarts, plus)
-    for n, name, seed, kappa_hex, restarts, plus in ANNEAL_PANEL:
-        if StructureClass.parse(name).kind in SCREENED_KINDS:
-            check(n, name, seed, ANNEAL_PANEL_BUDGET, kappa_hex, restarts, plus)
-    # an anneal that bypassed the screen would pass the checks above untested
+    for n, name, seed, kappa_hex, restarts, plus in SCREENED_ANNEAL_PANEL:
+        check(n, name, seed, ANNEAL_PANEL_BUDGET, kappa_hex, restarts, plus)
+    # an anneal that bypassed the screen, or never ran a rejection run,
+    # would pass the checks above untested
     assert calls
+    assert run_calls
 
 
 @pytest.mark.parametrize("n,name", [(19, "circulant"), (21, "circulant_core"),
@@ -130,3 +160,86 @@ def test_screen_spares_most_exact_evaluations(monkeypatch, n, name):
 def test_exact_classes_have_no_screen():
     assert search._screen(StructureClass("general"), 7) is None
     assert search._screen(StructureClass("symmetric"), 7) is None
+
+
+def run_early(monkeypatch, after, first=search._RUN_FIRST, cap=search._RUN_CAP):
+    """Try a rejection run once `after` moves in a row were rejected (0:
+    before every move), with runs of first moves doubling up to cap."""
+    monkeypatch.setattr(search, "_RUN_AFTER", after)
+    monkeypatch.setattr(search, "_RUN_FIRST", first)
+    monkeypatch.setattr(search, "_RUN_CAP", cap)
+
+
+def count_run_moves(monkeypatch) -> list:
+    """A list that each committed rejection run appends its length to."""
+    lengths = []
+    commit = _Draws.commit
+
+    def counted(self, j):
+        lengths.append(j)
+        commit(self, j)
+
+    monkeypatch.setattr(_Draws, "commit", counted)
+    return lengths
+
+
+def test_runs_from_first_rejection_keep_the_panels(monkeypatch):
+    run_early(monkeypatch, after=1)
+    lengths = count_run_moves(monkeypatch)
+    for n, name, seed, kappa_hex, restarts, plus in SCREEN_PANEL:
+        check(n, name, seed, BUDGET, kappa_hex, restarts, plus)
+    for n, name, seed, kappa_hex, restarts, plus in SCREENED_ANNEAL_PANEL:
+        check(n, name, seed, ANNEAL_PANEL_BUDGET, kappa_hex, restarts, plus)
+    assert sum(lengths) > 0
+
+
+# small orders, where stall_limit = 10 n^2 falls well inside the budget
+RESTART_CASES = [(5, "circulant"), (6, "two_block_circulant"), (7, "circulant_core"),
+                 (9, "block_circulant3")]
+RESTART_BUDGET = 1000
+
+
+def record_key(rec):
+    return rec.kappa.hex(), pattern(rec.matrix), rec.effort
+
+
+@pytest.mark.parametrize("n,name", RESTART_CASES)
+def test_runs_across_restarts_keep_every_record(monkeypatch, n, name):
+    sclass = StructureClass.parse(name)
+    seeds = [0, 1, 2**64 - 1]
+    # no run: a chain never rejects a whole budget in a row
+    monkeypatch.setattr(search, "_RUN_AFTER", RESTART_BUDGET)
+    want = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
+    # short runs, so that many end at the budget, a restart or a cut
+    run_early(monkeypatch, after=0, first=5, cap=40)
+    lengths = count_run_moves(monkeypatch)
+    got = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
+    assert got == want
+    assert sum(lengths) > 0
+    assert all(effort["restarts"] for _, _, effort in want)
+
+
+def test_runs_cover_most_moves(monkeypatch):
+    lengths = count_run_moves(monkeypatch)
+    anneal(30, StructureClass("two_block_circulant"), 0, BUDGET)
+    assert sum(lengths) > BUDGET / 2
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-3, 0.5, 3.0, 40.0, 700.0, 745.0, 1e4, 1e18])
+@pytest.mark.parametrize("t", [1e-300, 1e-6, 0.01, 1.0, 30.0])
+def test_proven_rejection_is_a_bounds_rejection(delta, t):
+    """A move a run proves rejected is one that `accepted` rejects from
+    the bounds: u >= exp(-delta / T) * (1 + _EXP_SLACK) + 1e-300."""
+    hi = 1.25
+    lo = hi + delta
+    bar = math.exp(-(lo - hi) / t) * (1 + search._EXP_SLACK) + 1e-300
+    just_below = [np.nextafter(bar, 0.0) - ulp * 2.0 ** -53 for ulp in range(4)]
+    u = np.array([0.0, *[x for x in just_below if 0.0 <= x < 1.0]])
+    lo_all = np.full(len(u), lo)
+    proven = search._proven_rejections(lo_all, hi, u, np.full(len(u), t))
+    assert not proven.any()
+    # and a run is not vacuous: well above the bar, u is proven
+    clear = min(bar * (1 + 2.0 ** -30) + 2.0 ** -52, 1 - 2.0 ** -53)
+    if clear > bar:
+        assert search._proven_rejections(np.array([lo]), hi, np.array([clear]),
+                                         np.array([t]))[0]

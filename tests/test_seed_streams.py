@@ -85,6 +85,76 @@ def test_draws_match_generator(seed):
             assert draws.integers(high) == gen.integers(high), (step, high)
 
 
+def generator(seed):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+# 2^31 + 1 and 3 * 2^30 give a Lemire low word below high in about half
+# and a quarter of the moves, where a peek stops
+PEEK_HIGHS = [2, 3, 30, 576, 2**31 + 1, 3 * 2**30]
+PEEK_MOVES = 600  # past the first 256-output block
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+@pytest.mark.parametrize("high", PEEK_HIGHS)
+def test_peek_matches_scalar_draws(seed, high):
+    for kept_half in (False, True):
+        for commit in ("none", "one", "all"):
+            draws, gen = _Draws(seed), generator(seed)
+            for _ in range(37):
+                assert draws.random() == gen.random()
+            if kept_half:
+                assert draws.integers(7) == gen.integers(7)
+            assert (draws._half is not None) == kept_half
+            ints, us = draws.peek(high, PEEK_MOVES)
+            for i in range(len(ints)):
+                assert ints[i] == gen.integers(high), (kept_half, i)
+                assert us[i] == gen.random(), (kept_half, i)
+            if high in (2**31 + 1, 3 * 2**30):
+                assert len(ints) < PEEK_MOVES
+            else:
+                assert len(ints) == PEEK_MOVES
+            j = {"none": 0, "one": min(1, len(ints)), "all": len(ints)}[commit]
+            draws.commit(j)
+            # after a commit of j moves, every draw is the generator's after
+            # j scalar moves
+            ref = generator(seed)
+            for _ in range(37):
+                ref.random()
+            if kept_half:
+                ref.integers(7)
+            for _ in range(j):
+                ref.integers(high)
+                ref.random()
+            for step in range(700):
+                if step % 3 == 0:
+                    assert draws.random() == ref.random(), step
+                else:
+                    h = high if step % 3 == 1 else 2
+                    assert draws.integers(h) == ref.integers(h), step
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_peek_reads_nothing_when_high_is_1(seed):
+    draws, gen = _Draws(seed), generator(seed)
+    assert draws.integers(5) == gen.integers(5)
+    ints, us = draws.peek(1, 100)
+    assert len(ints) == len(us) == 0
+    draws.commit(0)
+    for _ in range(300):
+        assert draws.random() == gen.random()
+        assert draws.integers(30) == gen.integers(30)
+
+
+@pytest.mark.parametrize("t0", [2.5, 1e-3, 123.456, 1e-290])
+def test_run_temperatures_match_sequential_decay(t0):
+    temps = search._temperatures(t0, 10**4)
+    t = t0
+    for step in range(10**4 + 1):
+        assert temps[step] == t, step
+        t *= 0.995
+
+
 @pytest.mark.parametrize("high", [0, -1, 2**32 + 1])
 def test_draws_reject_high_outside_32_bits(high):
     with pytest.raises(ValueError):
