@@ -30,7 +30,6 @@ from .families import (
     SdsPair,
     circulant,
     conference_plus_identity,
-    paf,
     sds_block_matrix,
     sds_search,
     verify_barba,
@@ -56,7 +55,6 @@ from .lower_bound import (
     CliqueCertificate,
     best_clique_certificate,
     kappa_floor,
-    sign_coloring,
 )
 from .matrixio import parse_sign_matrix, write_sign_matrix
 from .rounding import (

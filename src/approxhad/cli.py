@@ -178,7 +178,7 @@ def cmd_round(args) -> int:
 
 def cmd_search(args) -> int:
     if args.exhaustive:
-        record = exhaustive_min(args.n, long_running=args.long_running)
+        record = exhaustive_min(args.n)
     else:
         sclass = StructureClass.parse(args.structure)
         record = anneal(args.n, sclass, args.seed, args.budget)
@@ -260,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--structure", default="general")
     s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET)
-    s.add_argument("--exhaustive", action="store_true")
-    s.add_argument("--long-running", action="store_true")
+    s.add_argument("--exhaustive", action="store_true",
+                   help="exact optimum over all +-1 matrices of order n <= 6, "
+                        "one per class of row-sorted normalized matrices")
     s.add_argument("--registry")
     s.add_argument("--out", help="write the best matrix in +/- format")
     s.add_argument("--csv", action="store_true")

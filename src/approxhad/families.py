@@ -28,7 +28,6 @@ __all__ = [
     "FamilyMatrix",
     "BarbaRejection",
     "circulant",
-    "paf",
     "conference_plus_identity",
     "verify_barba",
     "sds_search",
@@ -47,12 +46,6 @@ def circulant(first_row) -> np.ndarray:
     return row[idx]
 
 
-def paf(x, t: int) -> int:
-    """Periodic autocorrelation sum_i x_i x_(i+t mod L)."""
-    x = np.asarray(x, dtype=np.int64)
-    return int(np.dot(x, np.roll(x, -t)))
-
-
 @dataclass(frozen=True)
 class SdsPair:
     """Two +-1 sequences of equal length whose periodic autocorrelations
@@ -67,7 +60,8 @@ class SdsPair:
             raise ValueError("sequences must have equal length")
         if not all(v in (-1, 1) for v in r + s):
             raise ValueError("sequence entries must be +-1")
-        # row t of circulant(x) @ x is paf(x, t), every shift in one product
+        # row t of circulant(x) @ x is the periodic autocorrelation
+        # sum_i x_i x_(i+t mod L), every shift in one product
         paf_r = (circulant(r) @ np.asarray(r, dtype=np.int64)).tolist()
         paf_s = (circulant(s) @ np.asarray(s, dtype=np.int64)).tolist()
         for t in range(1, len(r)):

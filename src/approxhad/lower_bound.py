@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GramMatrix, SignMatrix, gram_float64
+from .linalg import SignMatrix, gram_float64
 
 __all__ = [
     "CliqueCertificate",
-    "sign_coloring",
     "best_clique_certificate",
     "verify_certificate",
     "kappa_floor",
@@ -73,17 +72,6 @@ def _bound(sign: str, k: int, n: int) -> float:
     if n + 1 - k <= 0:
         return math.inf
     return math.sqrt(1.0 + k / (n + 1.0 - k))
-
-
-def sign_coloring(G: GramMatrix) -> np.ndarray:
-    """Entrywise sign of the Gram: -1/0/+1, diagonal zeroed.
-
-    For odd orders the 0 color never appears off the diagonal (dot
-    products of +-1 vectors share the parity of n).
-    """
-    colors = np.sign(G.entries).astype(np.int64)
-    np.fill_diagonal(colors, 0)
-    return colors
 
 
 def max_clique(adjacency: np.ndarray) -> list[int]:

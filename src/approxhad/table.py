@@ -128,6 +128,8 @@ def _candidates(n: int, target: TableTarget, registry: Registry | None,
     fx = fixtures.get(n)
     if fx is not None:
         cands.append(Candidate("fixture", fx["class"], fx.get("seed", 0), fx["matrix"]))
+    # exhaustive_min reaches n = 6, but row 6 has a fixture already, and
+    # its 169,911 eigensolves would land on every table run through row 6
     if n <= 5:
         cands.append(Candidate("exhaustive", "general", 0, exhaustive_min(n).matrix))
     if n % 2 == 0:

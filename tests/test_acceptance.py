@@ -42,7 +42,7 @@ def criterion(num, name, limit_seconds):
 
 @criterion(1, "exhaustive optimality", 30)
 def test_exhaustive_optimality():
-    for n, expected in ((2, 1.0), (3, 2.0), (4, 1.0), (5, 1.5)):
+    for n, expected in ((2, 1.0), (3, 2.0), (4, 1.0), (5, 1.5), (6, math.sqrt(5 / 2))):
         rec = exhaustive_min(n)
         assert abs(rec.kappa - expected) <= 1e-9, (n, rec.kappa)
         assert abs(condition_number(rec.matrix).kappa - expected) <= 1e-9

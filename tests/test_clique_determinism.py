@@ -22,13 +22,12 @@ import numpy as np
 import pytest
 
 from approxhad.flatten import flat_orthogonal
-from approxhad.linalg import SignMatrix, condition_number, gram
+from approxhad.linalg import SignMatrix, condition_number, gram_float64
 from approxhad import lower_bound
 from approxhad.lower_bound import (
     EXACT_CLIQUE_LIMIT,
     best_clique_certificate,
     max_clique,
-    sign_coloring,
     verify_certificate,
 )
 from approxhad.rounding import RoundingPlan, round_best
@@ -139,8 +138,9 @@ def _rounded(n, seed, trials=64):
 
 
 def _color_graphs(A):
-    colors = sign_coloring(gram(A))
-    return colors == 1, colors == -1
+    signs = np.sign(gram_float64(A.entries))
+    np.fill_diagonal(signs, 0)
+    return signs > 0, signs < 0
 
 
 @pytest.mark.parametrize("seed,lo,hi,panel", [

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from approxhad.linalg import SignMatrix, condition_number
+from approxhad.linalg import SignMatrix, condition_number, gram_float64, gram_kappas
 from approxhad.search import (
     Registry,
     RegistryRejection,
@@ -130,18 +130,34 @@ class TestExhaustive:
         assert rec.kappa == pytest.approx(1.5, abs=1e-9)
 
     def test_rejects_large(self):
-        with pytest.raises(ValueError):
-            exhaustive_min(6)
+        for n in (7, 0):
+            with pytest.raises(ValueError, match="1 <= n <= 6"):
+                exhaustive_min(n)
 
-    def test_normalization_soundness_n3(self):
-        # full 2^9 enumeration matches the 2^4 sign-normalized one
-        best = math.inf
-        for bits in itertools.product((-1, 1), repeat=9):
-            A = SignMatrix(np.array(bits).reshape(3, 3))
-            kappa = condition_number(A).kappa
-            if kappa < best:
-                best = kappa
-        assert exhaustive_min(3).kappa == pytest.approx(best, abs=1e-10)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_normalization_soundness(self, n):
+        # one batched pass over all 2^((n-1)^2) normalized matrices, the
+        # incumbent taken under the same (kappa, -log|det|, bits) order
+        m = n - 1
+        idx = np.arange(1 << (m * m), dtype=np.int64)
+        bits = (idx[:, None] >> np.arange(m * m)) & 1
+        mats = np.ones((len(idx), n, n))
+        mats[:, 1:, 1:] = (bits * 2 - 1).reshape(len(idx), m, m)
+        ev = np.linalg.eigvalsh(gram_float64(mats))
+        kap = gram_kappas(ev[:, 0], ev[:, -1], n)
+        near = np.flatnonzero(kap <= kap.min() + 1e-12)
+        sign, logdet = np.linalg.slogdet(mats[near])
+        logdet = np.where(sign != 0, logdet, -math.inf)
+        win = min(range(len(near)), key=lambda j: (-logdet[j], tuple(bits[near[j]])))
+        rec = exhaustive_min(n)
+        assert rec.kappa.hex() == float(kap[near[win]]).hex()
+        assert np.array_equal(rec.matrix.entries, mats[near[win]])
+        assert rec.effort == {"mode": "exhaustive", "candidates": len(idx)}
+        if n <= 3:
+            # and sign normalization loses nothing: all 2^(n^2) matrices
+            best = min(condition_number(SignMatrix(np.array(b).reshape(n, n))).kappa
+                       for b in itertools.product((-1, 1), repeat=n * n))
+            assert rec.kappa == pytest.approx(best, abs=1e-10)
 
 
 class TestAnneal:

@@ -62,6 +62,7 @@ ANNEAL_PANEL = [
 EXHAUSTIVE_PANEL = [
     (4, "0x1.0000000000000p+0", "f9ac", 512),
     (5, "0x1.8000000000001p+0", "fc654c00", 65536),
+    (6, "0x1.94c583ada5b54p+0", "fe18acd380", 33554432),
 ]
 
 
