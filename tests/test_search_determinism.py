@@ -58,6 +58,18 @@ ANNEAL_PANEL = [
      "30d1a60d3869c3461a34c9864c3a61d30698"),
 ]
 
+# the fallback anneals of the table rows that no other source reaches, at
+# the default budget, in the ANNEAL_PANEL format
+FALLBACK_BUDGET = 20000
+FALLBACK_PANEL = [
+    (15, "symmetric", 0, "0x1.14dfbc924bd23p+1", 7,
+     "ffff70fb863e327ca2727d67c6d35da577a96b37a61e8f721f186fe100"),
+    (17, "symmetric", 0, "0x1.152454d779aa5p+1", 5,
+     "ffffe350e8c9d3a3a962aec533a62b6524c7c6407fbb1cb22e19a43da626bfa1e092ca3c80"),
+    (25, "general", 0, "0x1.705eb3cebfc3bp+1", 1,
+     "ffffffccc33eb5b0ca72c1d45fb7d33f2643de5afd6d85dbcce14f1c5f562620ec1f319d7a1b891bc72d148a51e22553565fea5226527e92e2b526dbb3a90ca0ff9c790ebe859fa165a18bd8350e80"),
+]
+
 # (n, kappa.hex(), +1 pattern, candidates)
 EXHAUSTIVE_PANEL = [
     (4, "0x1.0000000000000p+0", "f9ac", 512),
@@ -76,6 +88,14 @@ def test_anneal_panel(n, name, seed, kappa_hex, restarts, plus):
     assert rec.kappa.hex() == kappa_hex
     assert pattern(rec.matrix) == plus
     assert rec.effort == {"mode": "anneal", "budget": BUDGET, "restarts": restarts}
+
+
+@pytest.mark.parametrize("n,name,seed,kappa_hex,restarts,plus", FALLBACK_PANEL)
+def test_fallback_panel(n, name, seed, kappa_hex, restarts, plus):
+    rec = anneal(n, StructureClass.parse(name), seed, FALLBACK_BUDGET)
+    assert rec.kappa.hex() == kappa_hex
+    assert pattern(rec.matrix) == plus
+    assert rec.effort == {"mode": "anneal", "budget": FALLBACK_BUDGET, "restarts": restarts}
 
 
 @pytest.mark.parametrize("n,kappa_hex,plus,candidates", EXHAUSTIVE_PANEL)
