@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -292,8 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the tree is built once per process: building it takes longer than a
+# table row read from a fixture
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "search" and args.exhaustive and args.structure != "general":
         # exhaustive_min enumerates the general class only

@@ -25,19 +25,28 @@ these bounds only when they settle it; near-ties, near-singular states,
 the uphill moves of the temperature probe and every state that may
 become the incumbent take the exact path (build, exact Gram, eigvalsh).
 So every decision, RNG draw, restart and reported kappa is the one the
-exact path alone would give.  general and symmetric always take the
-exact path.
+exact path alone would give.
 
-Once the chain has rejected _RUN_AFTER moves in a row at one state, the
-screened classes prove the rejections ahead in array form: `_Draws.peek`
-reads the coming moves' draws without consuming them, the screen bounds
-every neighbour at once, and `_proven_rejections` marks each move whose
-neighbour lies above the state by a margin that the uniform clears.  The
-leading run of proven moves is committed in one step -- draws,
-temperatures, stall count -- short of the budget and of the move on
-which a restart falls; the first unproven move takes the move-by-move
-path.  A proven move is one that path rejects from the bounds alone, so
-the draws and decisions are unchanged.
+general and symmetric have no DFT screen.  A new neighbour there takes
+the exact path until the chain has rejected _FLOOR_AFTER moves in a row
+at its state.  Then `spectral.RitzScreen` forms a floor under every
+neighbour's kappa from one eigh of the state's Gram (Rayleigh-Ritz on its
+bottom and top two eigenvectors), and a neighbour made after that gets
+the floor as its lo and no hi.  `accepted` settles it on the exact path
+whenever the floor does not decide the move; the temperature probe, which
+needs hi, keeps the exact path.
+
+Once the chain has rejected _RUN_AFTER moves in a row at one state, anneal
+proves the rejections ahead in array form: `_Draws.peek` reads the coming
+moves' draws without consuming them, the screen or the Ritz floor bounds
+every neighbour at once (a neighbour already settled gives its exact lo),
+and `_proven_rejections` marks each move whose neighbour lies above the
+state by a margin that the uniform clears.  The leading run of proven
+moves is committed in one step -- draws, temperatures, stall count --
+short of the budget and of the move on which a restart falls; the first
+unproven move takes the move-by-move path.  A proven move is one that
+path rejects from the bounds alone, so the draws and decisions are
+unchanged.
 
 Every anneal draw is read from the raw Philox4x64 outputs of
 philox(seed, 0), in blocks, by `_Draws`: a bounded integer by Lemire's
@@ -65,7 +74,7 @@ import numpy as np
 from .families import circulant
 from .linalg import SignMatrix, condition_number, gram_float64, gram_kappa, gram_kappas, philox
 from .matrixio import parse_sign_matrix, write_sign_matrix
-from .spectral import SCREENED_KINDS, SpectralScreen
+from .spectral import SCREENED_KINDS, RitzScreen, SpectralScreen
 
 __all__ = [
     "StructureClass",
@@ -424,11 +433,13 @@ class _State:
     """A chain state and what is known of its exact-path kappa.
 
     lo <= energy <= hi, the energy being kappa with inf read as
-    _SINGULAR_ENERGY.  kappa and mat stay None until the exact path runs,
-    and then lo = hi = the energy (lo = hi also when the screen proves the
+    _SINGULAR_ENERGY.  kappa stays None until the exact path runs, and
+    mat too unless `neighbour` flips it from the parent's; then
+    lo = hi = the energy (lo = hi also when the screen proves the
     Gram singular).  near holds the neighbours made so far, spectra the
     screen's view of all of them and floor, once a rejection run is tried
-    here, a lower bound on each one's lo.
+    here (for general and symmetric, once the chain lingers here), a lower
+    bound on each one's lo.
     """
 
     __slots__ = ("bits", "mat", "kappa", "lo", "hi", "near", "spectra", "floor")
@@ -440,6 +451,9 @@ class _State:
         self.near: dict[int, _State] = {}
 
 
+# general and symmetric form a state's Ritz floor once the chain has
+# rejected this many moves in a row there
+_FLOOR_AFTER = 16
 # a rejection run is tried once the chain has rejected this many moves in
 # a row at one state; it covers up to _RUN_FIRST moves, twice as many after
 # each run that went its full length, up to _RUN_CAP
@@ -492,11 +506,13 @@ def anneal(
     best = _Best()
     restarts = 0
     screen = _screen(sclass, n)
+    ritz = RitzScreen(sclass.kind, n) if screen is None else None
 
     def settle(state: _State) -> _State:
         """The exact path: build, exact Gram, eigvalsh."""
         if state.kappa is None:
-            state.mat = sclass.build(n, state.bits)
+            if state.mat is None:
+                state.mat = sclass.build(n, state.bits)
             ev = np.linalg.eigvalsh(gram_float64(state.mat))
             state.kappa = gram_kappa(ev[0], ev[-1], n)
             state.lo = state.hi = min(state.kappa, _SINGULAR_ENERGY)
@@ -510,9 +526,10 @@ def anneal(
         best.offer(state.kappa, state.bits, state.mat)
         return state
 
-    def neighbour(state: _State) -> _State:
-        """A random single-bit neighbour, made once per visit of `state`:
-        the chain often stays on one state for hundreds of proposals."""
+    def neighbour(state: _State) -> tuple[int, _State]:
+        """A random single-bit neighbour and its flipped bit, made once per
+        visit of `state`: the chain often stays on one state for hundreds
+        of proposals."""
         i = draws.integers(nbits)
         hit = state.near.get(i)
         if hit is None:
@@ -520,7 +537,13 @@ def anneal(
             bits[i] ^= 1
             hit = state.near[i] = _State(bits)
             if screen is None:
-                return settle(hit)
+                if state.floor is None:
+                    hit.mat = ritz.flip(state.mat, i)
+                    settle(hit)
+                else:
+                    # accepted settles the move where this bound does not
+                    hit.lo = float(state.floor[i])
+                return i, hit
             if state.spectra is None:
                 state.spectra = screen.spectra(state.bits)
             lo, hi = screen.kappa_bounds(state.spectra, i)
@@ -530,7 +553,7 @@ def anneal(
                 settle(hit)
                 if state.floor is not None:
                     state.floor[i] = hit.lo
-        return hit
+        return i, hit
 
     def accepted(cand: _State, cur: _State, temperature: float) -> bool:
         """The exact path's delta <= 0 or u < exp(-delta / T), delta the
@@ -557,15 +580,24 @@ def anneal(
     def floor(cur: _State) -> np.ndarray:
         """A lower bound on the lo that `neighbour` gives each neighbour
         of cur: the screen's lo, or -inf where `neighbour` would take the
-        exact path and the neighbour is not made yet."""
-        if cur.floor is None:
-            if cur.spectra is None:
-                cur.spectra = screen.spectra(cur.bits)
-            lo, hi = screen.all_kappa_bounds(cur.spectra)
-            cur.floor = np.minimum(lo, _SINGULAR_ENERGY)
-            for i in np.flatnonzero((hi == math.inf) & (lo < math.inf)).tolist():
-                hit = cur.near.get(i)
-                cur.floor[i] = -math.inf if hit is None else hit.lo
+        exact path and the neighbour is not made yet; for general and
+        symmetric, the Ritz floor."""
+        if cur.floor is not None:
+            return cur.floor
+        if screen is None:
+            # the exact lo of each neighbour made so far, the Ritz floor
+            # of the others
+            cur.floor = np.minimum(ritz.kappa_floors(settle(cur).mat), _SINGULAR_ENERGY)
+            for i, hit in cur.near.items():
+                cur.floor[i] = hit.lo
+            return cur.floor
+        if cur.spectra is None:
+            cur.spectra = screen.spectra(cur.bits)
+        lo, hi = screen.all_kappa_bounds(cur.spectra)
+        cur.floor = np.minimum(lo, _SINGULAR_ENERGY)
+        for i in np.flatnonzero((hi == math.inf) & (lo < math.inf)).tolist():
+            hit = cur.near.get(i)
+            cur.floor[i] = -math.inf if hit is None else hit.lo
         return cur.floor
 
     def rejection_run(cur: _State, temperature: float, k: int) -> tuple[int, float]:
@@ -593,7 +625,7 @@ def anneal(
     uphill = []
     cur = state.kappa
     for _ in range(256):
-        cand = neighbour(state)
+        cand = neighbour(state)[1]
         # only an uphill move to a nonsingular state enters t0
         if cur < cand.hi < _SINGULAR_ENERGY:
             k = settle(cand).kappa
@@ -603,8 +635,8 @@ def anneal(
     temperature = t0
     stall_limit = 10 * n * n
     stall = 0
-    # rejection runs need a screen and a drawn move index
-    runs = screen is not None and nbits > 1
+    # a rejection run needs a drawn move index
+    runs = nbits > 1
     rejected = 0
     run = _RUN_FIRST
 
@@ -623,8 +655,10 @@ def anneal(
             # the run was cut; wait for another _RUN_AFTER rejections
             rejected = 0
             run = _RUN_FIRST
+        if ritz is not None and rejected >= _FLOOR_AFTER:
+            floor(state)
         moves += 1
-        cand = neighbour(state)
+        i, cand = neighbour(state)
         if accepted(cand, state, temperature):
             state = cand
             rejected = 0
@@ -641,6 +675,9 @@ def anneal(
             # declined, so the offer is skipped
             improved = False
             rejected += 1
+            if ritz is not None and state.floor is not None:
+                # the exact lo, once accepted has settled the neighbour
+                state.floor[i] = cand.lo
         stall = 0 if improved else stall + 1
         temperature *= 0.995
         if stall >= stall_limit:

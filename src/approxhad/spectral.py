@@ -20,6 +20,10 @@ that table.  A screened extreme eigenvalue lies within
 eta = n^2 * lambda_max * 2^-52 of what eigvalsh returns on the exact Gram
 (tests/test_screen_properties.py checks eta / 2), so a screened kappa is
 a pair of bounds on the exact-path kappa.
+
+`RitzScreen` gives the general and symmetric classes, which no DFT
+diagonalizes, a one-sided bound instead: a floor under every single-bit
+neighbour's kappa from one eigh of the current Gram (Rayleigh-Ritz).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .linalg import ETA_PER_N2_LMAX, gram_kappa, gram_kappas
 
-__all__ = ["SCREENED_KINDS", "SpectralScreen"]
+__all__ = ["SCREENED_KINDS", "SpectralScreen", "RitzScreen"]
 
 SCREENED_KINDS = ("circulant", "circulant_core", "two_block_circulant", "block_circulant")
 
@@ -149,3 +153,81 @@ class SpectralScreen:
         eta = self.eta(lmax)
         return (gram_kappas(lmin + eta, lmax - eta, self.n),
                 gram_kappas(lmin - eta, lmax + eta, self.n))
+
+
+class RitzScreen:
+    """Floors under the exact-path kappa of all single-bit neighbours of a
+    general or symmetric matrix of order n >= 2 (bits laid out as in
+    `search.StructureClass.build`).
+
+    Flipping bit b adds d e_r e_c^T to A, d = -2 a_rc, and for an
+    off-diagonal symmetric bit also d e_c e_r^T.  For Q with orthonormal
+    columns, Rayleigh-Ritz (Cauchy interlacing for the compression
+    Q^T G' Q; Parlett, The Symmetric Eigenvalue Problem) gives lambda_min(G') <= lambda_min(Q^T G' Q)
+    and lambda_max(G') >= lambda_max(Q^T G' Q).  Here Q is the bottom or
+    the top two eigenvectors of the current Gram.  With P = A Q, a flip
+    adds x = d Q[c] to row r of P (and d Q[r] to row c), which changes
+    the 2 x 2 matrix P^T P by x y^T + y x^T with y = P[r] + x / 2.  So every
+    neighbour's compressions, and their extreme eigenvalues in closed
+    form, are one array pass.
+
+    The margin is eta at lambda = n^2 = ||A'||_F^2, as in
+    `linalg.condition_number`.  It covers eigvalsh on the neighbour's
+    Gram and the rounding of Q and of the compressions
+    (tests/test_screen_properties.py checks eta / 2).
+    """
+
+    def __init__(self, kind: str, n: int):
+        if kind == "general":
+            rows, cols = np.divmod(np.arange((n - 1) ** 2), n - 1)
+        elif kind == "symmetric":
+            rows, cols = np.triu_indices(n - 1)
+        else:
+            raise ValueError(f"no Ritz screen for {kind!r}")
+        self.n = n
+        self.symmetric = kind == "symmetric"
+        self.rows, self.cols = rows + 1, cols + 1
+        self.eta = n * n * ETA_PER_N2_LMAX * n * n
+
+    def flip(self, a: np.ndarray, i: int) -> np.ndarray:
+        """The matrix a with bit i flipped, as float64: the entries of what
+        `StructureClass.build` gives for the flipped bits."""
+        b = a.astype(np.float64)
+        r, c = self.rows[i], self.cols[i]
+        b[r, c] = -b[r, c]
+        if self.symmetric:
+            b[c, r] = b[r, c]
+        return b
+
+    def extremes(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each bit flipped in the matrix a, the least Ritz value on
+        Q- and the largest on Q+ of the neighbour's Gram."""
+        n = self.n
+        f = np.asarray(a, dtype=np.float64)
+        # (row, side, vector): side 0 the bottom two, side 1 the top two
+        q = np.linalg.eigh(f.T @ f)[1][:, [0, 1, n - 2, n - 1]].reshape(n, 2, 2)
+        p = (f @ q.reshape(n, 4)).reshape(n, 2, 2)
+        g = np.einsum("ksi,ksj->sij", p, p)
+        m00, m01, m11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+        rows, cols = self.rows, self.cols
+        d = -2.0 * f[rows, cols]
+        # (row r of P, row c of Q, d): row r of A'Q is P[r] + d Q[c]
+        terms = [(rows, cols, d)]
+        if self.symmetric:
+            terms.append((cols, rows, d * (rows != cols)))
+        for r, c, dr in terms:
+            x = dr[:, None, None] * q[c]
+            y = p[r] + x / 2
+            m00 = m00 + 2 * x[..., 0] * y[..., 0]
+            m11 = m11 + 2 * x[..., 1] * y[..., 1]
+            m01 = m01 + (x[..., 0] * y[..., 1] + y[..., 0] * x[..., 1])
+        mid = (m00 + m11) / 2
+        rad = np.hypot((m00 - m11) / 2, m01)
+        return (mid - rad)[:, 0], (mid + rad)[:, 1]
+
+    def kappa_floors(self, a: np.ndarray) -> np.ndarray:
+        """lo <= the kappa that eigvalsh of each neighbour's exact Gram
+        gives, by flipped bit: `gram_kappa` of the Ritz values moved
+        inwards by eta (inf where that proves the Gram singular)."""
+        bottom, top = self.extremes(a)
+        return gram_kappas(bottom + self.eta, np.maximum(top - self.eta, 0.0), self.n)

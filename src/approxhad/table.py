@@ -109,6 +109,12 @@ class Candidate(NamedTuple):
 
 def bundled_fixtures() -> dict[int, dict]:
     """Witness matrices shipped with the package, keyed by order."""
+    return _fixtures(None)
+
+
+def _fixtures(orders: range | None) -> dict[int, dict]:
+    """The bundled witnesses of the given orders (all when None); a
+    witness file is parsed only when its order is wanted."""
     root = resources.files("approxhad") / "fixtures"
     index_file = root / "index.json"
     try:
@@ -117,8 +123,9 @@ def bundled_fixtures() -> dict[int, dict]:
         return {}
     out = {}
     for entry in index:
-        matrix = parse_sign_matrix((root / entry["file"]).read_text())
-        out[entry["n"]] = {**entry, "matrix": matrix}
+        if orders is None or entry["n"] in orders:
+            matrix = parse_sign_matrix((root / entry["file"]).read_text())
+            out[entry["n"]] = {**entry, "matrix": matrix}
     return out
 
 
@@ -166,7 +173,7 @@ def reproduce_table(
     anneal_budget: int = DEFAULT_BUDGET,
     seeds: tuple[int, ...] = (),
 ) -> list[TableRow]:
-    fixtures = bundled_fixtures()
+    fixtures = _fixtures(range(n_min, n_max + 1))
     rows = []
     for n in sorted(TARGETS):
         if not n_min <= n <= n_max:

@@ -6,6 +6,12 @@ what eigvalsh returns on its exact Gram (anneal trusts them to eta), and
 the screen's kappa bounds contain the neighbour's exact-path kappa.  The
 bounds of all neighbours at once, which anneal's rejection runs read, are
 the per-neighbour ones bit for bit, so never above them.
+
+For random and near-singular general and symmetric matrices, again down
+to the smallest orders, the Ritz values lie on the right side of the
+neighbour's eigvalsh extremes up to eta / 2, so the Ritz floor is never
+above the neighbour's exact-path kappa.  RitzScreen.flip, which anneal
+uses in place of a build, gives the neighbour's matrix.
 """
 
 import math
@@ -19,6 +25,7 @@ st = hypothesis.strategies
 from approxhad import search  # noqa: E402
 from approxhad.linalg import SINGULAR_TOLERANCE_PER_N, gram_float64  # noqa: E402
 from approxhad.search import StructureClass  # noqa: E402
+from approxhad.spectral import RitzScreen  # noqa: E402
 
 CASES = [
     ("circulant", 1), ("circulant", 2), ("circulant", 3), ("circulant", 10),
@@ -96,3 +103,37 @@ def test_all_bounds_are_the_per_neighbour_bounds(case, data):
         lo, hi = screen.kappa_bounds(spectra, i)
         assert lo_all[i] <= lo, (name, n, i)
         assert lo_all[i] == lo and hi_all[i] == hi, (name, n, i)
+
+
+RITZ_CASES = [
+    ("general", 2), ("general", 3), ("general", 4), ("general", 7), ("general", 13),
+    ("general", 25),
+    ("symmetric", 2), ("symmetric", 3), ("symmetric", 4), ("symmetric", 9),
+    ("symmetric", 17),
+]
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(case=st.sampled_from(RITZ_CASES), data=st.data())
+def test_ritz_floor_is_below_eigvalsh(case, data):
+    kind, n = case
+    sclass = StructureClass(kind)
+    nbits = sclass.n_bits(n)
+    bits = data.draw(st.one_of(
+        st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits).map(
+            lambda b: np.array(b, dtype=np.int64)),
+        near_singular_bits(nbits)))
+    ritz = RitzScreen(kind, n)
+    a = sclass.build(n, bits)
+    bottom, top = ritz.extremes(a)
+    lo = ritz.kappa_floors(a)
+    assert bottom.shape == top.shape == lo.shape == (nbits,)
+    half_eta = ritz.eta / 2
+    for i in range(nbits):
+        flipped = bits.copy()
+        flipped[i] ^= 1
+        assert np.array_equal(ritz.flip(a, i), sclass.build(n, flipped)), (kind, n, i)
+        lmin_exact, lmax_exact, kappa = exact_path(sclass, n, flipped)
+        assert bottom[i] >= lmin_exact - half_eta, (kind, n, i)
+        assert top[i] <= lmax_exact + half_eta, (kind, n, i)
+        assert lo[i] <= kappa, (kind, n, i)

@@ -15,6 +15,12 @@ cannot flip; one taken without a margin would.
 Rejection runs (search._proven_rejections) commit many proven rejections
 at once; with them tried from the first rejection, or before every move,
 every record must be the one the move-by-move loop gives.
+
+The general and symmetric classes read a one-sided Ritz floor
+(spectral.RitzScreen) once the chain lingers on a state.  The same tests
+raise every floor by moving the Ritz values out by eta / 2, and form the
+floors and try the runs from the first rejection, on the ANNEAL_PANEL and
+FALLBACK_PANEL rows of those classes.
 """
 
 import math
@@ -25,8 +31,8 @@ import pytest
 from approxhad import search
 from approxhad.linalg import condition_number
 from approxhad.search import StructureClass, anneal, _Draws
-from approxhad.spectral import SCREENED_KINDS, SpectralScreen
-from test_search_determinism import ANNEAL_PANEL, pattern
+from approxhad.spectral import SCREENED_KINDS, RitzScreen, SpectralScreen
+from test_search_determinism import ANNEAL_PANEL, FALLBACK_BUDGET, FALLBACK_PANEL, pattern
 from test_search_determinism import BUDGET as ANNEAL_PANEL_BUDGET
 
 BUDGET = 5000
@@ -243,3 +249,61 @@ def test_proven_rejection_is_a_bounds_rejection(delta, t):
     if clear > bar:
         assert search._proven_rejections(np.array([lo]), hi, np.array([clear]),
                                          np.array([t]))[0]
+
+
+RITZ_ANNEAL_PANEL = [row for row in ANNEAL_PANEL
+                     if StructureClass.parse(row[1]).kind not in SCREENED_KINDS]
+
+
+def test_raised_ritz_floors_keep_every_decision(monkeypatch):
+    calls = []
+    extremes = RitzScreen.extremes
+
+    def raised(self, a):
+        bottom, top = extremes(self, a)
+        calls.append(len(bottom))
+        return bottom - self.eta / 2, top + self.eta / 2
+
+    monkeypatch.setattr(RitzScreen, "extremes", raised)
+    for n, name, seed, kappa_hex, restarts, plus in RITZ_ANNEAL_PANEL:
+        check(n, name, seed, ANNEAL_PANEL_BUDGET, kappa_hex, restarts, plus)
+    for n, name, seed, kappa_hex, restarts, plus in FALLBACK_PANEL:
+        check(n, name, seed, FALLBACK_BUDGET, kappa_hex, restarts, plus)
+    assert calls
+
+
+@pytest.mark.parametrize("after", [0, 1])
+def test_ritz_floors_and_runs_from_first_rejection_keep_the_panel(monkeypatch, after):
+    run_early(monkeypatch, after=after)
+    monkeypatch.setattr(search, "_FLOOR_AFTER", after)
+    lengths = count_run_moves(monkeypatch)
+    for n, name, seed, kappa_hex, restarts, plus in RITZ_ANNEAL_PANEL:
+        check(n, name, seed, ANNEAL_PANEL_BUDGET, kappa_hex, restarts, plus)
+    assert sum(lengths) > 0
+
+
+@pytest.mark.parametrize("n,name", [(4, "general"), (5, "symmetric"), (6, "general")])
+def test_ritz_runs_across_restarts_keep_every_record(monkeypatch, n, name):
+    sclass = StructureClass.parse(name)
+    seeds = [0, 1, 2**64 - 1]
+    # neither a floor nor a run: the exact path at every move
+    monkeypatch.setattr(search, "_FLOOR_AFTER", RESTART_BUDGET)
+    monkeypatch.setattr(search, "_RUN_AFTER", RESTART_BUDGET)
+    want = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
+    monkeypatch.setattr(search, "_FLOOR_AFTER", 0)
+    run_early(monkeypatch, after=0, first=5, cap=40)
+    lengths = count_run_moves(monkeypatch)
+    got = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
+    assert got == want
+    assert sum(lengths) > 0
+    assert all(effort["restarts"] for _, _, effort in want)
+
+
+def test_ritz_floor_spares_exact_evaluations(monkeypatch):
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda g: solves.append(1) or eigvalsh(g))
+    anneal(25, StructureClass("general"), 0, FALLBACK_BUDGET)
+    # the exact path alone makes 13,138 eigensolves here
+    assert len(solves) < 10000

@@ -151,6 +151,20 @@ class TestReproduceTable:
         reproduce_table(15, 15, anneal_budget=100)
         assert calls == [(15, 0, 100)]
 
+    def test_parses_only_the_fixtures_of_its_rows(self, monkeypatch):
+        parsed = []
+        parse = table.parse_sign_matrix
+
+        def counted(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(table, "parse_sign_matrix", counted)
+        rows = reproduce_table(13, 14)
+        assert [(r.n, r.source) for r in rows] == [(13, "fixture"), (14, "fixture")]
+        assert len(parsed) == 2
+        assert len(bundled_fixtures()) == len(parsed) - 2 == 18
+
     def test_csv_shape(self):
         rows = reproduce_table(3, 10)
         csv_text = table_csv(rows)
