@@ -14,33 +14,30 @@ circulant classes store first rows.  The objective orders candidates by
 kappa, then by larger |det| (determinant maximizers tend to condition
 well), then lexicographically.
 
-Annealing the circulant-type classes (circulant, circulant_core,
-two_block_circulant, block_circulant) reads kappa from the spectral screen
-in `approxhad.spectral` first: DFT eigenvalues of every single-bit
-neighbour, each within eta = n^2 * lambda_max * 2^-52 of what eigvalsh
-returns on the exact Gram, which bounds the neighbour's exact-path kappa
-to within about kappa * eta / lambda_min.  A decision -- delta <= 0,
-u < exp(-delta / T), or the incumbent's decline test -- is read from
-these bounds only when they settle it; near-ties, near-singular states,
-the uphill moves of the temperature probe and every state that may
-become the incumbent take the exact path (build, exact Gram, eigvalsh).
-So every decision, RNG draw, restart and reported kappa is the one the
-exact path alone would give.
+Anneal gives each neighbour sound bounds lo <= energy <= hi on its
+exact-path energy (kappa, with inf read as _SINGULAR_ENERGY) and reads a
+decision -- delta <= 0, u < exp(-delta / T), or the incumbent's decline
+test -- from them only when they settle it; otherwise, and for every
+state that may become the incumbent, it takes the exact path (build,
+exact Gram, eigvalsh).  So every decision, RNG draw, restart and reported
+kappa is the one the exact path alone would give.  The bounds come from
+`approxhad.spectral`:
 
-general and symmetric have no DFT screen.  A new neighbour there takes
-the exact path until the chain has rejected _FLOOR_AFTER moves in a row
-at its state.  Then `spectral.RitzScreen` forms a floor under every
-neighbour's kappa from one eigh of the state's Gram (Rayleigh-Ritz on its
-bottom and top two eigenvectors), and a neighbour made after that gets
-the floor as its lo and no hi.  `accepted` settles it on the exact path
-whenever the floor does not decide the move; the temperature probe, which
-needs hi, keeps the exact path.
+* the circulant-type classes (circulant, circulant_core,
+  two_block_circulant, block_circulant) read the DFT eigenvalues of every
+  single-bit neighbour, each within eta = n^2 * lambda_max * 2^-52 of what
+  eigvalsh returns on the exact Gram;
+* general and symmetric have no DFT.  A neighbour there starts with no
+  bound until the chain has rejected _FLOOR_AFTER moves in a row at its
+  state; then `RitzScreen` forms a floor under every neighbour's kappa from
+  one eigh of the state's Gram (Rayleigh-Ritz on its bottom and top two
+  eigenvectors).
 
 Once the chain has rejected _RUN_AFTER moves in a row at one state, anneal
 proves the rejections ahead in array form: `_Draws.peek` reads the coming
-moves' draws without consuming them, the screen or the Ritz floor bounds
-every neighbour at once (a neighbour already settled gives its exact lo),
-and `_proven_rejections` marks each move whose neighbour lies above the
+moves' draws without consuming them, the state's floor bounds every
+neighbour at once (a neighbour already made gives its own lo), and
+`_proven_rejections` marks each move whose neighbour lies above the
 state by a margin that the uniform clears.  The leading run of proven
 moves is committed in one step -- draws, temperatures, stall count --
 short of the budget and of the move on which a restart falls; the first
@@ -310,7 +307,7 @@ def exhaustive_min(n: int) -> SearchRecord:
     return best.record(n, sclass, 0, {"mode": "exhaustive", "candidates": 1 << (m * m)})
 
 
-# raw 64-bit outputs fetched per refill of a _Draws block
+# raw 64-bit outputs fetched per refill of a _Draws buffer
 _RAW_BLOCK = 256
 
 
@@ -328,27 +325,24 @@ class _Draws:
     as arrays by the same rule, and `commit` consumes the first j of them.
     """
 
-    __slots__ = ("_raw", "_block", "_half", "_ahead", "_peeked")
+    __slots__ = ("_raw", "_buf", "_at", "_half", "_peeked")
 
     def __init__(self, seed: int):
         self._raw = philox(seed, 0).bit_generator.random_raw
-        self._block: list[int] = []
+        # the last outputs read, in stream order, as a memoryview (whose
+        # items are Python ints); those from _at on are not yet consumed,
+        # and `peek` appends what it reads ahead
+        self._buf = memoryview(np.empty(0, dtype=np.uint64))
+        self._at = 0
         self._half: int | None = None
-        # outputs read by `peek` that no draw has consumed yet, served
-        # after _block
-        self._ahead = np.empty(0, dtype=np.uint64)
         self._peeked: np.ndarray | None = None
 
     def _next64(self) -> int:
-        if not self._block:
-            ahead = self._ahead
-            if len(ahead):
-                chunk, self._ahead = ahead[:_RAW_BLOCK], ahead[_RAW_BLOCK:]
-            else:
-                chunk = self._raw(_RAW_BLOCK)
-            # reversed, so pop() serves the block in stream order
-            self._block = chunk.tolist()[::-1]
-        return self._block.pop()
+        at = self._at
+        if at == len(self._buf):
+            self._buf, at = memoryview(self._raw(_RAW_BLOCK)), 0
+        self._at = at + 1
+        return self._buf[at]
 
     def _next32(self) -> int:
         half = self._half
@@ -394,16 +388,15 @@ class _Draws:
         s = 0 if self._half is None else 1
         pairs = (s + k + 1) // 2
         need = 3 * pairs - 2 * s
-        stored = len(self._block) + len(self._ahead)
-        if need > stored:
-            self._ahead = np.concatenate([self._ahead, self._raw(need - stored)])
+        unread = np.asarray(self._buf)[self._at:]
+        if need > len(unread):
+            unread = np.concatenate([unread, self._raw(need - len(unread))])
+            self._buf, self._at = memoryview(unread), 0
         out = self._peeked = np.empty((pairs, 3), dtype="<u8")
         flat = out.reshape(-1)
         if s:
             flat[0] = self._half << 32
-        head = self._block[::-1][:need]
-        flat[2 * s:2 * s + len(head)] = head
-        flat[2 * s + len(head):] = self._ahead[:need - len(head)]
+        flat[2 * s:] = unread[:need]
         # the little-endian 32-bit view of a is (low(a), high(a))
         words = out.view("<u4")[:, :2].reshape(-1)[s:s + k]
         m = words.astype(np.uint64) * np.uint64(high)
@@ -421,25 +414,19 @@ class _Draws:
         done = s + j
         used = 3 * (done // 2) + 2 * (done % 2) - 2 * s
         self._half = int(peeked[done // 2, 0] >> np.uint64(32)) if done % 2 else None
-        stored = len(self._block)
-        if used <= stored:
-            del self._block[stored - used:]
-        else:
-            self._block = []
-            self._ahead = self._ahead[used - stored:]
+        self._at += used
 
 
 class _State:
-    """A chain state and what is known of its exact-path kappa.
+    """A chain state and what is known of its exact-path energy: kappa,
+    with inf read as _SINGULAR_ENERGY.
 
-    lo <= energy <= hi, the energy being kappa with inf read as
-    _SINGULAR_ENERGY.  kappa stays None until the exact path runs, and
-    mat too unless `neighbour` flips it from the parent's; then
-    lo = hi = the energy (lo = hi also when the screen proves the
-    Gram singular).  near holds the neighbours made so far, spectra the
-    screen's view of all of them and floor, once a rejection run is tried
-    here (for general and symmetric, once the chain lingers here), a lower
-    bound on each one's lo.
+    lo <= energy <= hi.  A neighbour starts with the bounds its class
+    gives (`anneal`'s `bound`), and kappa stays None until the exact path
+    runs; then lo = hi = the energy.  mat is the matrix once built (or
+    flipped from the parent's), near holds the neighbours made so far,
+    spectra the DFT screen's view of all of them, and floor, once the
+    chain lingers here, a lower bound on each one's lo.
     """
 
     __slots__ = ("bits", "mat", "kappa", "lo", "hi", "near", "spectra", "floor")
@@ -447,7 +434,7 @@ class _State:
     def __init__(self, bits: np.ndarray):
         self.bits = bits
         self.mat = self.kappa = self.spectra = self.floor = None
-        self.lo, self.hi = -math.inf, math.inf
+        self.lo, self.hi = -math.inf, _SINGULAR_ENERGY
         self.near: dict[int, _State] = {}
 
 
@@ -505,8 +492,6 @@ def anneal(
     nbits = sclass.n_bits(n)
     best = _Best()
     restarts = 0
-    screen = _screen(sclass, n)
-    ritz = RitzScreen(sclass.kind, n) if screen is None else None
 
     def settle(state: _State) -> _State:
         """The exact path: build, exact Gram, eigvalsh."""
@@ -517,6 +502,42 @@ def anneal(
             state.kappa = gram_kappa(ev[0], ev[-1], n)
             state.lo = state.hi = min(state.kappa, _SINGULAR_ENERGY)
         return state
+
+    # bound(state, i, hit) gives hit, neighbour i of state, its class's
+    # bounds, and lows(state) a lower bound on every neighbour's energy;
+    # `floor` reads lows once the chain has rejected floor_after moves in a
+    # row at the state
+    screen = _screen(sclass, n)
+    if screen is None:
+        ritz = RitzScreen(sclass.kind, n)
+        floor_after = _FLOOR_AFTER
+
+        def bound(state: _State, i: int, hit: _State) -> None:
+            # no bound but the state's Ritz floor, once formed; before that,
+            # `accepted` will settle the neighbour, so its matrix is flipped
+            # from the state's, which spares settle a build
+            if state.floor is None:
+                hit.mat = ritz.flip(settle(state).mat, i)
+            else:
+                hit.lo = float(state.floor[i])
+
+        def lows(state: _State) -> np.ndarray:
+            return ritz.kappa_floors(settle(state).mat)
+    else:
+        # the screen bounds every neighbour: no floor before the first run
+        floor_after = _RUN_AFTER
+
+        def spectra(state: _State):
+            if state.spectra is None:
+                state.spectra = screen.spectra(state.bits)
+            return state.spectra
+
+        def bound(state: _State, i: int, hit: _State) -> None:
+            lo, hi = screen.kappa_bounds(spectra(state), i)
+            hit.lo, hit.hi = min(lo, _SINGULAR_ENERGY), min(hi, _SINGULAR_ENERGY)
+
+        def lows(state: _State) -> np.ndarray:
+            return screen.all_kappa_bounds(spectra(state))[0]
 
     draws = _Draws(seed)
 
@@ -536,23 +557,7 @@ def anneal(
             bits = state.bits.copy()
             bits[i] ^= 1
             hit = state.near[i] = _State(bits)
-            if screen is None:
-                if state.floor is None:
-                    hit.mat = ritz.flip(state.mat, i)
-                    settle(hit)
-                else:
-                    # accepted settles the move where this bound does not
-                    hit.lo = float(state.floor[i])
-                return i, hit
-            if state.spectra is None:
-                state.spectra = screen.spectra(state.bits)
-            lo, hi = screen.kappa_bounds(state.spectra, i)
-            if hi < math.inf or lo == math.inf:
-                hit.lo, hit.hi = min(lo, _SINGULAR_ENERGY), min(hi, _SINGULAR_ENERGY)
-            else:
-                settle(hit)
-                if state.floor is not None:
-                    state.floor[i] = hit.lo
+            bound(state, i, hit)
         return i, hit
 
     def accepted(cand: _State, cur: _State, temperature: float) -> bool:
@@ -578,26 +583,13 @@ def anneal(
         return u < math.exp(-(cand.lo - cur.lo) / t)
 
     def floor(cur: _State) -> np.ndarray:
-        """A lower bound on the lo that `neighbour` gives each neighbour
-        of cur: the screen's lo, or -inf where `neighbour` would take the
-        exact path and the neighbour is not made yet; for general and
-        symmetric, the Ritz floor."""
-        if cur.floor is not None:
-            return cur.floor
-        if screen is None:
-            # the exact lo of each neighbour made so far, the Ritz floor
-            # of the others
-            cur.floor = np.minimum(ritz.kappa_floors(settle(cur).mat), _SINGULAR_ENERGY)
+        """A lower bound on the lo of each neighbour of cur, formed once:
+        `lows`, capped at _SINGULAR_ENERGY, and the lo of each neighbour
+        made so far."""
+        if cur.floor is None:
+            cur.floor = np.minimum(lows(cur), _SINGULAR_ENERGY)
             for i, hit in cur.near.items():
                 cur.floor[i] = hit.lo
-            return cur.floor
-        if cur.spectra is None:
-            cur.spectra = screen.spectra(cur.bits)
-        lo, hi = screen.all_kappa_bounds(cur.spectra)
-        cur.floor = np.minimum(lo, _SINGULAR_ENERGY)
-        for i in np.flatnonzero((hi == math.inf) & (lo < math.inf)).tolist():
-            hit = cur.near.get(i)
-            cur.floor[i] = -math.inf if hit is None else hit.lo
         return cur.floor
 
     def rejection_run(cur: _State, temperature: float, k: int) -> tuple[int, float]:
@@ -627,9 +619,9 @@ def anneal(
     for _ in range(256):
         cand = neighbour(state)[1]
         # only an uphill move to a nonsingular state enters t0
-        if cur < cand.hi < _SINGULAR_ENERGY:
+        if cand.hi > cur and cand.lo < _SINGULAR_ENERGY:
             k = settle(cand).kappa
-            if k > cur:
+            if cur < k < _SINGULAR_ENERGY:
                 uphill.append(k - cur)
     t0 = (sum(uphill) / len(uphill)) / -math.log(0.8) if uphill else 1.0
     temperature = t0
@@ -655,7 +647,7 @@ def anneal(
             # the run was cut; wait for another _RUN_AFTER rejections
             rejected = 0
             run = _RUN_FIRST
-        if ritz is not None and rejected >= _FLOOR_AFTER:
+        if rejected >= floor_after:
             floor(state)
         moves += 1
         i, cand = neighbour(state)
@@ -675,8 +667,8 @@ def anneal(
             # declined, so the offer is skipped
             improved = False
             rejected += 1
-            if ritz is not None and state.floor is not None:
-                # the exact lo, once accepted has settled the neighbour
+            if state.floor is not None:
+                # accepted may have settled the neighbour since the floor
                 state.floor[i] = cand.lo
         stall = 0 if improved else stall + 1
         temperature *= 0.995

@@ -1,11 +1,12 @@
 """Property tests of the spectral screen against the exact path.
 
-For random bits of every screened class, including the smallest orders,
-each neighbour's screened extreme Gram eigenvalues lie within eta / 2 of
-what eigvalsh returns on its exact Gram (anneal trusts them to eta), and
-the screen's kappa bounds contain the neighbour's exact-path kappa.  The
-bounds of all neighbours at once, which anneal's rejection runs read, are
-the per-neighbour ones bit for bit, so never above them.
+For random and near-singular bits of every screened class, including the
+smallest orders, each neighbour's screened extreme Gram eigenvalues lie
+within eta / 2 of what eigvalsh returns on its exact Gram (anneal trusts
+them to eta), and the screen's kappa bounds contain the neighbour's
+exact-path kappa; lo bounds it also where hi = inf, as anneal's floors
+rely on.  The bounds of all neighbours at once, which anneal's rejection
+runs read, are the per-neighbour ones bit for bit, so never above them.
 
 For random and near-singular general and symmetric matrices, again down
 to the smallest orders, the Ritz values lie on the right side of the
@@ -53,8 +54,10 @@ def test_screen_matches_eigvalsh(case, data):
     name, n = case
     sclass = StructureClass.parse(name)
     nbits = sclass.n_bits(n)
-    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits)),
-                    dtype=np.int64)
+    bits = data.draw(st.one_of(
+        st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits).map(
+            lambda b: np.array(b, dtype=np.int64)),
+        near_singular_bits(nbits)))
     screen = search._screen(sclass, n)
     spectra = screen.spectra(bits)
     for i in range(nbits):

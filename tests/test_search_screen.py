@@ -10,7 +10,9 @@ The adversarial tests move every screened eigenvalue by half of the
 screen's stated error bound eta before anneal reads it.  The screen's true
 error is below eta / 2 (see test_screen_properties.py), so the exact value
 stays inside the bounds anneal derives, and a decision the bounds settle
-cannot flip; one taken without a margin would.
+cannot flip; one taken without a margin would.  With the bounds made
+(-inf, inf) instead, no decision may be read from them, and the records
+must still be the exact path's.
 
 Rejection runs (search._proven_rejections) commit many proven rejections
 at once; with them tried from the first rejection, or before every move,
@@ -161,6 +163,28 @@ def test_screen_spares_most_exact_evaluations(monkeypatch, n, name):
     anneal(n, StructureClass.parse(name), 0, BUDGET)
     # the exact path alone builds a matrix for about one move in five
     assert len(built) < 200
+
+
+def test_unbounded_screen_defers_to_the_exact_path(monkeypatch):
+    """With bounds (-inf, inf) on every neighbour, no move is settled from
+    the bounds, and the temperature probe and `accepted` must take the
+    exact path wherever the screen would have decided."""
+    calls = []
+
+    def unbounded(self, spectra, i):
+        calls.append(i)
+        return -math.inf, math.inf
+
+    def all_unbounded(self, spectra):
+        count = len(spectra[0])
+        calls.append(count)
+        return np.full(count, -math.inf), np.full(count, math.inf)
+
+    monkeypatch.setattr(SpectralScreen, "kappa_bounds", unbounded)
+    monkeypatch.setattr(SpectralScreen, "all_kappa_bounds", all_unbounded)
+    for n, name, seed, kappa_hex, restarts, plus in SCREEN_PANEL:
+        check(n, name, seed, BUDGET, kappa_hex, restarts, plus)
+    assert calls
 
 
 def test_exact_classes_have_no_screen():

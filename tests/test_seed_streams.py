@@ -95,37 +95,53 @@ PEEK_HIGHS = [2, 3, 30, 576, 2**31 + 1, 3 * 2**30]
 PEEK_MOVES = 600  # past the first 256-output block
 
 
+def positioned(seed, kept_half, high, moves):
+    """The generator after the 37 doubles, the kept-half integer and then
+    moves scalar (integers(high), random()) moves."""
+    gen = generator(seed)
+    for _ in range(37):
+        gen.random()
+    if kept_half:
+        gen.integers(7)
+    for _ in range(moves):
+        gen.integers(high)
+        gen.random()
+    return gen
+
+
+# the commits of successive peeks; a second peek reads first what the
+# first one read ahead and left unconsumed
+PEEK_COMMITS = [("none",), ("one",), ("all",), ("one", "all"), ("none", "one"), ("all", "one")]
+
+
 @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
 @pytest.mark.parametrize("high", PEEK_HIGHS)
 def test_peek_matches_scalar_draws(seed, high):
     for kept_half in (False, True):
-        for commit in ("none", "one", "all"):
+        for commits in PEEK_COMMITS:
             draws, gen = _Draws(seed), generator(seed)
             for _ in range(37):
                 assert draws.random() == gen.random()
             if kept_half:
                 assert draws.integers(7) == gen.integers(7)
             assert (draws._half is not None) == kept_half
-            ints, us = draws.peek(high, PEEK_MOVES)
-            for i in range(len(ints)):
-                assert ints[i] == gen.integers(high), (kept_half, i)
-                assert us[i] == gen.random(), (kept_half, i)
-            if high in (2**31 + 1, 3 * 2**30):
-                assert len(ints) < PEEK_MOVES
-            else:
-                assert len(ints) == PEEK_MOVES
-            j = {"none": 0, "one": min(1, len(ints)), "all": len(ints)}[commit]
-            draws.commit(j)
-            # after a commit of j moves, every draw is the generator's after
-            # j scalar moves
-            ref = generator(seed)
-            for _ in range(37):
-                ref.random()
-            if kept_half:
-                ref.integers(7)
-            for _ in range(j):
-                ref.integers(high)
-                ref.random()
+            done = 0
+            for cycle, commit in enumerate(commits):
+                ints, us = draws.peek(high, PEEK_MOVES)
+                gen = positioned(seed, kept_half, high, done)
+                for i in range(len(ints)):
+                    assert ints[i] == gen.integers(high), (kept_half, cycle, i)
+                    assert us[i] == gen.random(), (kept_half, cycle, i)
+                if high in (2**31 + 1, 3 * 2**30):
+                    assert len(ints) < PEEK_MOVES
+                else:
+                    assert len(ints) == PEEK_MOVES
+                j = {"none": 0, "one": min(1, len(ints)), "all": len(ints)}[commit]
+                draws.commit(j)
+                done += j
+            # after commits of `done` moves in all, every draw is the
+            # generator's after that many scalar moves
+            ref = positioned(seed, kept_half, high, done)
             for step in range(700):
                 if step % 3 == 0:
                     assert draws.random() == ref.random(), step
