@@ -16,7 +16,7 @@ import numpy as np
 
 from .constructions import (CatalogGapError, HadamardOrderCatalog, build_catalog,
                             smallest_order_at_least)
-from .linalg import philox
+from .linalg import Draws
 
 __all__ = [
     "OrthMatrix",
@@ -135,8 +135,8 @@ def flat_orthogonal(
     k = m - n
     H = catalog.build(m).entries
     if seed is not None:
-        rng = philox(seed, 0)
-        H = H[rng.permutation(m), :][:, rng.permutation(m)]
+        draws = Draws(seed, 0)
+        H = H[draws.permutation(m), :][:, draws.permutation(m)]
     M = OrthMatrix.from_array(H / math.sqrt(m))
     out = M if k == 0 else submatrix_orthogonalize(M, k)
     cert = FlatCertificate(

@@ -28,6 +28,8 @@ __all__ = [
     "IntPolynomial",
     "SINGULAR_TOLERANCE_PER_N",
     "ETA_PER_N2_LMAX",
+    "Draws",
+    "eigvalsh_margin",
     "gram",
     "gram_float64",
     "gram_kappa",
@@ -36,7 +38,6 @@ __all__ = [
     "minpoly_residual",
     "kronecker",
     "operator_norm",
-    "philox",
 ]
 
 # lambda_min <= n * 2^-40 is treated as exact singularity (kappa = inf);
@@ -46,6 +47,12 @@ SINGULAR_TOLERANCE_PER_N = 2.0 ** -40
 # an eigenvalue that eigvalsh returns for an order-n symmetric matrix whose
 # largest eigenvalue is at most lambda is trusted to eta = n^2 lambda 2^-52
 ETA_PER_N2_LMAX = 2.0 ** -52
+
+
+def eigvalsh_margin(n: int, lam):
+    """The eta above at order n and lambda = lam, a float or an array:
+    n^2 2^-52 is exact, so only the product with lam rounds."""
+    return n * n * ETA_PER_N2_LMAX * lam
 
 
 @dataclass(frozen=True)
@@ -149,15 +156,132 @@ def gram_float64(a: np.ndarray) -> np.ndarray:
     return f.swapaxes(-1, -2) @ f
 
 
-def philox(seed: int, counter: int) -> np.random.Generator:
-    """The Philox stream keyed by (seed, counter), both in [0, 2^64).
+class Draws:
+    """Every seeded draw of the package, read from the raw outputs of the
+    Philox4x64 stream keyed by (seed, counter), both in [0, 2^64), where a
+    NumPy release cannot change the rule (NEP 19).  integers, random and
+    permutation return what NumPy 2.4.6's Generator methods of those names
+    return on that key, and uniforms(k) what random(k) does, draw for draw.
 
-    The key is a uint64 array: a plain list goes through float64 above
-    2^63, which would merge distinct seeds into one stream."""
-    if not (0 <= seed < 2**64 and 0 <= counter < 2**64):
-        raise ValueError("seed and counter must lie in [0, 2^64)")
-    key = np.array([seed, counter], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    A bounded integer takes Lemire's method (Lemire 2019) on 32-bit draws,
+    each 64-bit output giving its low half first and keeping its high half
+    for the next 32-bit draw; high == 1 draws nothing.  A double takes the
+    top 53 bits of a fresh 64-bit output and leaves a kept half in place.
+    """
+
+    __slots__ = ("_raw", "_buf", "_at", "_half", "_peeked")
+    _BLOCK = 256  # raw outputs fetched per refill of the buffer
+
+    def __init__(self, seed: int, counter: int):
+        if not (0 <= seed < 2**64 and 0 <= counter < 2**64):
+            raise ValueError("seed and counter must lie in [0, 2^64)")
+        # a uint64 key: a list passes through float64 above 2^63 and merges seeds
+        self._raw = np.random.Philox(key=np.array([seed, counter], dtype=np.uint64)).random_raw
+        # the last outputs read, in stream order, as a memoryview (whose items
+        # are Python ints); those from _at on are not yet consumed
+        self._buf = memoryview(np.empty(0, dtype=np.uint64))
+        self._at = 0
+        self._half: int | None = None
+        self._peeked: np.ndarray | None = None
+
+    def _next64(self) -> int:
+        at = self._at
+        if at == len(self._buf):
+            self._buf, at = memoryview(self._raw(self._BLOCK)), 0
+        self._at = at + 1
+        return self._buf[at]
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            x = self._next64()
+            self._half = x >> 32
+            return x & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def _ahead(self, need: int) -> np.ndarray:
+        """The next `need` or more unconsumed outputs, without consuming them."""
+        unread = np.asarray(self._buf)[self._at:]
+        if need > len(unread):
+            unread = np.concatenate([unread, self._raw(need - len(unread))])
+            self._buf, self._at = memoryview(unread), 0
+        return unread
+
+    def integers(self, high: int) -> int:
+        """A uniform integer in [0, high), 1 <= high <= 2^32."""
+        if not 1 <= high <= 1 << 32:
+            raise ValueError(f"high must lie in [1, 2^32], got {high}")
+        if high == 1:
+            return 0
+        m = self._next32() * high
+        if m & 0xFFFFFFFF < high:
+            # reject the low products that would bias the result
+            threshold = (1 << 32) % high
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * high
+        return m >> 32
+
+    def random(self) -> float:
+        """A uniform double in [0, 1)."""
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def uniforms(self, k: int) -> np.ndarray:
+        """k draws of `random`, as a float64 array."""
+        raw = self._ahead(k)[:k]
+        self._at += k
+        return (raw >> np.uint64(11)) * 2.0 ** -53
+
+    def permutation(self, m: int) -> np.ndarray:
+        """A uniform permutation of range(m), m <= 2^32: Fisher-Yates from the
+        top, j <= i the first 32-bit draw masked to i's bit length that is <= i."""
+        p = list(range(m))
+        for i in range(m - 1, 0, -1):
+            mask, j = (1 << i.bit_length()) - 1, i + 1
+            while j > i:
+                j = self._next32() & mask
+            p[i], p[j] = p[j], p[i]
+        return np.array(p, dtype=np.int64)
+
+    def peek(self, high: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """What k moves of integers(high) then random() would draw, as an
+        int64 and a float64 array, without consuming them.
+
+        Cut before the first move whose Lemire product has a low word
+        below high, where integers may draw again; empty when high == 1,
+        which draws no integer.
+        """
+        if not 2 <= high <= 1 << 32:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        # A move takes one 32-bit half and one fresh output, so moves pair
+        # up on output triples (a, b, c): low(a) and b, then high(a) and c.
+        # A kept half is the high half of a triple before the stream whose
+        # first move is spent.
+        s = 0 if self._half is None else 1
+        pairs = (s + k + 1) // 2
+        need = 3 * pairs - 2 * s
+        out = self._peeked = np.empty((pairs, 3), dtype="<u8")
+        out.reshape(-1)[2 * s:] = self._ahead(need)[:need]
+        if s:
+            out[0, 0] = self._half << 32
+        # the little-endian 32-bit view of a is (low(a), high(a))
+        words = out.view("<u4")[:, :2].reshape(-1)[s:s + k]
+        m = words.astype(np.uint64) * np.uint64(high)
+        retry = (m & np.uint64(0xFFFFFFFF)) < high
+        cut = int(retry.argmax()) if retry.any() else k
+        doubles = out[:, 1:].reshape(-1)[s:s + cut]
+        return (m[:cut] >> np.uint64(32)).astype(np.int64), (doubles >> np.uint64(11)) * 2.0 ** -53
+
+    def commit(self, j: int) -> None:
+        """Consume the first j moves of the last `peek`."""
+        peeked, self._peeked = self._peeked, None
+        if j == 0:
+            return
+        s = 0 if self._half is None else 1
+        done = s + j
+        used = 3 * (done // 2) + 2 * (done % 2) - 2 * s
+        self._half = int(peeked[done // 2, 0] >> np.uint64(32)) if done % 2 else None
+        self._at += used
 
 
 def gram_kappa(lmin: float, lmax: float, n: int) -> float:
@@ -195,7 +319,7 @@ def condition_number(A: SignMatrix, probes=None, above: float = math.inf) -> Spe
     n = A.n
     if probes is not None:
         a = A.entries.astype(np.float64)
-        eta = n * n * ETA_PER_N2_LMAX * n * n
+        eta = eigvalsh_margin(n, n * n)
         hi = _quotient(a, probes[0]) - eta
         lo = _quotient(a, probes[1]) + eta
         if hi > 0 and gram_kappa(lo, hi, n) > above:
@@ -223,7 +347,7 @@ def operator_norm(E: np.ndarray, probe=None, above: float = math.inf) -> float:
         return 0.0
     if probe is not None:
         m = E.shape[1]
-        floor = _quotient(E, probe) - m * m * ETA_PER_N2_LMAX * float(np.vdot(E, E))
+        floor = _quotient(E, probe) - eigvalsh_margin(m, float(np.vdot(E, E)))
         if floor > 0 and math.sqrt(floor) > above:
             return math.sqrt(floor)
     return math.sqrt(max(float(np.linalg.eigvalsh(E.T @ E)[-1]), 0.0))

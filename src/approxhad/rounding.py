@@ -6,11 +6,9 @@ is the target itself.  The matrix Bernstein inequality bounds the expected
 operator norm of the rounding error, which converts into a condition
 number certificate through Weyl's inequality.
 
-RNG contract: trial t of a plan with master seed s draws its n*n uniforms
-from a Philox4x64 stream keyed by (s, t), consumed in row-major entry
-order, one raw 64-bit output per uniform (its top 53 bits times 2^-53).
-This is deterministic across runs, machines, and worker counts, and it
-never changes silently.
+RNG contract: trial t of a plan with master seed s reads its n*n uniforms,
+in row-major entry order, from `linalg.Draws(s, t).uniforms`.  This is
+deterministic across runs, machines, and worker counts.
 
 Best of trials: `round_best` reports the trial of least kappa (ties to the
 lower index) and the least ||X - EX||_op over all trials, but only the
@@ -39,8 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from .flatten import OrthMatrix
-from .linalg import (SignMatrix, SpectralReport, condition_number, gram_float64,
-                     operator_norm, philox)
+from .linalg import (Draws, SignMatrix, SpectralReport, condition_number, gram_float64,
+                     operator_norm)
 
 __all__ = [
     "RoundingPlan",
@@ -112,13 +110,9 @@ def bernstein_bound(n: int, u: float) -> BernsteinCertificate:
 def round_once(plan: RoundingPlan, trial_index: int) -> SignMatrix:
     """One rounding draw: entry (i, j) is +1 with probability (1 + scaled_ij)/2.
 
-    Uniform (i, j) is the top 53 bits of the (i n + j)-th raw output of the
-    trial's Philox stream, times 2^-53: what `Generator.random` draws, read
-    from the bit generator so the stream does not rest on a `Generator`
-    method, which NumPy may change between releases (NEP 19)."""
+    Its uniform is draw i n + j of Draws(master_seed, trial_index).uniforms."""
     n = plan.n
-    raw = philox(plan.master_seed, trial_index).bit_generator.random_raw(n * n)
-    uniforms = (raw >> np.uint64(11)) * 2.0**-53
+    uniforms = Draws(plan.master_seed, trial_index).uniforms(n * n)
     return SignMatrix(np.where(uniforms.reshape(n, n) < plan.plus_probability, 1, -1))
 
 

@@ -34,7 +34,7 @@ kappa is the one the exact path alone would give.  The bounds come from
   eigenvectors).
 
 Once the chain has rejected _RUN_AFTER moves in a row at one state, anneal
-proves the rejections ahead in array form: `_Draws.peek` reads the coming
+proves the rejections ahead in array form: `Draws.peek` reads the coming
 moves' draws without consuming them, the state's floor bounds every
 neighbour at once (a neighbour already made gives its own lo), and
 `_proven_rejections` marks each move whose neighbour lies above the
@@ -45,11 +45,7 @@ unproven move takes the move-by-move path.  A proven move is one that
 path rejects from the bounds alone, so the draws and decisions are
 unchanged.
 
-Every anneal draw is read from the raw Philox4x64 outputs of
-philox(seed, 0), in blocks, by `_Draws`: a bounded integer by Lemire's
-method on 32-bit halves, low half first; a double from the top 53 bits of
-one output.  These are the draws NumPy 2.4.6's Generator makes, but the
-rule now lives here, where a NumPy release cannot change it.
+Every anneal draw is read by `linalg.Draws(seed, 0)`.
 """
 
 from __future__ import annotations
@@ -69,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .families import circulant
-from .linalg import SignMatrix, condition_number, gram_float64, gram_kappa, gram_kappas, philox
+from .linalg import Draws, SignMatrix, condition_number, gram_float64, gram_kappa, gram_kappas
 from .matrixio import parse_sign_matrix, write_sign_matrix
 from .spectral import SCREENED_KINDS, RitzScreen, SpectralScreen
 
@@ -307,116 +303,6 @@ def exhaustive_min(n: int) -> SearchRecord:
     return best.record(n, sclass, 0, {"mode": "exhaustive", "candidates": 1 << (m * m)})
 
 
-# raw 64-bit outputs fetched per refill of a _Draws buffer
-_RAW_BLOCK = 256
-
-
-class _Draws:
-    """The draws of `philox(seed, 0)`, served from raw Philox4x64 outputs
-    read in blocks: integers(high) and random() return what the
-    Generator's methods return under NumPy 2.4.6, draw for draw.
-
-    A bounded integer takes Lemire's method (Lemire 2019) on 32-bit draws,
-    each 64-bit output giving its low half first and keeping its high half
-    for the next 32-bit draw; high == 1 draws nothing.  A double takes the
-    top 53 bits of a fresh 64-bit output and leaves a kept half in place.
-
-    `peek` reads the draws of many (integers(high), random()) moves ahead
-    as arrays by the same rule, and `commit` consumes the first j of them.
-    """
-
-    __slots__ = ("_raw", "_buf", "_at", "_half", "_peeked")
-
-    def __init__(self, seed: int):
-        self._raw = philox(seed, 0).bit_generator.random_raw
-        # the last outputs read, in stream order, as a memoryview (whose
-        # items are Python ints); those from _at on are not yet consumed,
-        # and `peek` appends what it reads ahead
-        self._buf = memoryview(np.empty(0, dtype=np.uint64))
-        self._at = 0
-        self._half: int | None = None
-        self._peeked: np.ndarray | None = None
-
-    def _next64(self) -> int:
-        at = self._at
-        if at == len(self._buf):
-            self._buf, at = memoryview(self._raw(_RAW_BLOCK)), 0
-        self._at = at + 1
-        return self._buf[at]
-
-    def _next32(self) -> int:
-        half = self._half
-        if half is None:
-            x = self._next64()
-            self._half = x >> 32
-            return x & 0xFFFFFFFF
-        self._half = None
-        return half
-
-    def integers(self, high: int) -> int:
-        """A uniform integer in [0, high), 1 <= high <= 2^32."""
-        if not 1 <= high <= 1 << 32:
-            raise ValueError(f"high must lie in [1, 2^32], got {high}")
-        if high == 1:
-            return 0
-        m = self._next32() * high
-        if m & 0xFFFFFFFF < high:
-            # reject the low products that would bias the result
-            threshold = (1 << 32) % high
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next32() * high
-        return m >> 32
-
-    def random(self) -> float:
-        """A uniform double in [0, 1)."""
-        return (self._next64() >> 11) * 2.0 ** -53
-
-    def peek(self, high: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """What k moves of integers(high) then random() would draw, as an
-        int64 and a float64 array, without consuming them.
-
-        Cut before the first move whose Lemire product has a low word
-        below high, where integers may draw again; empty when high == 1,
-        which draws no integer.
-        """
-        if not 2 <= high <= 1 << 32:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        # A move takes one 32-bit half and one fresh output, so moves pair
-        # up on output triples (a, b, c): low(a) and b, then high(a) and c.
-        # A kept half is the high half of a triple before the stream whose
-        # first move is spent.
-        s = 0 if self._half is None else 1
-        pairs = (s + k + 1) // 2
-        need = 3 * pairs - 2 * s
-        unread = np.asarray(self._buf)[self._at:]
-        if need > len(unread):
-            unread = np.concatenate([unread, self._raw(need - len(unread))])
-            self._buf, self._at = memoryview(unread), 0
-        out = self._peeked = np.empty((pairs, 3), dtype="<u8")
-        flat = out.reshape(-1)
-        if s:
-            flat[0] = self._half << 32
-        flat[2 * s:] = unread[:need]
-        # the little-endian 32-bit view of a is (low(a), high(a))
-        words = out.view("<u4")[:, :2].reshape(-1)[s:s + k]
-        m = words.astype(np.uint64) * np.uint64(high)
-        retry = (m & np.uint64(0xFFFFFFFF)) < high
-        cut = int(retry.argmax()) if retry.any() else k
-        doubles = out[:, 1:].reshape(-1)[s:s + cut]
-        return (m[:cut] >> np.uint64(32)).astype(np.int64), (doubles >> np.uint64(11)) * 2.0 ** -53
-
-    def commit(self, j: int) -> None:
-        """Consume the first j moves of the last `peek`."""
-        peeked, self._peeked = self._peeked, None
-        if j == 0:
-            return
-        s = 0 if self._half is None else 1
-        done = s + j
-        used = 3 * (done // 2) + 2 * (done % 2) - 2 * s
-        self._half = int(peeked[done // 2, 0] >> np.uint64(32)) if done % 2 else None
-        self._at += used
-
-
 class _State:
     """A chain state and what is known of its exact-path energy: kappa,
     with inf read as _SINGULAR_ENERGY.
@@ -442,11 +328,9 @@ class _State:
 # rejected this many moves in a row there
 _FLOOR_AFTER = 16
 # a rejection run is tried once the chain has rejected this many moves in
-# a row at one state; it covers up to _RUN_FIRST moves, twice as many after
-# each run that went its full length, up to _RUN_CAP
+# a row at one state, and covers up to _RUN_MOVES moves
 _RUN_AFTER = 64
-_RUN_FIRST = 512
-_RUN_CAP = 8192
+_RUN_MOVES = 2048
 # relative slack on a run's np.exp against the scalar path's slacked math.exp
 _RUN_EXP_SLACK = 2.0 ** -38
 
@@ -539,7 +423,7 @@ def anneal(
         def lows(state: _State) -> np.ndarray:
             return screen.all_kappa_bounds(spectra(state))[0]
 
-    draws = _Draws(seed)
+    draws = Draws(seed, 0)
 
     def fresh_state() -> _State:
         bits = np.array([draws.integers(2) for _ in range(nbits)], dtype=np.int64)
@@ -630,23 +514,20 @@ def anneal(
     # a rejection run needs a drawn move index
     runs = nbits > 1
     rejected = 0
-    run = _RUN_FIRST
 
     moves = 0
     while moves < budget:
         if runs and rejected >= _RUN_AFTER and stall < stall_limit - 1:
             # a run stops short of the budget and of the move that would
             # bring stall to stall_limit
-            k = min(run, budget - moves, stall_limit - 1 - stall)
+            k = min(_RUN_MOVES, budget - moves, stall_limit - 1 - stall)
             j, temperature = rejection_run(state, temperature, k)
             moves += j
             stall += j
             if j == k:
-                run = min(2 * run, _RUN_CAP)
                 continue
             # the run was cut; wait for another _RUN_AFTER rejections
             rejected = 0
-            run = _RUN_FIRST
         if rejected >= floor_after:
             floor(state)
         moves += 1
@@ -654,7 +535,6 @@ def anneal(
         if accepted(cand, state, temperature):
             state = cand
             rejected = 0
-            run = _RUN_FIRST
             # an offer above the incumbent plus the tie tolerance is declined
             if cand.lo > best.kappa + _KAPPA_TIE:
                 improved = False
@@ -678,7 +558,6 @@ def anneal(
             stall = 0
             restarts += 1
             rejected = 0
-            run = _RUN_FIRST
 
     return best.record(n, sclass, seed,
                        {"mode": "anneal", "budget": budget, "restarts": restarts})

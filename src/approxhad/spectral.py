@@ -32,14 +32,12 @@ import math
 
 import numpy as np
 
-from .linalg import ETA_PER_N2_LMAX, gram_kappa, gram_kappas
+from .linalg import eigvalsh_margin, gram_kappa, gram_kappas
 
 __all__ = ["SCREENED_KINDS", "SpectralScreen", "RitzScreen"]
 
 SCREENED_KINDS = ("circulant", "circulant_core", "two_block_circulant", "block_circulant")
 
-# a screened Gram eigenvalue is trusted to eta = n^2 * lambda_max * 2^-52
-# (linalg.ETA_PER_N2_LMAX)
 _PLUS_MINUS = np.array([-1.0, 1.0])
 
 
@@ -127,11 +125,6 @@ class SpectralScreen:
             lmax = np.maximum(lmax, big)
         return lmin, lmax
 
-    def eta(self, lmax: float) -> float:
-        """The bound on |screened - eigvalsh| for an eigenvalue of a Gram
-        whose largest eigenvalue is lmax."""
-        return self.n * self.n * ETA_PER_N2_LMAX * lmax
-
     def kappa_bounds(self, spectra, i: int) -> tuple[float, float]:
         """lo <= kappa <= hi for the kappa that eigvalsh of neighbour i's
         exact Gram gives, both from `gram_kappa` with the eigenvalues
@@ -142,7 +135,7 @@ class SpectralScreen:
         operation rounds monotonically, so the float bounds hold.
         """
         lmin, lmax = self.extremes(spectra, i)
-        eta = self.eta(lmax)
+        eta = eigvalsh_margin(self.n, lmax)
         return (gram_kappa(lmin + eta, lmax - eta, self.n),
                 gram_kappa(lmin - eta, lmax + eta, self.n))
 
@@ -150,7 +143,7 @@ class SpectralScreen:
         """`kappa_bounds` of every neighbour at once, as two arrays indexed
         by flipped bit, equal to it bit for bit."""
         lmin, lmax = self.all_extremes(spectra)
-        eta = self.eta(lmax)
+        eta = eigvalsh_margin(self.n, lmax)
         return (gram_kappas(lmin + eta, lmax - eta, self.n),
                 gram_kappas(lmin - eta, lmax + eta, self.n))
 
@@ -187,7 +180,7 @@ class RitzScreen:
         self.n = n
         self.symmetric = kind == "symmetric"
         self.rows, self.cols = rows + 1, cols + 1
-        self.eta = n * n * ETA_PER_N2_LMAX * n * n
+        self.eta = eigvalsh_margin(n, n * n)
 
     def flip(self, a: np.ndarray, i: int) -> np.ndarray:
         """The matrix a with bit i flipped, as float64: the entries of what

@@ -24,7 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from approxhad import search  # noqa: E402
-from approxhad.linalg import SINGULAR_TOLERANCE_PER_N, gram_float64  # noqa: E402
+from approxhad.linalg import SINGULAR_TOLERANCE_PER_N, eigvalsh_margin, gram_float64  # noqa: E402
 from approxhad.search import StructureClass  # noqa: E402
 from approxhad.spectral import RitzScreen  # noqa: E402
 
@@ -65,7 +65,7 @@ def test_screen_matches_eigvalsh(case, data):
         flipped[i] ^= 1
         lmin_exact, lmax_exact, kappa = exact_path(sclass, n, flipped)
         lmin, lmax = screen.extremes(spectra, i)
-        half_eta = screen.eta(lmax) / 2
+        half_eta = eigvalsh_margin(n, lmax) / 2
         assert abs(lmin - lmin_exact) <= half_eta, (name, n, i)
         assert abs(lmax - lmax_exact) <= half_eta, (name, n, i)
         lo, hi = screen.kappa_bounds(spectra, i)

@@ -7,7 +7,7 @@ matrix's +1 pattern packed row-major with np.packbits, in hex.  The
 values were recorded with NumPy 2.4.6 and its bundled OpenBLAS on x86-64
 while the Gram was still an int64 product.  They depend on LAPACK's
 eigvalsh, which a build that rounds differently can move, and on the raw
-Philox4x64 stream that anneal reads through search._Draws; they no longer
+Philox4x64 stream that anneal reads through linalg.Draws; they no longer
 depend on numpy.random.Generator's methods, whose streams a NumPy release
 may change.
 """

@@ -31,8 +31,8 @@ import numpy as np
 import pytest
 
 from approxhad import search
-from approxhad.linalg import condition_number
-from approxhad.search import StructureClass, anneal, _Draws
+from approxhad.linalg import Draws, condition_number, eigvalsh_margin
+from approxhad.search import StructureClass, anneal
 from approxhad.spectral import SCREENED_KINDS, RitzScreen, SpectralScreen
 from test_search_determinism import ANNEAL_PANEL, FALLBACK_BUDGET, FALLBACK_PANEL, pattern
 from test_search_determinism import BUDGET as ANNEAL_PANEL_BUDGET
@@ -106,7 +106,7 @@ def shifted_extremes(direction, calls):
     def shifted(self, spectra, i):
         calls.append(i)
         lmin, lmax = extremes(self, spectra, i)
-        half = self.eta(lmax) / 2
+        half = eigvalsh_margin(self.n, lmax) / 2
         s = direction(i)
         return lmin + s * half, lmax - s * half
 
@@ -122,7 +122,7 @@ def shifted_all_extremes(direction, calls):
     def shifted(self, spectra):
         lmin, lmax = all_extremes(self, spectra)
         calls.append(len(lmin))
-        half = self.eta(lmax) / 2
+        half = eigvalsh_margin(self.n, lmax) / 2
         s = np.array([direction(i) for i in range(len(lmin))])
         return lmin + s * half, lmax - s * half
 
@@ -192,24 +192,23 @@ def test_exact_classes_have_no_screen():
     assert search._screen(StructureClass("symmetric"), 7) is None
 
 
-def run_early(monkeypatch, after, first=search._RUN_FIRST, cap=search._RUN_CAP):
-    """Try a rejection run once `after` moves in a row were rejected (0:
-    before every move), with runs of first moves doubling up to cap."""
+def run_early(monkeypatch, after, moves=search._RUN_MOVES):
+    """Try a rejection run of up to `moves` moves once `after` moves in a
+    row were rejected (0: before every move)."""
     monkeypatch.setattr(search, "_RUN_AFTER", after)
-    monkeypatch.setattr(search, "_RUN_FIRST", first)
-    monkeypatch.setattr(search, "_RUN_CAP", cap)
+    monkeypatch.setattr(search, "_RUN_MOVES", moves)
 
 
 def count_run_moves(monkeypatch) -> list:
     """A list that each committed rejection run appends its length to."""
     lengths = []
-    commit = _Draws.commit
+    commit = Draws.commit
 
     def counted(self, j):
         lengths.append(j)
         commit(self, j)
 
-    monkeypatch.setattr(_Draws, "commit", counted)
+    monkeypatch.setattr(Draws, "commit", counted)
     return lengths
 
 
@@ -240,13 +239,15 @@ def test_runs_across_restarts_keep_every_record(monkeypatch, n, name):
     # no run: a chain never rejects a whole budget in a row
     monkeypatch.setattr(search, "_RUN_AFTER", RESTART_BUDGET)
     want = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
-    # short runs, so that many end at the budget, a restart or a cut
-    run_early(monkeypatch, after=0, first=5, cap=40)
-    lengths = count_run_moves(monkeypatch)
-    got = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
-    assert got == want
-    assert sum(lengths) > 0
     assert all(effort["restarts"] for _, _, effort in want)
+    lengths = count_run_moves(monkeypatch)
+    # short runs, so that many end at the budget, a restart or a cut
+    for moves in (5, 40):
+        run_early(monkeypatch, after=0, moves=moves)
+        lengths.clear()
+        got = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
+        assert got == want, moves
+        assert sum(lengths) > 0, moves
 
 
 def test_runs_cover_most_moves(monkeypatch):
@@ -314,13 +315,15 @@ def test_ritz_runs_across_restarts_keep_every_record(monkeypatch, n, name):
     monkeypatch.setattr(search, "_FLOOR_AFTER", RESTART_BUDGET)
     monkeypatch.setattr(search, "_RUN_AFTER", RESTART_BUDGET)
     want = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
-    monkeypatch.setattr(search, "_FLOOR_AFTER", 0)
-    run_early(monkeypatch, after=0, first=5, cap=40)
-    lengths = count_run_moves(monkeypatch)
-    got = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
-    assert got == want
-    assert sum(lengths) > 0
     assert all(effort["restarts"] for _, _, effort in want)
+    monkeypatch.setattr(search, "_FLOOR_AFTER", 0)
+    lengths = count_run_moves(monkeypatch)
+    for moves in (5, 40):
+        run_early(monkeypatch, after=0, moves=moves)
+        lengths.clear()
+        got = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
+        assert got == want, moves
+        assert sum(lengths) > 0, moves
 
 
 def test_ritz_floor_spares_exact_evaluations(monkeypatch):

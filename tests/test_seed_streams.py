@@ -3,38 +3,44 @@
 A Philox key given as a plain list of Python ints passes through float64
 above 2^63, so seed 2^64 - 1 ran seed 0's stream and 2^63 + 1 ran 2^63's.
 
-anneal reads its draws from the raw Philox outputs through search._Draws,
-and round_once its uniforms; the draw-for-draw tests hold both to
+Every seeded draw -- anneal's moves, round_once's uniforms and the
+permutations of flat_orthogonal(seed=) -- is read from the raw Philox
+outputs through linalg.Draws; the draw-for-draw tests hold it to
 numpy.random.Generator on the same key.
 """
 
+import math
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from approxhad import rounding, search
-from approxhad.flatten import flat_orthogonal
-from approxhad.linalg import philox
+from approxhad import search
+from approxhad.constructions import build_catalog
+from approxhad.flatten import OrthMatrix, flat_orthogonal, submatrix_orthogonalize
+from approxhad.linalg import Draws
 from approxhad.rounding import RoundingPlan, round_once
-from approxhad.search import StructureClass, anneal, _Draws
+from approxhad.search import StructureClass, anneal
+from test_search_determinism import ANNEAL_PANEL, BUDGET, pattern
 
 COLLIDING_PAIRS = [(2**64 - 1, 0), (2**63, 2**63 + 1)]
+
+
+def generator(seed, counter=0):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, counter], dtype=np.uint64)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31, 2**62, 2**63 - 1])
 @pytest.mark.parametrize("counter", [0, 5, 2**40])
 def test_streams_below_2_63_unchanged(seed, counter):
     legacy = np.random.Generator(np.random.Philox(key=[seed, counter]))
-    assert np.array_equal(philox(seed, counter).integers(0, 2**63, 8),
-                          legacy.integers(0, 2**63, 8))
+    assert np.array_equal(Draws(seed, counter).uniforms(8), legacy.random(8))
 
 
 @pytest.mark.parametrize("seed, counter", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
 def test_key_outside_64_bits_rejected(seed, counter):
     with pytest.raises(ValueError):
-        philox(seed, counter)
+        Draws(seed, counter)
 
 
 @pytest.mark.parametrize("a, b", COLLIDING_PAIRS)
@@ -69,8 +75,7 @@ HIGHS = [1, 2, 3, 4, 7, 8, 17, 105, 576, 841, 2**31, 2**32, 3 * 2**30, 2**31 + 1
 
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
 def test_draws_match_generator(seed):
-    draws = _Draws(seed)
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    draws, gen = Draws(seed, 0), generator(seed)
     script = random.Random(seed)
     for step in range(20000):
         pick = script.random()
@@ -85,8 +90,20 @@ def test_draws_match_generator(seed):
             assert draws.integers(high) == gen.integers(high), (step, high)
 
 
-def generator(seed):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+PERMUTATION_SEEDS = [0, 1, 7, 123, 2**64 - 1]
+PERMUTATION_SIZES = [1, 2, 3, 4, 12, 24, 28, 96, 100, 128, 256, 1000]
+
+
+@pytest.mark.parametrize("seed", PERMUTATION_SEEDS)
+def test_permutation_matches_generator(seed):
+    for m in PERMUTATION_SIZES:
+        draws, gen = Draws(seed, 0), generator(seed)
+        # two calls in a row, as flat_orthogonal makes: the second starts
+        # on the 32-bit half the first may leave pending
+        for call in range(2):
+            assert np.array_equal(draws.permutation(m), gen.permutation(m)), (m, call)
+        assert draws.random() == gen.random(), m
+        assert draws.integers(7) == gen.integers(7), m
 
 
 # 2^31 + 1 and 3 * 2^30 give a Lemire low word below high in about half
@@ -119,7 +136,7 @@ PEEK_COMMITS = [("none",), ("one",), ("all",), ("one", "all"), ("none", "one"), 
 def test_peek_matches_scalar_draws(seed, high):
     for kept_half in (False, True):
         for commits in PEEK_COMMITS:
-            draws, gen = _Draws(seed), generator(seed)
+            draws, gen = Draws(seed, 0), generator(seed)
             for _ in range(37):
                 assert draws.random() == gen.random()
             if kept_half:
@@ -152,7 +169,7 @@ def test_peek_matches_scalar_draws(seed, high):
 
 @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
 def test_peek_reads_nothing_when_high_is_1(seed):
-    draws, gen = _Draws(seed), generator(seed)
+    draws, gen = Draws(seed, 0), generator(seed)
     assert draws.integers(5) == gen.integers(5)
     ints, us = draws.peek(1, 100)
     assert len(ints) == len(us) == 0
@@ -174,28 +191,42 @@ def test_run_temperatures_match_sequential_decay(t0):
 @pytest.mark.parametrize("high", [0, -1, 2**32 + 1])
 def test_draws_reject_high_outside_32_bits(high):
     with pytest.raises(ValueError):
-        _Draws(0).integers(high)
-
-
-@pytest.mark.parametrize("name", ["circulant_core", "general"])
-def test_anneal_draws_only_raw_outputs(monkeypatch, name):
-    sclass = StructureClass(name)
-    want = anneal(9, sclass, 3, 400)
-    # any Generator method anneal called would now raise AttributeError
-    monkeypatch.setattr(search, "philox", lambda seed, counter: SimpleNamespace(
-        bit_generator=philox(seed, counter).bit_generator))
-    got = anneal(9, sclass, 3, 400)
-    assert (got.kappa, got.effort) == (want.kappa, want.effort)
-    assert np.array_equal(got.matrix.entries, want.matrix.entries)
+        Draws(0, 0).integers(high)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
-def test_round_once_draws_generator_uniforms(seed, monkeypatch):
+def test_round_once_draws_generator_uniforms(seed):
     plan = RoundingPlan(target=flat_orthogonal(22)[0], trials=64, master_seed=seed)
-    want = [np.where(philox(seed, t).random((22, 22)) < (1.0 + plan.scaled) / 2.0, 1, -1)
-            for t in (0, 1, 63)]
-    # any Generator method round_once called would now raise AttributeError
-    monkeypatch.setattr(rounding, "philox", lambda seed, counter: SimpleNamespace(
-        bit_generator=philox(seed, counter).bit_generator))
-    got = [round_once(plan, t).entries for t in (0, 1, 63)]
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for t in (0, 1, 63):
+        want = np.where(generator(seed, t).random((22, 22)) < (1.0 + plan.scaled) / 2.0, 1, -1)
+        assert np.array_equal(round_once(plan, t).entries, want), t
+
+
+def flattened_by_generator(n, seed):
+    """flat_orthogonal(n, seed=seed) by its rule, with the two permutations
+    drawn by Generator.permutation on the key (seed, 0)."""
+    catalog = build_catalog(256)
+    m = min(m for m in catalog.orders() if m >= n)
+    gen = generator(seed)
+    h = catalog.build(m).entries
+    h = h[gen.permutation(m), :][:, gen.permutation(m)]
+    return submatrix_orthogonalize(OrthMatrix.from_array(h / math.sqrt(m)), m - n).entries
+
+
+def test_no_generator_is_made(monkeypatch):
+    panel = [row for row in ANNEAL_PANEL if row[:3] in {(7, "general", 0), (11, "circulant_core", 0)}]
+    assert len(panel) == 2
+    plan = RoundingPlan(target=flat_orthogonal(22)[0], trials=2, master_seed=5)
+    want_round = np.where(generator(5, 1).random((22, 22)) < plan.plus_probability, 1, -1)
+    want_flat = flattened_by_generator(23, 5)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a numpy.random.Generator was made")
+
+    monkeypatch.setattr(np.random, "Generator", no_generator)
+    for n, name, seed, kappa_hex, restarts, plus in panel:
+        rec = anneal(n, StructureClass.parse(name), seed, BUDGET)
+        assert (rec.kappa.hex(), rec.effort["restarts"], pattern(rec.matrix)) == \
+            (kappa_hex, restarts, plus)
+    assert np.array_equal(round_once(plan, 1).entries, want_round)
+    assert np.array_equal(flat_orthogonal(23, seed=5)[0].entries, want_flat)
