@@ -213,20 +213,29 @@ def flattened_by_generator(n, seed):
     return submatrix_orthogonalize(OrthMatrix.from_array(h / math.sqrt(m)), m - n).entries
 
 
+def no_generator(*args, **kwargs):
+    raise AssertionError("a numpy.random.Generator was made")
+
+
+@pytest.mark.parametrize("name", ["circulant_core", "general"])
+def test_anneal_draws_only_raw_outputs(monkeypatch, name):
+    (n, _, seed, kappa_hex, restarts, plus), = [
+        row for row in ANNEAL_PANEL if row[1:3] == (name, 0) and row[0] in (7, 11)]
+    sclass = StructureClass(name)
+    want = anneal(9, sclass, 3, 400)
+    monkeypatch.setattr(np.random, "Generator", no_generator)
+    got = anneal(9, sclass, 3, 400)
+    assert (got.kappa, got.effort) == (want.kappa, want.effort)
+    assert np.array_equal(got.matrix.entries, want.matrix.entries)
+    rec = anneal(n, sclass, seed, BUDGET)
+    assert (rec.kappa.hex(), rec.effort["restarts"], pattern(rec.matrix)) == \
+        (kappa_hex, restarts, plus)
+
+
 def test_no_generator_is_made(monkeypatch):
-    panel = [row for row in ANNEAL_PANEL if row[:3] in {(7, "general", 0), (11, "circulant_core", 0)}]
-    assert len(panel) == 2
     plan = RoundingPlan(target=flat_orthogonal(22)[0], trials=2, master_seed=5)
     want_round = np.where(generator(5, 1).random((22, 22)) < plan.plus_probability, 1, -1)
     want_flat = flattened_by_generator(23, 5)
-
-    def no_generator(*args, **kwargs):
-        raise AssertionError("a numpy.random.Generator was made")
-
     monkeypatch.setattr(np.random, "Generator", no_generator)
-    for n, name, seed, kappa_hex, restarts, plus in panel:
-        rec = anneal(n, StructureClass.parse(name), seed, BUDGET)
-        assert (rec.kappa.hex(), rec.effort["restarts"], pattern(rec.matrix)) == \
-            (kappa_hex, restarts, plus)
     assert np.array_equal(round_once(plan, 1).entries, want_round)
     assert np.array_equal(flat_orthogonal(23, seed=5)[0].entries, want_flat)
