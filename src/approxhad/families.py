@@ -231,7 +231,11 @@ def sds_search(half: int) -> list[SdsPair]:
     offsets = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
     j = order[np.repeat(lo, counts) + offsets]
     canon = _canonical_codes(codes, half)
-    found = np.unique((canon[i] << half) | canon[j])
+    # sorted distinct pair codes; np.unique would import numpy.ma
+    found = np.sort((canon[i] << half) | canon[j])
+    keep = np.ones(len(found), dtype=bool)
+    keep[1:] = found[1:] != found[:-1]
+    found = found[keep]
     signs = ((found[:, None] >> np.arange(2 * half - 1, -1, -1)) & 1) * 2 - 1
     return [SdsPair(tuple(row[:half]), tuple(row[half:])) for row in signs.tolist()]
 

@@ -161,7 +161,8 @@ class Draws:
     Philox4x64 stream keyed by (seed, counter), both in [0, 2^64), where a
     NumPy release cannot change the rule (NEP 19).  integers, random and
     permutation return what NumPy 2.4.6's Generator methods of those names
-    return on that key, and uniforms(k) what random(k) does, draw for draw.
+    return on that key, and uniforms(k) what random(k) does, draw for draw;
+    bits53(k) gives the integers that uniforms(k) scales.
 
     A bounded integer takes Lemire's method (Lemire 2019) on 32-bit draws,
     each 64-bit output giving its low half first and keeping its high half
@@ -226,11 +227,19 @@ class Draws:
         """A uniform double in [0, 1)."""
         return (self._next64() >> 11) * 2.0 ** -53
 
+    def bits53(self, k: int) -> np.ndarray:
+        """The top 53 bits of the next k outputs, as a uint64 array: the
+        integers that k draws of `random` scale by 2^-53."""
+        if self._at == len(self._buf):
+            raw = self._raw(k)  # nothing buffered: no copy through the buffer
+        else:
+            raw = self._ahead(k)[:k]
+            self._at += k
+        return raw >> np.uint64(11)
+
     def uniforms(self, k: int) -> np.ndarray:
         """k draws of `random`, as a float64 array."""
-        raw = self._ahead(k)[:k]
-        self._at += k
-        return (raw >> np.uint64(11)) * 2.0 ** -53
+        return self.bits53(k) * 2.0 ** -53
 
     def permutation(self, m: int) -> np.ndarray:
         """A uniform permutation of range(m), m <= 2^32: Fisher-Yates from the

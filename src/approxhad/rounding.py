@@ -8,19 +8,26 @@ number certificate through Weyl's inequality.
 
 RNG contract: trial t of a plan with master seed s reads its n*n uniforms,
 in row-major entry order, from `linalg.Draws(s, t).uniforms`.  This is
-deterministic across runs, machines, and worker counts.
+deterministic across runs, machines, and worker counts.  The draw is made
+on integers: the uniform k 2^-53 of a draw's top 53 bits k is below p
+exactly when k < ceil(p 2^53), since scaling by 2^53 is exact, so the
+plan keeps those thresholds and the signs are built as int8 with no float
+uniforms.
 
 Best of trials: `round_best` reports the trial of least kappa (ties to the
 lower index) and the least ||X - EX||_op over all trials, but only the
 trials that can decide them get an exact eigensolve.  Every trial is
 drawn as above and gets probe vectors from a few power steps and one
 solve against the squared Gram (X^T X)^2, which is two steps of inverse
-iteration in one LU.  It is then passed to `condition_number` and
-`operator_norm` with the best exact value so far: these bound the value
-from below by Rayleigh quotients at the probes, which hold for any
-vector, lowered by a margin eta covering float rounding and the
-eigensolver's error, and return without an eigensolve when the bound
-exceeds the best value, so the trial can neither win nor tie.  Trials are
+iteration in one LU.  E's steps run in float32, and the Grams are formed
+in float32 while n^3 <= 2^24: their partial sums are integers of
+magnitude at most n^3, so the LU sees the exact (X^T X)^2 either way.
+The trial is then passed to `condition_number` and `operator_norm` with
+the best exact value so far: these bound the value from below by
+Rayleigh quotients at the probes, which hold for any vector, lowered by a
+margin eta covering float rounding and the eigensolver's error, and
+return without an eigensolve when the bound exceeds the best value, so
+the trial can neither win nor tie.  Trials are
 visited in ascending order of the quotients' estimate, so that the best
 values come early.  A trial whose draw repeats an earlier trial's matrix
 is skipped.  So the reported trial, kappa, error norm and matrix are bit
@@ -37,8 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .flatten import OrthMatrix
-from .linalg import (Draws, SignMatrix, SpectralReport, condition_number, gram_float64,
-                     operator_norm)
+from .linalg import Draws, SignMatrix, SpectralReport, condition_number, operator_norm
 
 __all__ = [
     "RoundingPlan",
@@ -64,6 +70,12 @@ class RoundingPlan:
     def plus_probability(self) -> np.ndarray:
         """(1 + scaled)/2, the chance that each entry rounds to +1; computed once."""
         return (1.0 + self.scaled) / 2.0
+
+    @cached_property
+    def thresholds(self) -> np.ndarray:
+        """ceil(plus_probability 2^53) as uint64, the draw's integer
+        thresholds (see the RNG contract above); computed once."""
+        return np.ceil(self.plus_probability * 2.0 ** 53).astype(np.uint64)
 
     @property
     def n(self) -> int:
@@ -110,10 +122,11 @@ def bernstein_bound(n: int, u: float) -> BernsteinCertificate:
 def round_once(plan: RoundingPlan, trial_index: int) -> SignMatrix:
     """One rounding draw: entry (i, j) is +1 with probability (1 + scaled_ij)/2.
 
-    Its uniform is draw i n + j of Draws(master_seed, trial_index).uniforms."""
+    Its uniform is draw i n + j of Draws(master_seed, trial_index).uniforms,
+    tested through the plan's integer threshold."""
     n = plan.n
-    uniforms = Draws(plan.master_seed, trial_index).uniforms(n * n)
-    return SignMatrix(np.where(uniforms.reshape(n, n) < plan.plus_probability, 1, -1))
+    plus = Draws(plan.master_seed, trial_index).bits53(n * n).reshape(n, n) < plan.thresholds
+    return SignMatrix(plus.view(np.int8) * np.int8(2) - np.int8(1))
 
 
 @dataclass(frozen=True)
@@ -125,7 +138,7 @@ class RoundingResult:
     best_trial: int
 
 
-# Trials whose probes are formed together: one float64 (_BLOCK, n, n) stack
+# Trials whose probes are formed together: one (_BLOCK, n, n) stack
 # per array, so memory does not grow with the trial count.
 _BLOCK = 8
 _E_STEPS = 24  # power steps towards the top right singular vector of E
@@ -163,11 +176,16 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.concatenate([_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
 
 
-def _squared_gram(x: np.ndarray) -> np.ndarray:
-    """(X^T X)^2 for each trial of a stack, exact in float64 while
-    n^3 < 2^53: every partial sum is an integer of magnitude at most n^3."""
-    g = gram_float64(x)
-    return g @ g
+def _squared_gram(x8: np.ndarray) -> np.ndarray:
+    """(X^T X)^2 for each trial of an int8 stack, as float64 and exact: every
+    partial sum of both products is an integer of magnitude at most n^3, so
+    they are formed in float32 while n^3 <= 2^24, else in float64."""
+    n = x8.shape[-1]
+    f = x8.astype(np.float32 if n ** 3 <= 2 ** 24 else np.float64)
+    g = f.swapaxes(-1, -2) @ f
+    del f  # each stack is freed once used, which keeps the peak down
+    g = g @ g
+    return g.astype(np.float64, copy=False)
 
 
 def _ritz_min(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -194,19 +212,19 @@ def _probes(plan: RoundingPlan, x8: np.ndarray):
     Also the estimates of ||E||_op^2 and kappa^2 that those quotients give,
     as visiting orders: -inf where there is none, which visits first."""
     n = plan.n
-    x = x8.astype(np.float64)
-    e = x - plan.scaled
+    e = x8 - plan.scaled.astype(np.float32)
     start = np.cos(np.outer(np.arange(1, n + 1), np.arange(1, _INVERSE_COLUMNS + 1)))
     with np.errstate(all="ignore"):
-        v = _power(e.astype(np.float32), np.ones((len(x), n, 1), np.float32), _E_STEPS)
-        v = v.astype(np.float64)
+        v = _power(e, np.ones((len(x8), n, 1), np.float32), _E_STEPS)
         e_order = _rayleigh(e, v)
         del e  # freed before the Gram stacks exist, which keeps the peak down
+        v = v.astype(np.float64)
+        x = x8.astype(np.float64)
         v_max = _power(x, v, _GRAM_STEPS)
         b = np.repeat(start[None], len(x), axis=0)
         b[..., :1] = np.where(np.isfinite(v), v, 1.0)
         # two steps of inverse iteration on X^T X in one LU per trial
-        w = _solve(_squared_gram(x), b)
+        w = _solve(_squared_gram(x8), b)
         w = w / np.sqrt(_sq_norms(w))[..., None, :]
         bad = ~np.isfinite(w).all(axis=(-2, -1))
         w[bad] = b[bad]

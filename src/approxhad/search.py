@@ -232,34 +232,29 @@ def _logabsdet(a: np.ndarray) -> float:
 
 
 class _Best:
-    """Tracks the incumbent under (kappa, -|det|, lexicographic bits)."""
+    """Tracks the incumbent under (kappa, -|det|, lexicographic bits).  |det|
+    is formed only when a kappa ties, from a copy of the incumbent's matrix."""
 
     def __init__(self):
         self.kappa = math.inf
-        self.logdet = -math.inf
-        self.bits: tuple[int, ...] | None = None
+        self.bits: list[int] | None = None
+        self._matrix: np.ndarray | None = None
+        self._logdet: float | None = None
 
     def offer(self, kappa: float, bits: np.ndarray, matrix: np.ndarray) -> bool:
-        if self.bits is None:
-            self._take(kappa, bits, matrix)
-            return True
-        if kappa > self.kappa + _KAPPA_TIE:
-            return False
-        if kappa < self.kappa - _KAPPA_TIE:
-            self._take(kappa, bits, matrix)
-            return True
-        logdet = _logabsdet(matrix)
-        key_new = (-logdet, tuple(int(b) for b in bits))
-        key_old = (-self.logdet, self.bits)
-        if key_new < key_old:
-            self._take(kappa, bits, matrix, logdet)
-            return True
-        return False
-
-    def _take(self, kappa, bits, matrix, logdet=None):
-        self.kappa = kappa
-        self.logdet = _logabsdet(matrix) if logdet is None else logdet
-        self.bits = tuple(int(b) for b in bits)
+        logdet = None
+        if self.bits is not None:
+            if kappa > self.kappa + _KAPPA_TIE:
+                return False
+            if not kappa < self.kappa - _KAPPA_TIE:  # a tie
+                if self._logdet is None:
+                    self._logdet = _logabsdet(self._matrix)
+                logdet = _logabsdet(matrix)
+                if not (-logdet, bits.tolist()) < (-self._logdet, self.bits):
+                    return False
+        self.kappa, self.bits, self._logdet = kappa, bits.tolist(), logdet
+        self._matrix = matrix.copy()
+        return True
 
     def record(self, n: int, sclass: StructureClass, seed: int, effort: dict) -> SearchRecord:
         """The incumbent as a search result."""

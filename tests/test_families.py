@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -134,6 +137,17 @@ class TestSdsSearch:
     def test_too_large(self):
         with pytest.raises(ValueError):
             sds_search(17)
+
+    def test_table_row_6_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on first use, which a fresh table
+        # process reaching an even order would pay for
+        code = ("import sys\nfrom approxhad.cli import main\n"
+                "assert main(['table', '--min', '6', '--max', '6']) == 0\n"
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == "False", out.stdout
 
     @pytest.mark.parametrize("half", [2, 3, 4, 5, 6, 7, 8, 9])
     def test_all_returned_pairs_valid(self, half):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,73 @@ class TestRoundOnce:
             acc += round_once(plan, t).entries
         mean = acc / T
         assert np.abs(mean - scaled).max() <= 4 / math.sqrt(T)
+
+
+def edge_probabilities():
+    """0, 1, the two probabilities next to them, 1/2, and the float
+    neighbours on both sides of k 2^-53 for small and large k."""
+    ps = [0.0, 2.0**-53, 0.5, 1 - 2.0**-53, 1.0]
+    for k in (1, 2, 3, 5, 2**26 + 1, 2**52 - 1, 2**52, 2**52 + 1, 3**33, 2**53 - 1):
+        x = k * 2.0**-53
+        ps += [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, 2.0))]
+    return [p for p in ps if p <= 1.0]
+
+
+class TestThresholdDraw:
+    """round_once compares a draw's top 53 bits k with the integer threshold
+    T = ceil(p 2^53), which must decide exactly as the uniform k 2^-53 < p."""
+
+    def test_thresholds_are_exact_ceilings(self):
+        plan = RoundingPlan(target=flat_orthogonal(46)[0], trials=1, master_seed=0)
+        want = [math.ceil(Fraction(p) * 2**53) for p in plan.plus_probability.ravel().tolist()]
+        assert plan.thresholds.dtype == np.uint64
+        assert plan.thresholds.ravel().tolist() == want
+
+    def test_edge_draws_match_the_float_test(self, monkeypatch):
+        probs, raws = [], []
+        for p in edge_probabilities():
+            t = math.ceil(Fraction(p) * 2**53)
+            for top in sorted({max(t - 1, 0), min(t, 2**53 - 1)}):
+                for low in (0, 2**11 - 1):
+                    probs.append(p)
+                    raws.append(top << 11 | low)
+        n = math.isqrt(len(raws) - 1) + 1
+        raws += [0] * (n * n - len(raws))
+        probs += [0.5] * (n * n - len(probs))
+        raw = np.array(raws, dtype=np.uint64)
+
+        class CraftedPhilox:
+            def __init__(self, key):
+                pass
+
+            def random_raw(self, k):
+                return raw[:k].copy()
+
+        plan = RoundingPlan(target=flat_orthogonal(n)[0], trials=1, master_seed=0)
+        plan.__dict__["plus_probability"] = np.array(probs).reshape(n, n)
+        monkeypatch.setattr(np.random, "Philox", CraftedPhilox)
+        uniforms = (raw >> np.uint64(11)) * 2.0**-53
+        want = np.where(uniforms < np.array(probs), 1, -1).reshape(n, n)
+        assert np.array_equal(round_once(plan, 0).entries, want)
+        assert {1, -1} <= set(want.ravel().tolist())  # the draws reach both outcomes
+
+
+class TestExactProducts:
+    """_probes forms (X^T X)^2 in float32 while n^3 <= 2^24 and in float64
+    above; either way it must equal the int64 product, so the LU that
+    follows sees the matrix it saw before the float32 products."""
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_squared_gram_matches_int64(self, n):
+        rng = np.random.default_rng(n)
+        x = np.ones((3, n, n), dtype=np.int8)
+        x[1:] = np.where(rng.random((2, n, n)) < 0.5, 1, -1)
+        g = np.einsum("tki,tkj->tij", x.astype(np.int64), x.astype(np.int64))
+        want = np.einsum("tik,tkj->tij", g, g)
+        got = rounding._squared_gram(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert got[0, 0, 0] == n**3  # all +1: every entry is n^3, 2^24 at n = 256
 
 
 class TestRoundBest:

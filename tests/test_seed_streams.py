@@ -90,6 +90,18 @@ def test_draws_match_generator(seed):
             assert draws.integers(high) == gen.integers(high), (step, high)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_bits53_continues_the_stream(seed):
+    # after an integer draw the reader holds buffered outputs and a kept
+    # 32-bit half: bits53 reads on from the buffer and leaves the half
+    draws, gen = Draws(seed, 0), generator(seed)
+    for k in (3, 300, 1):
+        assert draws.integers(7) == gen.integers(7)
+        assert np.array_equal(draws.bits53(k) * 2.0**-53, gen.random(k))
+    assert draws.integers(1000) == gen.integers(1000)
+    assert draws.random() == gen.random()
+
+
 PERMUTATION_SEEDS = [0, 1, 7, 123, 2**64 - 1]
 PERMUTATION_SIZES = [1, 2, 3, 4, 12, 24, 28, 96, 100, 128, 256, 1000]
 
