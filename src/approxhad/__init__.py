@@ -42,7 +42,6 @@ from .flatten import (
     submatrix_orthogonalize,
 )
 from .linalg import (
-    GramMatrix,
     IntPolynomial,
     SignMatrix,
     SpectralReport,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .finite_field import _IRREDUCIBLE, FiniteFieldSpec, field_for, is_prime
+from .finite_field import FiniteFieldSpec, field_for, supported_field_orders
 from .linalg import SignMatrix, kronecker
 
 __all__ = [
@@ -129,12 +129,6 @@ class Recipe:
         return f"kron({a}, {b})"
 
 
-def _supported_prime_powers(limit: int) -> list[int]:
-    out = [q for q in range(2, limit + 1) if is_prime(q)]
-    out.extend(q for q in _IRREDUCIBLE if q <= limit)
-    return sorted(out)
-
-
 @dataclass(frozen=True)
 class HadamardOrderCatalog:
     """Constructible Hadamard orders up to max_order, each with a recipe.
@@ -151,11 +145,12 @@ class HadamardOrderCatalog:
     def build(self, m: int) -> SignMatrix:
         if m not in self.constructible:
             raise CatalogGapError(
-                f"order {m} is not constructible", *self._nearest(m)
+                f"order {m} is not constructible", *self.nearest(m)
             )
         return self.constructible[m].build()
 
-    def _nearest(self, n: int) -> tuple[int | None, int | None]:
+    def nearest(self, n: int) -> tuple[int | None, int | None]:
+        """The largest catalog order below n and the smallest above it."""
         orders = self.orders()
         below = max((m for m in orders if m < n), default=None)
         above = min((m for m in orders if m > n), default=None)
@@ -175,7 +170,7 @@ def build_catalog(max_order: int = 256) -> HadamardOrderCatalog:
     while 2**t <= max_order:
         known[2**t] = Recipe("sylvester", t)
         t += 1
-    for q in _supported_prime_powers(max_order - 1):
+    for q in supported_field_orders(max_order - 1):
         if q % 4 == 3 and q + 1 <= max_order:
             known.setdefault(q + 1, Recipe("paley1", q))
         elif q % 4 == 1 and 2 * (q + 1) <= max_order:
@@ -212,7 +207,7 @@ def smallest_order_at_least(
     for m in catalog.orders():
         if m >= n:
             return m, catalog.constructible[m]
-    raise CatalogGapError(f"no constructible order >= {n}", *catalog._nearest(n))
+    raise CatalogGapError(f"no constructible order >= {n}", *catalog.nearest(n))
 
 
 def gap_bound(a: int, b: int, c: int, n: int) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FiniteFieldSpec", "PrimePowerField", "is_prime", "field_for"]
+__all__ = ["FiniteFieldSpec", "PrimePowerField", "is_prime", "field_for", "supported_field_orders"]
 
 # monic irreducible polynomials over GF(p), constant term first
 _IRREDUCIBLE = {
@@ -40,6 +40,12 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def supported_field_orders(limit: int) -> list[int]:
+    """Every field order q <= limit that FiniteFieldSpec.of accepts, ascending."""
+    return sorted([q for q in range(2, limit + 1) if is_prime(q)]
+                  + [q for q in _IRREDUCIBLE if q <= limit])
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import (CatalogGapError, HadamardOrderCatalog, build_catalog,
-                            smallest_order_at_least)
+from .constructions import CatalogGapError, build_catalog, smallest_order_at_least
 from .linalg import Draws
 
 __all__ = [
@@ -105,11 +104,7 @@ def submatrix_orthogonalize(M: OrthMatrix, k: int) -> OrthMatrix:
     return OrthMatrix.from_array(out, defect_tol_per_n=1e-9 * n / (n - k))
 
 
-def flat_orthogonal(
-    n: int,
-    catalog: HadamardOrderCatalog | None = None,
-    seed: int | None = None,
-) -> tuple[OrthMatrix, FlatCertificate]:
+def flat_orthogonal(n: int, *, seed: int | None = None) -> tuple[OrthMatrix, FlatCertificate]:
     """Orthogonal matrix of order n with max entry <= 1/(sqrt(m) - k).
 
     Uses the smallest constructible Hadamard order m >= n with
@@ -117,15 +112,12 @@ def flat_orthogonal(
     permuted before the split (different splits give different flat
     matrices); the default split is the deterministic leading block.
     """
-    if catalog is None:
-        catalog = build_catalog(max(256, 2 * n))
-    try:
-        m, _ = smallest_order_at_least(n, catalog)
-    except ValueError:  # n < 1, or no constructible order >= n
-        m = None
+    # smallest_order_at_least rejects n < 1; else 2^t in [n, 2n] is an order m >= n
+    catalog = build_catalog(max(256, 2 * n))
+    m, _ = smallest_order_at_least(n, catalog)
     # m - sqrt(m) increases with m: no order above the smallest m >= n fits
-    if m is None or m - n >= math.sqrt(m):
-        below, above = catalog._nearest(n)
+    if m - n >= math.sqrt(m):
+        below, above = catalog.nearest(n)
         raise CatalogGapError(
             f"catalog gap at n={n}: no order m >= n with m - n < sqrt(m) "
             f"(nearest orders: {below}, {above})",

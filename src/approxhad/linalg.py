@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "SignMatrix",
-    "GramMatrix",
     "SpectralReport",
     "IntPolynomial",
     "SINGULAR_TOLERANCE_PER_N",
@@ -83,33 +82,6 @@ class SignMatrix:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Exact integer A^T A of a sign matrix: symmetric PSD, diagonal n,
-    off-diagonal entries congruent to n mod 2."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.entries, dtype=np.int64)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {g.shape}")
-        n = g.shape[0]
-        if not np.array_equal(g, g.T):
-            raise ValueError("Gram matrix must be symmetric")
-        if not (np.diag(g) == n).all():
-            raise ValueError("Gram diagonal must equal the order")
-        off = g[~np.eye(n, dtype=bool)]
-        if off.size and ((np.abs(off) > n).any() or ((off - n) % 2 != 0).any()):
-            raise ValueError("off-diagonal entries must be |e| <= n and e == n mod 2")
-        g.setflags(write=False)
-        object.__setattr__(self, "entries", g)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class SpectralReport:
     sigma_min: float
     sigma_max: float
@@ -144,9 +116,10 @@ class IntPolynomial:
         return cls(tuple(int(t.strip()) for t in text.split(",")))
 
 
-def gram(A: SignMatrix) -> GramMatrix:
-    """Exact integer A^T A."""
-    return GramMatrix(gram_float64(A.entries))
+def gram(A: SignMatrix) -> np.ndarray:
+    """Exact integer A^T A as int64.  Nothing in the package calls it; it
+    stays because the bench tracer wraps it by name.  Use gram_float64."""
+    return gram_float64(A.entries).astype(np.int64)
 
 
 def gram_float64(a: np.ndarray) -> np.ndarray:
@@ -161,8 +134,8 @@ class Draws:
     Philox4x64 stream keyed by (seed, counter), both in [0, 2^64), where a
     NumPy release cannot change the rule (NEP 19).  integers, random and
     permutation return what NumPy 2.4.6's Generator methods of those names
-    return on that key, and uniforms(k) what random(k) does, draw for draw;
-    bits53(k) gives the integers that uniforms(k) scales.
+    return on that key, draw for draw; bits53(k) gives the integers that k
+    draws of random scale by 2^-53.
 
     A bounded integer takes Lemire's method (Lemire 2019) on 32-bit draws,
     each 64-bit output giving its low half first and keeping its high half
@@ -205,7 +178,9 @@ class Draws:
         """The next `need` or more unconsumed outputs, without consuming them."""
         unread = np.asarray(self._buf)[self._at:]
         if need > len(unread):
-            unread = np.concatenate([unread, self._raw(need - len(unread))])
+            fresh = self._raw(need - len(unread))
+            # nothing buffered: the fresh block itself, with no copy
+            unread = np.concatenate([unread, fresh]) if len(unread) else fresh
             self._buf, self._at = memoryview(unread), 0
         return unread
 
@@ -230,16 +205,9 @@ class Draws:
     def bits53(self, k: int) -> np.ndarray:
         """The top 53 bits of the next k outputs, as a uint64 array: the
         integers that k draws of `random` scale by 2^-53."""
-        if self._at == len(self._buf):
-            raw = self._raw(k)  # nothing buffered: no copy through the buffer
-        else:
-            raw = self._ahead(k)[:k]
-            self._at += k
+        raw = self._ahead(k)[:k]
+        self._at += k
         return raw >> np.uint64(11)
-
-    def uniforms(self, k: int) -> np.ndarray:
-        """k draws of `random`, as a float64 array."""
-        return self.bits53(k) * 2.0 ** -53
 
     def permutation(self, m: int) -> np.ndarray:
         """A uniform permutation of range(m), m <= 2^32: Fisher-Yates from the

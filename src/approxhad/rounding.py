@@ -6,8 +6,8 @@ is the target itself.  The matrix Bernstein inequality bounds the expected
 operator norm of the rounding error, which converts into a condition
 number certificate through Weyl's inequality.
 
-RNG contract: trial t of a plan with master seed s reads its n*n uniforms,
-in row-major entry order, from `linalg.Draws(s, t).uniforms`.  This is
+RNG contract: trial t of a plan with master seed s reads its n*n draws,
+in row-major entry order, from `linalg.Draws(s, t).bits53`.  This is
 deterministic across runs, machines, and worker counts.  The draw is made
 on integers: the uniform k 2^-53 of a draw's top 53 bits k is below p
 exactly when k < ceil(p 2^53), since scaling by 2^53 is exact, so the
@@ -122,8 +122,8 @@ def bernstein_bound(n: int, u: float) -> BernsteinCertificate:
 def round_once(plan: RoundingPlan, trial_index: int) -> SignMatrix:
     """One rounding draw: entry (i, j) is +1 with probability (1 + scaled_ij)/2.
 
-    Its uniform is draw i n + j of Draws(master_seed, trial_index).uniforms,
-    tested through the plan's integer threshold."""
+    It is +1 when draw i n + j of Draws(master_seed, trial_index).bits53
+    lies below the plan's integer threshold."""
     n = plan.n
     plus = Draws(plan.master_seed, trial_index).bits53(n * n).reshape(n, n) < plan.thresholds
     return SignMatrix(plus.view(np.int8) * np.int8(2) - np.int8(1))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 import approxhad.cli as cli
-from approxhad.constructions import build_catalog, gap_bound_exponent
+from approxhad.constructions import gap_bound_exponent
 from approxhad.families import circulant, conference_plus_identity, sds_block_matrix, sds_search, verify_barba
 from approxhad.flatten import OrthMatrix, flat_orthogonal, submatrix_orthogonalize
 from approxhad.linalg import SignMatrix, condition_number, minpoly_residual
@@ -100,11 +100,10 @@ def test_flatness_bound_equality_and_sweep():
     out = submatrix_orthogonalize(h4, 1)
     assert abs(out.max_abs_entry - 1.0) <= 1e-12  # equality case 1/(sqrt(4)-1)
 
-    catalog = build_catalog(256)
     covered = 0
     for n in range(3, 129):
         try:
-            orth, cert = flat_orthogonal(n, catalog)
+            orth, cert = flat_orthogonal(n)
         except Exception:
             continue
         assert cert.k < math.sqrt(cert.m)
@@ -118,8 +117,7 @@ def test_rounding_certificate_panel():
     assert gap_bound_exponent(4, 6) == Fraction(2, 5)
     assert gap_bound_exponent(6, 40) == Fraction(3, 23)
 
-    catalog = build_catalog(128)
-    orth, cert = flat_orthogonal(92, catalog)
+    orth, cert = flat_orthogonal(92)
     assert (cert.m, cert.k) == (96, 4)
     for seed in range(8):
         plan = RoundingPlan(target=orth, trials=64, master_seed=seed)

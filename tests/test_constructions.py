@@ -7,7 +7,6 @@ import pytest
 
 from approxhad.constructions import (
     CatalogGapError,
-    _supported_prime_powers,
     build_catalog,
     gap_bound,
     gap_bound_exponent,
@@ -17,13 +16,13 @@ from approxhad.constructions import (
     smallest_order_at_least,
     sylvester,
 )
-from approxhad.finite_field import FiniteFieldSpec, field_for
-from approxhad.linalg import condition_number, gram
+from approxhad.finite_field import FiniteFieldSpec, field_for, supported_field_orders
+from approxhad.linalg import condition_number, gram_float64
 
 
 def assert_hadamard(A):
     n = A.n
-    assert np.array_equal(gram(A).entries, n * np.eye(n, dtype=np.int64))
+    assert np.array_equal(gram_float64(A.entries), n * np.eye(n, dtype=np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +52,7 @@ class TestFiniteField:
         # sha256 over every supported q <= 256 of the subtraction table, the
         # sorted nonzero squares and the Jacobsthal matrix, each as int64
         digests = {k: hashlib.sha256() for k in ("sub", "squares", "jacobsthal")}
-        for q in _supported_prime_powers(256):
+        for q in supported_field_orders(256):
             f = field_for(q)
             squares = [x for x in range(1, q) if f.quadratic_character(x) == 1]
             for key, table in (("sub", f.sub), ("squares", squares),

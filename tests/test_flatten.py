@@ -96,45 +96,45 @@ class TestSubmatrixOrthogonalize:
 
 
 class TestFlatOrthogonal:
-    def test_n3_signed_permutation(self, catalog):
-        orth, cert = flat_orthogonal(3, catalog)
+    def test_n3_signed_permutation(self):
+        orth, cert = flat_orthogonal(3)
         assert (cert.m, cert.k) == (4, 1)
         assert cert.bound == pytest.approx(1.0)
         a = np.abs(orth.entries)
         assert np.allclose(np.sort(a, axis=None), [0] * 6 + [1] * 3, atol=1e-12)
 
-    def test_n4_is_scaled_hadamard(self, catalog):
-        orth, cert = flat_orthogonal(4, catalog)
+    def test_n4_is_scaled_hadamard(self):
+        orth, cert = flat_orthogonal(4)
         assert (cert.m, cert.k) == (4, 0)
         assert cert.max_entry == pytest.approx(0.5, abs=1e-15)
 
-    def test_n11_paley(self, catalog):
-        orth, cert = flat_orthogonal(11, catalog)
+    def test_n11_paley(self):
+        orth, cert = flat_orthogonal(11)
         assert (cert.m, cert.k) == (12, 1)
         assert cert.bound == pytest.approx(1.0 / (math.sqrt(12) - 1))
         assert cert.max_entry <= cert.bound + 1e-12
 
-    def test_n92_uses_96(self, catalog):
-        orth, cert = flat_orthogonal(92, catalog)
+    def test_n92_uses_96(self):
+        orth, cert = flat_orthogonal(92)
         assert (cert.m, cert.k) == (96, 4)
         assert cert.max_entry <= cert.bound + 1e-12
         assert orth.orthogonality_defect <= 1e-9 * 96
 
-    def test_seeded_split_differs_but_stays_flat(self, catalog):
-        a, ca = flat_orthogonal(11, catalog, seed=1)
-        b, cb = flat_orthogonal(11, catalog, seed=2)
-        base, _ = flat_orthogonal(11, catalog)
+    def test_seeded_split_differs_but_stays_flat(self):
+        a, ca = flat_orthogonal(11, seed=1)
+        b, cb = flat_orthogonal(11, seed=2)
+        base, _ = flat_orthogonal(11)
         assert not np.allclose(a.entries, b.entries)
         assert ca.max_entry <= ca.bound + 1e-12
         assert cb.max_entry <= cb.bound + 1e-12
         # determinism: same seed, same matrix
-        a2, _ = flat_orthogonal(11, catalog, seed=1)
+        a2, _ = flat_orthogonal(11, seed=1)
         assert np.array_equal(a.entries, a2.entries)
 
     def test_neumann_bound_on_hadamard_blocks(self, catalog):
         for n in (11, 30, 60, 92):
             m, recipe = None, None
-            orth, cert = flat_orthogonal(n, catalog)
+            orth, cert = flat_orthogonal(n)
             assert cert.max_entry >= 1.0 / math.sqrt(n) - 1e-12
             if cert.k == 0:
                 continue

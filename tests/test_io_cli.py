@@ -256,9 +256,13 @@ class TestCli:
         assert code == 0
         assert Registry(tmp_path).best(5) is not None
 
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_search_order_below_one_is_domain_error(self, capsys, n):
-        code, out, err = run_cli(capsys, "search", "--n", n)
+    @pytest.mark.parametrize("command, n", [
+        *(pytest.param("search", n, id=n) for n in ("0", "-3")),
+        *((command, n) for command in ("flatten", "round") for n in ("0", "-3")),
+    ])
+    def test_search_order_below_one_is_domain_error(self, capsys, command, n):
+        rest = ("--trials", "4", "--seed", "0") if command == "round" else ()
+        code, out, err = run_cli(capsys, command, "--n", n, *rest)
         assert code == 1
         assert err == "error: order must be >= 1\n"
 

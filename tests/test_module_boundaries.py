@@ -1,0 +1,32 @@
+"""No private name crosses a module boundary inside the package.
+
+A module of src/approxhad imports only public names from its siblings,
+and reads a leading-underscore attribute only on self or cls, so each
+private name has one module that knows it.  Dunders are public here.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "approxhad"
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def crossings(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "approxhad"):
+            for alias in node.names:
+                if is_private(alias.name):
+                    yield f"{path.name}:{node.lineno} imports {alias.name}"
+        elif isinstance(node, ast.Attribute) and is_private(node.attr) and not (
+                isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+            yield f"{path.name}:{node.lineno} reads .{node.attr}"
+
+
+def test_no_private_name_crosses_a_module():
+    found = [c for path in sorted(PACKAGE.glob("*.py")) for c in crossings(path)]
+    assert found == []

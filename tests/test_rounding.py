@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from approxhad import rounding
-from approxhad.constructions import build_catalog, paley_i
+from approxhad.constructions import paley_i
 from approxhad.flatten import OrthMatrix, flat_orthogonal
 from approxhad.linalg import SignMatrix, condition_number, operator_norm
 from approxhad.rounding import (
@@ -15,11 +15,6 @@ from approxhad.rounding import (
     round_best,
     round_once,
 )
-
-
-@pytest.fixture(scope="module")
-def catalog():
-    return build_catalog(128)
 
 
 class TestBernsteinBound:
@@ -72,14 +67,14 @@ class TestWeylSandwich:
 
 
 class TestRoundOnce:
-    def test_deterministic_entries_pass_through(self, catalog):
-        orth, _ = flat_orthogonal(4, catalog)  # scaled Hadamard: +-u entries
+    def test_deterministic_entries_pass_through(self):
+        orth, _ = flat_orthogonal(4)  # scaled Hadamard: +-u entries
         plan = RoundingPlan(target=orth, trials=1, master_seed=123)
         X = round_once(plan, 0)
         assert np.array_equal(X.entries, np.sign(orth.entries).astype(np.int64))
 
-    def test_deterministic_given_seed_and_trial(self, catalog):
-        orth, _ = flat_orthogonal(11, catalog)
+    def test_deterministic_given_seed_and_trial(self):
+        orth, _ = flat_orthogonal(11)
         plan = RoundingPlan(target=orth, trials=4, master_seed=7)
         a = round_once(plan, 2)
         b = round_once(plan, 2)
@@ -94,10 +89,10 @@ class TestRoundOnce:
         vals = [round_once(plan, t).entries[0, 0] for t in range(4000)]
         assert abs(np.mean(vals)) < 0.05
 
-    def test_unbiasedness_8x8(self, catalog):
-        orth, _ = flat_orthogonal(8, catalog)
+    def test_unbiasedness_8x8(self):
+        orth, _ = flat_orthogonal(8)
         # make a target with genuinely interior probabilities
-        orth11, _ = flat_orthogonal(11, catalog)
+        orth11, _ = flat_orthogonal(11)
         sub = orth11.entries[:8, :8]
         q, r = np.linalg.qr(sub)
         target = OrthMatrix.from_array(q)
@@ -179,23 +174,23 @@ class TestExactProducts:
 
 
 class TestRoundBest:
-    def test_hadamard_target_always_exact(self, catalog):
-        orth, _ = flat_orthogonal(16, catalog)
+    def test_hadamard_target_always_exact(self):
+        orth, _ = flat_orthogonal(16)
         plan = RoundingPlan(target=orth, trials=5, master_seed=1)
         result = round_best(plan)
         assert result.report.kappa == pytest.approx(1.0, abs=1e-12)
         assert result.best_trial == 0  # all trials identical; tie-break
         assert result.empirical_error_norm == pytest.approx(0.0, abs=1e-12)
 
-    def test_n3_flat_permutation(self, catalog):
-        orth, _ = flat_orthogonal(3, catalog)
+    def test_n3_flat_permutation(self):
+        orth, _ = flat_orthogonal(3)
         plan = RoundingPlan(target=orth, trials=64, master_seed=0)
         result = round_best(plan)
         assert math.isfinite(result.report.kappa)
         assert result.report.kappa >= 2.0 - 1e-9  # kappa(3) = 2 is optimal
 
-    def test_weyl_sandwich_every_trial(self, catalog):
-        orth, _ = flat_orthogonal(12, catalog)
+    def test_weyl_sandwich_every_trial(self):
+        orth, _ = flat_orthogonal(12)
         plan = RoundingPlan(target=orth, trials=16, master_seed=5)
         u = orth.max_abs_entry
         scaled = plan.scaled
@@ -206,8 +201,8 @@ class TestRoundBest:
             assert sv[-1] >= 1 / u - err - 1e-9
             assert sv[0] <= 1 / u + err + 1e-9
 
-    def test_deterministic_across_workers(self, catalog):
-        orth, _ = flat_orthogonal(20, catalog)
+    def test_deterministic_across_workers(self):
+        orth, _ = flat_orthogonal(20)
         plan = RoundingPlan(target=orth, trials=12, master_seed=3)
         r1 = round_best(plan, workers=1)
         r8 = round_best(plan, workers=8)
@@ -215,8 +210,8 @@ class TestRoundBest:
         assert r1.best_trial == r8.best_trial
         assert r1.empirical_error_norm == r8.empirical_error_norm
 
-    def test_certificate_attached(self, catalog):
-        orth, cert = flat_orthogonal(92, catalog)
+    def test_certificate_attached(self):
+        orth, cert = flat_orthogonal(92)
         plan = RoundingPlan(target=orth, trials=8, master_seed=0)
         result = round_best(plan)
         b = result.certificate

@@ -3,7 +3,7 @@
 A Philox key given as a plain list of Python ints passes through float64
 above 2^63, so seed 2^64 - 1 ran seed 0's stream and 2^63 + 1 ran 2^63's.
 
-Every seeded draw -- anneal's moves, round_once's uniforms and the
+Every seeded draw -- anneal's moves, round_once's bits53 draws and the
 permutations of flat_orthogonal(seed=) -- is read from the raw Philox
 outputs through linalg.Draws; the draw-for-draw tests hold it to
 numpy.random.Generator on the same key.
@@ -34,7 +34,7 @@ def generator(seed, counter=0):
 @pytest.mark.parametrize("counter", [0, 5, 2**40])
 def test_streams_below_2_63_unchanged(seed, counter):
     legacy = np.random.Generator(np.random.Philox(key=[seed, counter]))
-    assert np.array_equal(Draws(seed, counter).uniforms(8), legacy.random(8))
+    assert np.array_equal(Draws(seed, counter).bits53(8) * 2.0**-53, legacy.random(8))
 
 
 @pytest.mark.parametrize("seed, counter", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
@@ -100,6 +100,13 @@ def test_bits53_continues_the_stream(seed):
         assert np.array_equal(draws.bits53(k) * 2.0**-53, gen.random(k))
     assert draws.integers(1000) == gen.integers(1000)
     assert draws.random() == gen.random()
+    # on a fresh reader bits53 keeps the block it fetched, uncopied, as the
+    # buffer, and the draws after it read on from there
+    for k in (1, 3, 300):
+        draws, gen = Draws(seed, 0), generator(seed)
+        assert np.array_equal(draws.bits53(k) * 2.0**-53, gen.random(k))
+        assert draws.integers(7) == gen.integers(7)
+        assert draws.random() == gen.random()
 
 
 PERMUTATION_SEEDS = [0, 1, 7, 123, 2**64 - 1]
