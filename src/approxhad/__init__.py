@@ -46,7 +46,6 @@ from .linalg import (
     SignMatrix,
     SpectralReport,
     condition_number,
-    gram,
     kronecker,
     minpoly_residual,
 )

@@ -118,13 +118,11 @@ def cmd_construct(args) -> int:
         fam = sds_block_matrix(pairs[0])
     elif kind == "conference_plus_identity":
         fam = conference_plus_identity(n)
-    elif kind == "barba":
+    else:
         fx = bundled_fixtures().get(n)
         if fx is None or detect_gram_class(fx["matrix"]) != "barba":
             raise ValueError(f"no bundled Barba witness at order {n}")
         fam = verify_barba(fx["matrix"])
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
     _write_or_print(write_sign_matrix(fam.matrix), args.out)
     return 0
 

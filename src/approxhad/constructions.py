@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .finite_field import FiniteFieldSpec, field_for, supported_field_orders
+from .finite_field import PrimePowerField, supported_field_orders
 from .linalg import SignMatrix, kronecker
 
 __all__ = [
@@ -58,13 +58,13 @@ def sylvester(t: int) -> SignMatrix:
 def _bordered_jacobsthal(q: int, residue: int) -> np.ndarray:
     """[[0, 1^T], [s 1, Q]] for the Jacobsthal matrix Q of GF(q), q == residue
     mod 4, with s = +1 for residue 1 and s = -1 for residue 3."""
-    FiniteFieldSpec.of(q)  # an unsupported q fails before the residue check
+    jacobsthal = PrimePowerField(q).jacobsthal()  # an unsupported q fails first
     if q % 4 != residue:
         raise ValueError(f"q = {q} is not {residue} mod 4")
     c = np.zeros((q + 1, q + 1), dtype=np.int64)
     c[0, 1:] = 1
     c[1:, 0] = 1 if residue == 1 else -1
-    c[1:, 1:] = field_for(q).jacobsthal()
+    c[1:, 1:] = jacobsthal
     return c
 
 

@@ -78,10 +78,6 @@ class SdsPair:
     def half(self) -> int:
         return len(self.r)
 
-    def serialize(self) -> str:
-        to_txt = lambda seq: "".join("+" if v > 0 else "-" for v in seq)
-        return f"{to_txt(self.r)} {to_txt(self.s)}"
-
 
 @dataclass(frozen=True)
 class FamilyMatrix:

@@ -9,11 +9,9 @@ t; every table is built by array arithmetic on those vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["FiniteFieldSpec", "PrimePowerField", "is_prime", "field_for", "supported_field_orders"]
+__all__ = ["PrimePowerField", "is_prime", "supported_field_orders"]
 
 # monic irreducible polynomials over GF(p), constant term first
 _IRREDUCIBLE = {
@@ -43,39 +41,24 @@ def is_prime(n: int) -> bool:
 
 
 def supported_field_orders(limit: int) -> list[int]:
-    """Every field order q <= limit that FiniteFieldSpec.of accepts, ascending."""
+    """Every field order q <= limit that PrimePowerField accepts, ascending."""
     return sorted([q for q in range(2, limit + 1) if is_prime(q)]
                   + [q for q in _IRREDUCIBLE if q <= limit])
 
 
-@dataclass(frozen=True)
-class FiniteFieldSpec:
-    """q = p^k with its monic defining polynomial, constant term first."""
-
-    q: int
-    p: int
-    k: int
-    irreducible_poly: tuple[int, ...]
-
-    @classmethod
-    def of(cls, q: int) -> "FiniteFieldSpec":
-        if is_prime(q):
-            return cls(q=q, p=q, k=1, irreducible_poly=(0, 1))
-        if q in _IRREDUCIBLE:
-            p, k, poly = _IRREDUCIBLE[q]
-            return cls(q=q, p=p, k=k, irreducible_poly=poly)
-        raise ValueError(
-            f"unsupported field order {q}: must be prime or one of "
-            f"{sorted(_IRREDUCIBLE)}"
-        )
-
-
 class PrimePowerField:
-    """GF(q) with its subtraction table and set of nonzero squares."""
+    """GF(q), q = p^k, with its subtraction table and set of nonzero squares."""
 
-    def __init__(self, spec: FiniteFieldSpec):
-        self.spec = spec
-        q, p, k = spec.q, spec.p, spec.k
+    def __init__(self, q: int):
+        if is_prime(q):
+            p, k, poly = q, 1, (0, 1)
+        elif q in _IRREDUCIBLE:
+            p, k, poly = _IRREDUCIBLE[q]
+        else:
+            raise ValueError(
+                f"unsupported field order {q}: must be prime or one of "
+                f"{sorted(_IRREDUCIBLE)}"
+            )
         self.q = q
         weights = p ** np.arange(k)
         digits = np.arange(q)[:, None] // weights % p  # digit i: coefficient of t^i
@@ -86,9 +69,8 @@ class PrimePowerField:
         prod = np.zeros((q, 2 * k - 1), dtype=np.int64)
         for i in range(k):
             prod[:, i:i + k] += digits[:, i:i + 1] * digits
-        poly = np.array(spec.irreducible_poly)
         for d in range(2 * k - 2, k - 1, -1):
-            prod[:, d - k:d + 1] -= prod[:, d:d + 1] * poly
+            prod[:, d - k:d + 1] -= prod[:, d:d + 1] * np.array(poly)
         self._squares = frozenset((prod[1:, :k] % p @ weights).tolist())
 
     def quadratic_character(self, x: int) -> int:
@@ -101,7 +83,3 @@ class PrimePowerField:
         """Matrix Q with Q[a, b] = chi(a - b) over the element enumeration."""
         chi = np.array([self.quadratic_character(x) for x in range(self.q)])
         return chi[self.sub]
-
-
-def field_for(q: int) -> PrimePowerField:
-    return PrimePowerField(FiniteFieldSpec.of(q))

@@ -8,9 +8,10 @@ the way to it is an integer of magnitude <= n, and binary64 represents
 all integers up to 2^53, so no summation order or fused multiply-add can
 round.  The float64 Gram therefore equals the int64 one bit for bit for
 any n < 2^53, and its eigenvalues are those of the exact Gram up to the
-eigensolver's ~1e-12 relative accuracy at the orders we care about
-(n <= 64), which is what the 10-significant-digit reporting convention
-needs.
+eigensolver's error.  No fixed relative accuracy is assumed for that
+error: rounding runs at orders well above 64, and every bound in the
+package trusts an eigenvalue of an order-n matrix only to
+eta = n^2 lambda 2^-52 with lambda >= lambda_max, from `eigvalsh_margin`.
 """
 
 from __future__ import annotations

@@ -74,6 +74,8 @@ def parse_sign_matrix_csv(text: str) -> SignMatrix:
             rows.append([int(v) for v in row])
         except ValueError:
             raise ParseError("non-integer CSV value", line=i)
+        if len(row) != len(rows[0]):
+            raise ParseError(f"ragged row: expected {len(rows[0])} values, got {len(row)}", line=i)
     if not rows:
         raise ParseError("empty input")
     return SignMatrix(np.array(rows, dtype=np.int64))

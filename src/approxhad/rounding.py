@@ -14,24 +14,26 @@ exactly when k < ceil(p 2^53), since scaling by 2^53 is exact, so the
 plan keeps those thresholds and the signs are built as int8 with no float
 uniforms.
 
-Best of trials: `round_best` reports the trial of least kappa (ties to the
-lower index) and the least ||X - EX||_op over all trials, but only the
-trials that can decide them get an exact eigensolve.  Every trial is
+Best of trials: `round_best` reports the trial of least kappa (ties to
+the lower index) and the least ||X - EX||_op over all trials, but only
+the trials that can decide them get an exact eigensolve.  Every trial is
 drawn as above and gets probe vectors from a few power steps and one
 solve against the squared Gram (X^T X)^2, which is two steps of inverse
-iteration in one LU.  E's steps run in float32, and the Grams are formed
-in float32 while n^3 <= 2^24: their partial sums are integers of
-magnitude at most n^3, so the LU sees the exact (X^T X)^2 either way.
-The trial is then passed to `condition_number` and `operator_norm` with
-the best exact value so far: these bound the value from below by
-Rayleigh quotients at the probes, which hold for any vector, lowered by a
-margin eta covering float rounding and the eigensolver's error, and
-return without an eigensolve when the bound exceeds the best value, so
-the trial can neither win nor tie.  Trials are
-visited in ascending order of the quotients' estimate, so that the best
-values come early.  A trial whose draw repeats an earlier trial's matrix
-is skipped.  So the reported trial, kappa, error norm and matrix are bit
-for bit those of evaluating every trial.
+iteration in one LU.  That solve starts from two vectors, E's power-step
+vector and cos(2i) for i = 1..n, and of the two it returns, the one with
+the lower Rayleigh quotient on X^T X is the lambda_min probe.  E's steps
+run in float32, and the Grams are formed in float32 while n^3 <= 2^24:
+their partial sums are integers of magnitude at most n^3, so the LU sees
+the exact (X^T X)^2 either way.  The trial is then passed to
+`condition_number` and `operator_norm` with the best exact value so far:
+these bound the value from below by Rayleigh quotients at the probes,
+which hold for any vector, lowered by a margin eta covering float
+rounding and the eigensolver's error, and return without an eigensolve
+when the bound exceeds the best value, so the trial can neither win nor
+tie.  Trials are visited in ascending order of the quotients' estimate,
+so that the best values come early.  A trial whose draw repeats an
+earlier trial's matrix is skipped.  So the reported trial, kappa, error
+norm and matrix are bit for bit those of evaluating every trial.
 """
 
 from __future__ import annotations
@@ -143,7 +145,6 @@ class RoundingResult:
 _BLOCK = 8
 _E_STEPS = 24  # power steps towards the top right singular vector of E
 _GRAM_STEPS = 4  # power steps on X^T X, started from E's vector
-_INVERSE_COLUMNS = 8  # width of the block that inverse iteration moves
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -188,19 +189,6 @@ def _squared_gram(x8: np.ndarray) -> np.ndarray:
     return g.astype(np.float64, copy=False)
 
 
-def _ritz_min(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The Ritz vector of the least eigenvalue of x^T x on the span of w's
-    columns, for each trial of a stack; NaN for the whole stack if LAPACK
-    does not converge."""
-    try:
-        q = np.linalg.qr(w)[0]
-        xq = x @ q
-        y = np.linalg.eigh(xq.swapaxes(-1, -2) @ xq)[1][..., :1]
-    except np.linalg.LinAlgError:
-        return np.full(w.shape[:-1] + (1,), np.nan)
-    return q @ y
-
-
 def _probes(plan: RoundingPlan, x8: np.ndarray):
     """Probe vectors for a stack of drawn trials (int8 entries), one row
     per trial: towards the top right singular vector of E, of X, and the
@@ -213,7 +201,6 @@ def _probes(plan: RoundingPlan, x8: np.ndarray):
     as visiting orders: -inf where there is none, which visits first."""
     n = plan.n
     e = x8 - plan.scaled.astype(np.float32)
-    start = np.cos(np.outer(np.arange(1, n + 1), np.arange(1, _INVERSE_COLUMNS + 1)))
     with np.errstate(all="ignore"):
         v = _power(e, np.ones((len(x8), n, 1), np.float32), _E_STEPS)
         e_order = _rayleigh(e, v)
@@ -221,15 +208,18 @@ def _probes(plan: RoundingPlan, x8: np.ndarray):
         v = v.astype(np.float64)
         x = x8.astype(np.float64)
         v_max = _power(x, v, _GRAM_STEPS)
-        b = np.repeat(start[None], len(x), axis=0)
+        # two steps of inverse iteration on X^T X in one LU per trial, from
+        # E's vector and from cos(2i); the lower quotient picks w_min
+        b = np.empty((len(x), n, 2))
         b[..., :1] = np.where(np.isfinite(v), v, 1.0)
-        # two steps of inverse iteration on X^T X in one LU per trial
+        b[..., 1] = np.cos(2.0 * np.arange(1, n + 1))
         w = _solve(_squared_gram(x8), b)
         w = w / np.sqrt(_sq_norms(w))[..., None, :]
         bad = ~np.isfinite(w).all(axis=(-2, -1))
         w[bad] = b[bad]
-        w_min = _ritz_min(x, w)
-        orders = (e_order, _rayleigh(x, v_max) / _rayleigh(x, w_min))
+        low = _rayleigh(x, w)
+        w_min = np.take_along_axis(w, low.argmin(axis=-1)[:, None, None], axis=-1)
+        orders = (e_order, _rayleigh(x, v_max) / low.min(axis=-1, keepdims=True))
     orders = tuple(np.where(np.isnan(o[:, 0]), -np.inf, o[:, 0]) for o in orders)
     return orders, tuple(p[..., 0] for p in (v, v_max, w_min))
 

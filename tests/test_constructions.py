@@ -16,7 +16,7 @@ from approxhad.constructions import (
     smallest_order_at_least,
     sylvester,
 )
-from approxhad.finite_field import FiniteFieldSpec, field_for, supported_field_orders
+from approxhad.finite_field import PrimePowerField, supported_field_orders
 from approxhad.linalg import condition_number, gram_float64
 
 
@@ -33,7 +33,7 @@ def catalog():
 class TestFiniteField:
     @pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 121, 125])
     def test_prime_power_fields_are_fields(self, q):
-        f = field_for(q)
+        f = PrimePowerField(q)
         # squares make up exactly half the nonzero elements in odd
         # characteristic, which fails if the defining polynomial is reducible
         squares = sum(1 for x in range(1, q) if f.quadratic_character(x) == 1)
@@ -41,10 +41,10 @@ class TestFiniteField:
 
     def test_unsupported(self):
         with pytest.raises(ValueError, match="unsupported"):
-            FiniteFieldSpec.of(15)
+            PrimePowerField(15)
 
     def test_jacobsthal_row_sums(self):
-        Q = field_for(13).jacobsthal()
+        Q = PrimePowerField(13).jacobsthal()
         assert (Q.sum(axis=1) == 0).all()
         assert (np.diag(Q) == 0).all()
 
@@ -53,7 +53,7 @@ class TestFiniteField:
         # sorted nonzero squares and the Jacobsthal matrix, each as int64
         digests = {k: hashlib.sha256() for k in ("sub", "squares", "jacobsthal")}
         for q in supported_field_orders(256):
-            f = field_for(q)
+            f = PrimePowerField(q)
             squares = [x for x in range(1, q) if f.quadratic_character(x) == 1]
             for key, table in (("sub", f.sub), ("squares", squares),
                                ("jacobsthal", f.jacobsthal())):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +47,11 @@ class TestParser:
     def test_ragged(self):
         with pytest.raises(ParseError) as exc:
             parse_sign_matrix("++\n+\n")
+        assert exc.value.line == 2
+
+    def test_csv_ragged(self):
+        with pytest.raises(ParseError) as exc:
+            parse_sign_matrix_csv("1,1\n1\n")
         assert exc.value.line == 2
 
     def test_non_square(self):
@@ -182,6 +190,31 @@ class TestCli:
         code, out, err = run_cli(capsys, "construct", "family", "--order", "9", *kind)
         assert (code, out) == (1, "")
         assert err == "error: no bundled Barba witness at order 9\n"
+
+    def test_construct_conference_plus_identity(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", "family", "--kind",
+                               "conference_plus_identity", "--order", "6")
+        assert code == 0
+        assert out == write_sign_matrix(conference_plus_identity(6).matrix)
+        code, out, err = run_cli(capsys, "construct", "family", "--kind",
+                                 "conference_plus_identity", "--order", "8")
+        assert (code, out) == (1, "")
+        assert err == ("error: no supported conference matrix of order 8: "
+                       "q = 7 is not 1 mod 4\n")
+
+    @pytest.mark.parametrize("argv,code,err", [
+        (("catalog", "--max-order", "2"), 0, ""),
+        (("flatten", "--n", "0"), 1, "error: order must be >= 1\n"),
+        (("round", "--n", "5", "--trials", "0", "--seed", "0"), 2, None),
+    ], ids=["catalog", "flatten-n0", "round-trials0"])
+    def test_module_entry_point(self, argv, code, err):
+        # python -m approxhad.cli, as the README documents, exits with main's code
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-m", "approxhad.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == code, out.stderr
+        if err is not None:
+            assert out.stderr == err
 
     def test_search_budget_default(self):
         from approxhad.search import DEFAULT_BUDGET
