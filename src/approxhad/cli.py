@@ -303,6 +303,8 @@ def main(argv=None) -> int:
         # exhaustive_min enumerates the general class only
         parser.exit(2, f"approxhad search: error: --exhaustive searches the general "
                        f"class, not --structure {args.structure}\n")
+    if args.command == "table" and args.min > args.max:
+        parser.exit(2, f"approxhad table: error: --min {args.min} exceeds --max {args.max}\n")
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:

@@ -12,6 +12,16 @@ eigensolver's error.  No fixed relative accuracy is assumed for that
 error: rounding runs at orders well above 64, and every bound in the
 package trusts an eigenvalue of an order-n matrix only to
 eta = n^2 lambda 2^-52 with lambda >= lambda_max, from `eigvalsh_margin`.
+
+`gram_eigvalsh` is the one place a +-1 matrix becomes the eigenvalues of
+its exact Gram.  It calls `eigvalsh_lo`, the LAPACK gufunc in NumPy's
+private `numpy.linalg._umath_linalg` that `np.linalg.eigvalsh` itself
+calls on float64 input, so the bits are the same.  Skipping the public
+wrapper saves a few microseconds per call, a sizeable share of each of
+the thousands of small eigensolves that an anneal makes.  A NumPy
+without that module fails this import.  The wrapper's LinAlgError on
+non-convergence is kept: the gufunc then returns NaN, which a finite
+Gram cannot otherwise give.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 __all__ = [
     "SignMatrix",
@@ -32,6 +43,7 @@ __all__ = [
     "eigvalsh_margin",
     "gram",
     "gram_float64",
+    "gram_eigvalsh",
     "gram_kappa",
     "gram_kappas",
     "condition_number",
@@ -128,6 +140,20 @@ def gram_float64(a: np.ndarray) -> np.ndarray:
     float64 through BLAS; see the module docstring for why it is exact."""
     f = np.asarray(a, dtype=np.float64)
     return f.swapaxes(-1, -2) @ f
+
+
+def gram_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of the exact Gram of a +-1 matrix or of
+    each in a stack (..., n, n), n >= 1: `np.linalg.eigvalsh` of
+    `gram_float64(a)` bit for bit, with less overhead per call.  Pass
+    float64 to spare the conversion.  Raises LinAlgError where LAPACK does
+    not converge, which the gufunc reports as NaN."""
+    ev = _eigvalsh_lo(gram_float64(a))
+    # a scalar test for one matrix: np.isnan(...).any() costs a few us
+    nan = ev[0] != ev[0] if ev.ndim == 1 else np.isnan(ev[..., 0]).any()
+    if nan:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return ev
 
 
 class Draws:
@@ -302,7 +328,7 @@ def condition_number(A: SignMatrix, probes=None, above: float = math.inf) -> Spe
         lo = _quotient(a, probes[1]) + eta
         if hi > 0 and gram_kappa(lo, hi, n) > above:
             return None
-    ev = np.linalg.eigvalsh(gram_float64(A.entries))
+    ev = gram_eigvalsh(A.entries)
     lmin, lmax = float(ev[0]), float(ev[-1])
     kappa = gram_kappa(lmin, lmax, n)
     sigma_min = 0.0 if math.isinf(kappa) else math.sqrt(lmin)

@@ -20,7 +20,11 @@ decision -- delta <= 0, u < exp(-delta / T), or the incumbent's decline
 test -- from them only when they settle it; otherwise, and for every
 state that may become the incumbent, it takes the exact path (build,
 exact Gram, eigvalsh).  So every decision, RNG draw, restart and reported
-kappa is the one the exact path alone would give.  The bounds come from
+kappa is the one the exact path alone would give.  The eigvalsh is
+`linalg.gram_eigvalsh`, which calls the LAPACK gufunc behind
+`np.linalg.eigvalsh` without its Python wrapper: the same bits, a few
+microseconds less on each of the thousands of small eigensolves that a
+general or symmetric anneal makes.  The bounds come from
 `approxhad.spectral`:
 
 * the circulant-type classes (circulant, circulant_core,
@@ -65,7 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from .families import circulant
-from .linalg import Draws, SignMatrix, condition_number, gram_float64, gram_kappa, gram_kappas
+from .linalg import Draws, SignMatrix, condition_number, gram_eigvalsh, gram_kappa, gram_kappas
 from .matrixio import parse_sign_matrix, write_sign_matrix
 from .spectral import SCREENED_KINDS, RitzScreen, SpectralScreen
 
@@ -291,7 +295,7 @@ def exhaustive_min(n: int) -> SearchRecord:
         mats = np.ones((len(core), n, n), dtype=np.float64)
         mats[:, 1:, 1:] = core * 2 - 1
         bits = core.reshape(len(core), m * m)
-        ev = np.linalg.eigvalsh(gram_float64(mats))
+        ev = gram_eigvalsh(mats)
         kap = gram_kappas(ev[:, 0], ev[:, -1], n)
         for i in np.flatnonzero(kap <= best.kappa + _KAPPA_TIE):
             best.offer(float(kap[i]), bits[i], mats[i])
@@ -304,10 +308,10 @@ class _State:
 
     lo <= energy <= hi.  A neighbour starts with the bounds its class
     gives (`anneal`'s `bound`), and kappa stays None until the exact path
-    runs; then lo = hi = the energy.  mat is the matrix once built (or
-    flipped from the parent's), near holds the neighbours made so far,
-    spectra the DFT screen's view of all of them, and floor, once the
-    chain lingers here, a lower bound on each one's lo.
+    runs; then lo = hi = the energy.  mat is the matrix, as float64, once
+    built (or flipped from the parent's), near holds the neighbours made
+    so far, spectra the DFT screen's view of all of them, and floor, once
+    the chain lingers here, a lower bound on each one's lo.
     """
 
     __slots__ = ("bits", "mat", "kappa", "lo", "hi", "near", "spectra", "floor")
@@ -373,11 +377,13 @@ def anneal(
     restarts = 0
 
     def settle(state: _State) -> _State:
-        """The exact path: build, exact Gram, eigvalsh."""
+        """The exact path: build, exact Gram, eigvalsh -- `gram_eigvalsh`,
+        which calls LAPACK's gufunc without NumPy's per-call wrapper, on
+        the matrix held as float64 so that no call converts it."""
         if state.kappa is None:
             if state.mat is None:
-                state.mat = sclass.build(n, state.bits)
-            ev = np.linalg.eigvalsh(gram_float64(state.mat))
+                state.mat = sclass.build(n, state.bits).astype(np.float64)
+            ev = gram_eigvalsh(state.mat)
             state.kappa = gram_kappa(ev[0], ev[-1], n)
             state.lo = state.hi = min(state.kappa, _SINGULAR_ENERGY)
         return state

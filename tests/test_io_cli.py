@@ -499,6 +499,17 @@ def test_exhaustive_with_a_structure_is_a_usage_error(capsys, tmp_path):
     assert cli.main(["search", "--n", "3", "--exhaustive", "--structure", "general"]) == 0
 
 
+def test_table_min_above_max_is_a_usage_error(capsys):
+    # the empty range once printed the CSV header alone and exited 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--min", "20", "--max", "10"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "approxhad table: error: --min 20 exceeds --max 10"
+    assert cli.main(["table", "--min", "3", "--max", "3"]) == 0
+
+
 def test_construct_conference_has_no_q_option(capsys):
     # the order alone fixes q = order - 1; a second way to give it is refused
     with pytest.raises(SystemExit) as exc:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from approxhad import linalg
 from approxhad.families import circulant
 from approxhad.linalg import (
     IntPolynomial,
     SignMatrix,
     SINGULAR_TOLERANCE_PER_N,
     condition_number,
+    gram_eigvalsh,
     gram_float64,
     gram_kappa,
     kronecker,
@@ -81,6 +83,47 @@ class TestGramFloat64:
         stack = rng.integers(0, 2, (4, 5, 5)) * 2 - 1
         for a, g in zip(stack, gram_float64(stack)):
             assert g.tobytes() == (a.T @ a).astype(np.float64).tobytes()
+
+
+def sign_stack(n, seed):
+    """Five +-1 matrices of order n: three random, the all-ones and one
+    with a repeated row (both singular for n >= 2)."""
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, 2, (5, n, n)) * 2 - 1
+    stack[3] = 1
+    stack[4, -1] = stack[4, 0]
+    return stack
+
+
+class TestGramEigvalsh:
+    @pytest.mark.parametrize("n", [1, 2, 15, 17, 25, 46, 116])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_equals_eigvalsh_of_the_gram_bit_for_bit(self, n, dtype):
+        stack = sign_stack(n, n).astype(dtype)
+        want = np.linalg.eigvalsh(gram_float64(stack))
+        assert gram_eigvalsh(stack).tobytes() == want.tobytes()
+        for a, ev in zip(stack, want):
+            assert gram_eigvalsh(a).tobytes() == ev.tobytes()
+
+    def test_non_convergence_raises(self, monkeypatch):
+        # LAPACK's failure reaches the gufunc's caller as NaN eigenvalues
+        monkeypatch.setattr(linalg, "_eigvalsh_lo", lambda g: np.full(g.shape[:-1], np.nan))
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            gram_eigvalsh(sign_stack(5, 0)[0])
+        with pytest.raises(np.linalg.LinAlgError):
+            condition_number(SignMatrix(sign_stack(5, 0)[0]))
+
+    def test_non_convergence_of_one_slice_raises(self, monkeypatch):
+        solve = linalg._eigvalsh_lo
+
+        def third_fails(g):
+            ev = solve(g)
+            ev[2] = np.nan
+            return ev
+
+        monkeypatch.setattr(linalg, "_eigvalsh_lo", third_fails)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            gram_eigvalsh(sign_stack(5, 0))
 
 
 class TestOperatorNorm:

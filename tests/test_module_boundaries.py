@@ -3,6 +3,9 @@
 A module of src/approxhad imports only public names from its siblings,
 and reads a leading-underscore attribute only on self or cls, so each
 private name has one module that knows it.  Dunders are public here.
+
+NumPy's private surface is one import in linalg.py: no other module
+imports from a NumPy module path with a leading-underscore part.
 """
 
 import ast
@@ -30,3 +33,22 @@ def crossings(path):
 def test_no_private_name_crosses_a_module():
     found = [c for path in sorted(PACKAGE.glob("*.py")) for c in crossings(path)]
     assert found == []
+
+
+def numpy_private_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "numpy" and any(map(is_private, parts)):
+                yield f"{path.name} imports {name}"
+
+
+def test_only_linalg_imports_private_numpy():
+    found = [c for path in sorted(PACKAGE.glob("*.py")) for c in numpy_private_imports(path)]
+    assert found == ["linalg.py imports numpy.linalg._umath_linalg.eigvalsh_lo"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from approxhad import rounding
+from approxhad import linalg, rounding
 from approxhad.constructions import paley_i
 from approxhad.flatten import OrthMatrix, flat_orthogonal
 from approxhad.linalg import SignMatrix, condition_number, operator_norm
@@ -283,8 +283,10 @@ class TestPrunedReduction:
             return (np.full(len(signs), -np.inf),) * 2, (nan,) * 3
 
         solves = []
-        eigvalsh = np.linalg.eigvalsh
+        gram_eigvalsh, eigvalsh = linalg.gram_eigvalsh, np.linalg.eigvalsh
         monkeypatch.setattr(rounding, "_probes", no_probes)
+        # condition_number's kernel and operator_norm's eigvalsh
+        monkeypatch.setattr(linalg, "gram_eigvalsh", lambda a: solves.append(1) or gram_eigvalsh(a))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
         orth, _ = flat_orthogonal(22)
         plan = RoundingPlan(target=orth, trials=7, master_seed=5)

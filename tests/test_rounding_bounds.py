@@ -85,7 +85,6 @@ def test_most_trials_skip_the_eigensolve(n, most, monkeypatch):
     # fails.
     solves = {"condition_number": 0, "operator_norm": 0}
     inside = []
-    eigvalsh = np.linalg.eigvalsh
 
     def counted(name):
         original = getattr(rounding, name)
@@ -98,13 +97,17 @@ def test_most_trials_skip_the_eigensolve(n, most, monkeypatch):
                 inside.pop()
         return call
 
-    def solve(a):
-        solves[inside[-1]] += 1
-        return eigvalsh(a)
+    def solving(original):
+        def solve(a):
+            solves[inside[-1]] += 1
+            return original(a)
+        return solve
 
     for name in solves:
         monkeypatch.setattr(rounding, name, counted(name))
-    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    # condition_number's kernel and operator_norm's eigvalsh
+    monkeypatch.setattr(linalg, "gram_eigvalsh", solving(linalg.gram_eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", solving(np.linalg.eigvalsh))
     round_best(plan_at(n))
     assert 1 <= solves["condition_number"] <= most, solves
     assert 1 <= solves["operator_norm"] <= most, solves

@@ -326,11 +326,24 @@ def test_ritz_runs_across_restarts_keep_every_record(monkeypatch, n, name):
         assert sum(lengths) > 0, moves
 
 
-def test_ritz_floor_spares_exact_evaluations(monkeypatch):
+def exact_solves(monkeypatch, n, name):
+    """The exact eigensolves of the seed-0 fallback anneal at order n:
+    anneal's kernel, and any eigvalsh besides."""
     solves = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda g: solves.append(1) or eigvalsh(g))
-    anneal(25, StructureClass("general"), 0, FALLBACK_BUDGET)
-    # the exact path alone makes 13,138 eigensolves here
-    assert len(solves) < 10000
+    gram_eigvalsh, eigvalsh = search.gram_eigvalsh, np.linalg.eigvalsh
+    monkeypatch.setattr(search, "gram_eigvalsh", lambda a: solves.append(1) or gram_eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: solves.append(1) or eigvalsh(g))
+    anneal(n, StructureClass(name), 0, FALLBACK_BUDGET)
+    return len(solves)
+
+
+def test_ritz_floor_spares_exact_evaluations(monkeypatch):
+    # the exact path alone makes 10,507 eigensolves here
+    assert exact_solves(monkeypatch, 25, "general") < 10000
+
+
+@pytest.mark.parametrize("n, cap", [(15, 12900), (17, 11400)])
+def test_ritz_floor_spares_symmetric_exact_evaluations(monkeypatch, n, cap):
+    # the floors make 12,598 and 11,038 eigensolves here, the exact path
+    # alone 13,196 and 11,750
+    assert exact_solves(monkeypatch, n, "symmetric") < cap
