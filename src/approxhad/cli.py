@@ -305,6 +305,9 @@ def main(argv=None) -> int:
                        f"class, not --structure {args.structure}\n")
     if args.command == "table" and args.min > args.max:
         parser.exit(2, f"approxhad table: error: --min {args.min} exceeds --max {args.max}\n")
+    if args.command == "table" and not any(args.min <= n <= args.max for n in TARGETS):
+        parser.exit(2, f"approxhad table: error: no target order in [{args.min}, {args.max}] "
+                       f"(targets: {', '.join(map(str, sorted(TARGETS)))})\n")
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:

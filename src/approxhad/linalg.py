@@ -309,9 +309,15 @@ def _quotient(a: np.ndarray, v: np.ndarray) -> float:
     return num / den if 0.0 < den < math.inf and math.isfinite(num) else math.nan
 
 
-def condition_number(A: SignMatrix, probes=None, above: float = math.inf) -> SpectralReport | None:
+def condition_number(A: SignMatrix | np.ndarray, probes=None,
+                     above: float = math.inf) -> SpectralReport | None:
     """kappa(A) = sigma_max/sigma_min, formed by `gram_kappa` from the
     eigenvalues of the exact Gram; sigma_min is 0 when kappa is inf.
+
+    A is a SignMatrix or a square +-1 array of any dtype.  The array is
+    trusted as `gram_eigvalsh` trusts it, unchecked; the eigensolve and the
+    quotients see the same float64 matrix either way, so it gives the
+    SignMatrix's result bit for bit.
 
     Early exit: given `probes` = (v, w), the quotients at v and w bound
     lambda_max and lambda_min of A^T A from the inside, whatever the
@@ -320,15 +326,16 @@ def condition_number(A: SignMatrix, probes=None, above: float = math.inf) -> Spe
     that the eigensolve's cannot fall below.  If it exceeds `above`, None
     is returned without the eigensolve: kappa(A) > above.
     """
-    n = A.n
+    a = A.entries if isinstance(A, SignMatrix) else A
+    n = a.shape[-1]
     if probes is not None:
-        a = A.entries.astype(np.float64)
+        a = np.asarray(a, dtype=np.float64)
         eta = eigvalsh_margin(n, n * n)
         hi = _quotient(a, probes[0]) - eta
         lo = _quotient(a, probes[1]) + eta
         if hi > 0 and gram_kappa(lo, hi, n) > above:
             return None
-    ev = gram_eigvalsh(A.entries)
+    ev = gram_eigvalsh(a)
     lmin, lmax = float(ev[0]), float(ev[-1])
     kappa = gram_kappa(lmin, lmax, n)
     sigma_min = 0.0 if math.isinf(kappa) else math.sqrt(lmin)

@@ -11,8 +11,8 @@ in row-major entry order, from `linalg.Draws(s, t).bits53`.  This is
 deterministic across runs, machines, and worker counts.  The draw is made
 on integers: the uniform k 2^-53 of a draw's top 53 bits k is below p
 exactly when k < ceil(p 2^53), since scaling by 2^53 is exact, so the
-plan keeps those thresholds and the signs are built as int8 with no float
-uniforms.
+plan keeps those thresholds, and `round_once` returns the signs as an
+int8 array with no float uniforms.
 
 Best of trials: `round_best` reports the trial of least kappa (ties to
 the lower index) and the least ||X - EX||_op over all trials, but only
@@ -21,19 +21,23 @@ drawn as above and gets probe vectors from a few power steps and one
 solve against the squared Gram (X^T X)^2, which is two steps of inverse
 iteration in one LU.  That solve starts from two vectors, E's power-step
 vector and cos(2i) for i = 1..n, and of the two it returns, the one with
-the lower Rayleigh quotient on X^T X is the lambda_min probe.  E's steps
-run in float32, and the Grams are formed in float32 while n^3 <= 2^24:
-their partial sums are integers of magnitude at most n^3, so the LU sees
-the exact (X^T X)^2 either way.  The trial is then passed to
-`condition_number` and `operator_norm` with the best exact value so far:
-these bound the value from below by Rayleigh quotients at the probes,
-which hold for any vector, lowered by a margin eta covering float
-rounding and the eigensolver's error, and return without an eigensolve
-when the bound exceeds the best value, so the trial can neither win nor
-tie.  Trials are visited in ascending order of the quotients' estimate,
-so that the best values come early.  A trial whose draw repeats an
-earlier trial's matrix is skipped.  So the reported trial, kappa, error
-norm and matrix are bit for bit those of evaluating every trial.
+the lower Rayleigh quotient on X^T X is the lambda_min probe.  The power
+steps and those quotients run in float32, on E and on one float32 copy
+of X; the power steps normalize only after every 4th step and after the
+last, which `_power` bounds.  The Grams are formed from that copy while
+n^3 <= 2^24, and in float64 above: their partial sums are integers of
+magnitude at most n^3, so the LU, in float64, sees the exact (X^T X)^2
+either way.  The trial is then passed to `condition_number` and
+`operator_norm` with the best exact value so far: these bound the value
+from below by Rayleigh quotients at the probes, formed in float64 from
+the +-1 matrix, which hold for any vector, lowered by a margin eta
+covering float rounding and the eigensolver's error, and return without
+an eigensolve when the bound exceeds the best value, so the trial can
+neither win nor tie.  Trials are visited in ascending order of the
+quotients' estimate, so that the best values come early.  A trial whose
+draw repeats an earlier trial's matrix is skipped.  So the reported
+trial, kappa, error norm and matrix are bit for bit those of evaluating
+every trial, and only the winner becomes a `SignMatrix`.
 """
 
 from __future__ import annotations
@@ -79,6 +83,16 @@ class RoundingPlan:
         thresholds (see the RNG contract above); computed once."""
         return np.ceil(self.plus_probability * 2.0 ** 53).astype(np.uint64)
 
+    @cached_property
+    def scaled32(self) -> np.ndarray:
+        """`scaled` as float32, which E's power steps subtract; computed once."""
+        return self.scaled.astype(np.float32)
+
+    @cached_property
+    def cos_start(self) -> np.ndarray:
+        """cos(2i) for i = 1..n, a start vector of the inverse iteration; computed once."""
+        return np.cos(2.0 * np.arange(1, self.n + 1))
+
     @property
     def n(self) -> int:
         return self.target.n
@@ -121,14 +135,16 @@ def bernstein_bound(n: int, u: float) -> BernsteinCertificate:
     )
 
 
-def round_once(plan: RoundingPlan, trial_index: int) -> SignMatrix:
-    """One rounding draw: entry (i, j) is +1 with probability (1 + scaled_ij)/2.
+def round_once(plan: RoundingPlan, trial_index: int) -> np.ndarray:
+    """One rounding draw, as an n x n int8 array of +-1: entry (i, j) is +1
+    with probability (1 + scaled_ij)/2.
 
     It is +1 when draw i n + j of Draws(master_seed, trial_index).bits53
-    lies below the plan's integer threshold."""
+    lies below the plan's integer threshold.  `SignMatrix(...)` of it gives
+    the checked int64 matrix."""
     n = plan.n
     plus = Draws(plan.master_seed, trial_index).bits53(n * n).reshape(n, n) < plan.thresholds
-    return SignMatrix(plus.view(np.int8) * np.int8(2) - np.int8(1))
+    return plus.view(np.int8) * np.int8(2) - np.int8(1)
 
 
 @dataclass(frozen=True)
@@ -145,6 +161,8 @@ class RoundingResult:
 _BLOCK = 8
 _E_STEPS = 24  # power steps towards the top right singular vector of E
 _GRAM_STEPS = 4  # power steps on X^T X, started from E's vector
+# `_power` normalizes after every _NORM_EVERY-th step up to this order
+_NORM_EVERY, _NORM_EVERY_MAX_N = 4, 10 ** 4
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -157,12 +175,23 @@ def _rayleigh(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _power(a: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
-    """`steps` power steps on a^T a, normalizing each column."""
+    """`steps` power steps on a^T a from the columns of v, returned as unit
+    columns; a column that vanishes or underflows comes back NaN.
+
+    Each column is divided by its largest |entry| only after every 4th step
+    and after the last, then scaled to unit length.  From a column with
+    entries in [-1, 1], as the start columns have too, 4 steps and every
+    partial sum on the way stay below sqrt(n) max(1, ||a||_F^2)^4.  For an
+    n x n matrix with |a_ij| <= 2, as E and X are, that is at most
+    sqrt(n) (4 n^2)^4 < 2^128, finite in float32, for n <= 10^4; above that
+    order the column is divided at every step."""
+    every = _NORM_EVERY if a.shape[-1] <= _NORM_EVERY_MAX_N else 1
     at = a.swapaxes(-1, -2)
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         v = at @ (a @ v)
-        v = v / np.sqrt(_sq_norms(v))[..., None, :]
-    return v
+        if step % every == 0 or step == steps:
+            v = v / np.abs(v).max(axis=-2, keepdims=True)
+    return v / np.sqrt(_sq_norms(v))[..., None, :]
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,51 +206,53 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.concatenate([_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
 
 
-def _squared_gram(x8: np.ndarray) -> np.ndarray:
-    """(X^T X)^2 for each trial of an int8 stack, as float64 and exact: every
-    partial sum of both products is an integer of magnitude at most n^3, so
-    they are formed in float32 while n^3 <= 2^24, else in float64."""
-    n = x8.shape[-1]
-    f = x8.astype(np.float32 if n ** 3 <= 2 ** 24 else np.float64)
+def _squared_gram(x: np.ndarray) -> np.ndarray:
+    """(X^T X)^2 for each trial of a +-1 stack (a float32 one is used as
+    is), as float64 and exact: every partial sum of both products is an
+    integer of magnitude at most n^3, so they are formed in float32 while
+    n^3 <= 2^24, else in float64."""
+    n = x.shape[-1]
+    f = x.astype(np.float32 if n ** 3 <= 2 ** 24 else np.float64, copy=False)
     g = f.swapaxes(-1, -2) @ f
-    del f  # each stack is freed once used, which keeps the peak down
+    del f  # a float64 copy is freed once used, which keeps the peak down
     g = g @ g
     return g.astype(np.float64, copy=False)
 
 
 def _probes(plan: RoundingPlan, x8: np.ndarray):
     """Probe vectors for a stack of drawn trials (int8 entries), one row
-    per trial: towards the top right singular vector of E, of X, and the
-    bottom one of X.  `operator_norm` and `condition_number` take their
-    early-exit quotients at them, which bound the spectrum whatever the
-    vectors; the iterations here only make the bounds tight, so E's power
-    steps run in float32.  A row is NaN where no vector could be formed.
+    per trial, as float64: towards the top right singular vector of E, of
+    X, and the bottom one of X.  `operator_norm` and `condition_number`
+    take their early-exit quotients at them, which bound the spectrum
+    whatever the vectors; the iterations here only make the bounds tight,
+    so the power steps and the quotients that choose and order run in
+    float32, and only the LU in float64.  A row is NaN where no vector
+    could be formed.
 
     Also the estimates of ||E||_op^2 and kappa^2 that those quotients give,
     as visiting orders: -inf where there is none, which visits first."""
     n = plan.n
-    e = x8 - plan.scaled.astype(np.float32)
+    x = x8.astype(np.float32)
+    e = x - plan.scaled32
     with np.errstate(all="ignore"):
-        v = _power(e, np.ones((len(x8), n, 1), np.float32), _E_STEPS)
+        v = _power(e, np.ones((len(x), n, 1), np.float32), _E_STEPS)
         e_order = _rayleigh(e, v)
         del e  # freed before the Gram stacks exist, which keeps the peak down
-        v = v.astype(np.float64)
-        x = x8.astype(np.float64)
         v_max = _power(x, v, _GRAM_STEPS)
         # two steps of inverse iteration on X^T X in one LU per trial, from
         # E's vector and from cos(2i); the lower quotient picks w_min
         b = np.empty((len(x), n, 2))
         b[..., :1] = np.where(np.isfinite(v), v, 1.0)
-        b[..., 1] = np.cos(2.0 * np.arange(1, n + 1))
-        w = _solve(_squared_gram(x8), b)
+        b[..., 1] = plan.cos_start
+        w = _solve(_squared_gram(x), b)
         w = w / np.sqrt(_sq_norms(w))[..., None, :]
         bad = ~np.isfinite(w).all(axis=(-2, -1))
         w[bad] = b[bad]
-        low = _rayleigh(x, w)
+        low = _rayleigh(x, w.astype(np.float32))
         w_min = np.take_along_axis(w, low.argmin(axis=-1)[:, None, None], axis=-1)
         orders = (e_order, _rayleigh(x, v_max) / low.min(axis=-1, keepdims=True))
     orders = tuple(np.where(np.isnan(o[:, 0]), -np.inf, o[:, 0]) for o in orders)
-    return orders, tuple(p[..., 0] for p in (v, v_max, w_min))
+    return orders, tuple(p[..., 0].astype(np.float64, copy=False) for p in (v, v_max, w_min))
 
 
 def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
@@ -240,9 +271,10 @@ def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
     if plan.trials < 1:
         raise ValueError("need at least one trial")
 
+    plan.thresholds, plan.scaled32, plan.cos_start  # formed once, before any thread
+
     def block(b0: int):
-        signs = np.stack([round_once(plan, t).entries.astype(np.int8)
-                          for t in range(b0, min(b0 + _BLOCK, plan.trials))])
+        signs = np.stack([round_once(plan, t) for t in range(b0, min(b0 + _BLOCK, plan.trials))])
         return (signs, *_probes(plan, signs))
 
     starts = range(0, plan.trials, _BLOCK)
@@ -263,17 +295,16 @@ def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
 
     best = None
     for t in sorted(distinct, key=lambda t: (kappa_order[t], t)):
-        X = SignMatrix(x8[t])
-        report = condition_number(X, (v_max[t], w_min[t]),
+        report = condition_number(x8[t], (v_max[t], w_min[t]),
                                   above=best[0].kappa if best else math.inf)
         if report is not None and (best is None or (report.kappa, t) < (best[0].kappa, best[1])):
-            best = (report, t, X)
+            best = (report, t)
     min_err = math.inf
     for t in sorted(distinct, key=lambda t: e_order[t]):
         min_err = min(min_err, operator_norm(x8[t] - plan.scaled, v_e[t], above=min_err))
-    report, best_t, X = best
+    report, best_t = best
     return RoundingResult(
-        matrix=X,
+        matrix=SignMatrix(x8[best_t]),
         report=report,
         certificate=bernstein_bound(plan.n, plan.target.max_abs_entry),
         empirical_error_norm=min_err,

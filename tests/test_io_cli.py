@@ -271,6 +271,28 @@ class TestCli:
         assert code1 == code8 == 0
         assert out1 == out8
 
+    def test_round_agrees_across_blas_thread_counts(self, tmp_path):
+        # the probes run in float32 through threaded BLAS, yet the trial, kappa
+        # and matrix are exact; only empirical_E_norm's last bits may move
+        # with the thread count (README, Reproducibility)
+        def run(threads):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads-{threads}.mat"
+            proc = subprocess.run(
+                [sys.executable, "-m", "approxhad.cli", "round", "--n", "116", "--trials", "64",
+                 "--seed", "3", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            del report["empirical_E_norm"]
+            return report, out.read_bytes()
+
+        assert run("1") == run(None)
+
     def test_search_updates_registry(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "search", "--n", "6", "--structure", "two_block_circulant",
@@ -508,6 +530,19 @@ def test_table_min_above_max_is_a_usage_error(capsys):
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == "approxhad table: error: --min 20 exceeds --max 10"
     assert cli.main(["table", "--min", "3", "--max", "3"]) == 0
+
+
+@pytest.mark.parametrize("lo, hi", [(4, 4), (31, 40), (-3, 2)])
+def test_table_range_without_a_target_is_a_usage_error(capsys, lo, hi):
+    # a range holding no target order once printed the CSV header alone and exited 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--min", str(lo), "--max", str(hi)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"approxhad table: error: no target order in [{lo}, {hi}] (targets: 3, 5, 6, 7, 9, "
+        "10, 11, 13, 14, 15, 17, 18, 19, 21, 22, 23, 25, 26, 27, 29, 30)")
 
 
 def test_construct_conference_has_no_q_option(capsys):

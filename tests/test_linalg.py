@@ -185,6 +185,25 @@ class TestConditionNumber:
         H = sylvester(2)
         assert condition_number(H, (np.ones(4), np.ones(4)), above=1.0) == condition_number(H)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_pm1_array_gives_the_sign_matrix_result(self, dtype):
+        # round_best passes its int8 draws unwrapped
+        def bits(report):
+            return None if report is None else tuple(map(float.hex, vars(report).values()))
+
+        rng = np.random.default_rng(3)
+        singular = np.ones((6, 6), dtype=np.int64)
+        singular[:, 1::2] = -1
+        for a in [random_sign(rng, n).entries for n in (1, 7, 30, 92)] + [singular]:
+            A, x, n = SignMatrix(a), a.astype(dtype), len(a)
+            probes = (np.cos(np.arange(n)), np.sin(np.arange(n) + 1.0))
+            exact = condition_number(A)
+            assert bits(condition_number(x)) == bits(exact)
+            for above in (math.inf, exact.kappa, 1.0):
+                assert bits(condition_number(x, probes, above=above)) == \
+                    bits(condition_number(A, probes, above=above)), (n, above)
+        assert math.isinf(condition_number(singular.astype(dtype)).kappa)
+
     def test_barba_5(self):
         rep = condition_number(SignMatrix(circulant([1, 1, 1, 1, -1])))
         assert rep.kappa == pytest.approx(1.5, abs=1e-12)

@@ -70,23 +70,23 @@ class TestRoundOnce:
     def test_deterministic_entries_pass_through(self):
         orth, _ = flat_orthogonal(4)  # scaled Hadamard: +-u entries
         plan = RoundingPlan(target=orth, trials=1, master_seed=123)
-        X = round_once(plan, 0)
+        X = SignMatrix(round_once(plan, 0))
         assert np.array_equal(X.entries, np.sign(orth.entries).astype(np.int64))
 
     def test_deterministic_given_seed_and_trial(self):
         orth, _ = flat_orthogonal(11)
         plan = RoundingPlan(target=orth, trials=4, master_seed=7)
-        a = round_once(plan, 2)
-        b = round_once(plan, 2)
+        a = SignMatrix(round_once(plan, 2))
+        b = SignMatrix(round_once(plan, 2))
         assert np.array_equal(a.entries, b.entries)
-        c = round_once(plan, 3)
+        c = SignMatrix(round_once(plan, 3))
         assert not np.array_equal(a.entries, c.entries)
 
     def test_zero_entry_mean(self):
         # a zero scaled entry rounds to +-1 with empirical mean near 0
         orth = OrthMatrix.from_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
         plan = RoundingPlan(target=orth, trials=1, master_seed=0)
-        vals = [round_once(plan, t).entries[0, 0] for t in range(4000)]
+        vals = [SignMatrix(round_once(plan, t)).entries[0, 0] for t in range(4000)]
         assert abs(np.mean(vals)) < 0.05
 
     def test_unbiasedness_8x8(self):
@@ -101,7 +101,7 @@ class TestRoundOnce:
         T = 10**4
         acc = np.zeros((8, 8))
         for t in range(T):
-            acc += round_once(plan, t).entries
+            acc += SignMatrix(round_once(plan, t)).entries
         mean = acc / T
         assert np.abs(mean - scaled).max() <= 4 / math.sqrt(T)
 
@@ -151,7 +151,7 @@ class TestThresholdDraw:
         monkeypatch.setattr(np.random, "Philox", CraftedPhilox)
         uniforms = (raw >> np.uint64(11)) * 2.0**-53
         want = np.where(uniforms < np.array(probs), 1, -1).reshape(n, n)
-        assert np.array_equal(round_once(plan, 0).entries, want)
+        assert np.array_equal(SignMatrix(round_once(plan, 0)).entries, want)
         assert {1, -1} <= set(want.ravel().tolist())  # the draws reach both outcomes
 
 
@@ -171,6 +171,36 @@ class TestExactProducts:
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
         assert got[0, 0, 0] == n**3  # all +1: every entry is n^3, 2^24 at n = 256
+
+
+class TestPowerNormalization:
+    """_power normalizes after every 4th step and after the last; its bound
+    keeps every column finite in float32 up to n = 10^4."""
+
+    @pytest.mark.parametrize("n, steps, signs", [
+        (256, rounding._E_STEPS, False),
+        (256, rounding._E_STEPS, True),
+        (rounding._NORM_EVERY_MAX_N, 5, False),
+    ])
+    def test_columns_stay_finite_and_unit(self, n, steps, signs):
+        # all +2 is rank one with ||E||_op = ||E||_F = 2n, the growth the bound
+        # allows; as a stride-0 view, n = 10^4 takes no n x n memory
+        if signs:
+            e = np.where(np.random.default_rng(n).random((1, n, n)) < 0.5, 2, -2)
+            e = e.astype(np.float32)
+        else:
+            e = np.broadcast_to(np.float32(2), (1, n, n))
+        v = rounding._power(e, np.ones((1, n, 1), np.float32), steps)
+        assert np.isfinite(v).all()
+        assert rounding._sq_norms(v)[0, 0] == pytest.approx(1.0, abs=1e-5)
+
+    def test_zero_matrix_gives_nan(self):
+        plan = RoundingPlan(target=flat_orthogonal(16)[0], trials=1, master_seed=0)  # k = 0
+        e = (round_once(plan, 0) - plan.scaled32)[None]
+        assert not e.any()
+        with np.errstate(invalid="ignore"):
+            v = rounding._power(e, np.ones((1, 16, 1), np.float32), rounding._E_STEPS)
+        assert np.isnan(v).all()
 
 
 class TestRoundBest:
@@ -195,7 +225,7 @@ class TestRoundBest:
         u = orth.max_abs_entry
         scaled = plan.scaled
         for t in range(plan.trials):
-            X = round_once(plan, t)
+            X = SignMatrix(round_once(plan, t))
             err = operator_norm(X.entries - scaled)
             sv = np.linalg.svd(X.entries.astype(float), compute_uv=False)
             assert sv[-1] >= 1 / u - err - 1e-9
@@ -209,6 +239,19 @@ class TestRoundBest:
         assert np.array_equal(r1.matrix.entries, r8.matrix.entries)
         assert r1.best_trial == r8.best_trial
         assert r1.empirical_error_norm == r8.empirical_error_norm
+
+    def test_only_the_winner_becomes_a_sign_matrix(self, monkeypatch):
+        # the draws stay int8 arrays; one SignMatrix, of the winning trial, is built
+        made = []
+
+        def counted(entries):
+            made.append(1)
+            return SignMatrix(entries)
+
+        monkeypatch.setattr(rounding, "SignMatrix", counted)
+        result = round_best(RoundingPlan(target=flat_orthogonal(46)[0], trials=64, master_seed=0))
+        assert len(made) == 1
+        assert isinstance(result.matrix, SignMatrix)
 
     def test_certificate_attached(self):
         orth, cert = flat_orthogonal(92)
@@ -227,7 +270,7 @@ def every_trial(plan):
     """The reference: exact kappa, ||E|| and matrix of every trial."""
     rows = []
     for t in range(plan.trials):
-        X = round_once(plan, t)
+        X = SignMatrix(round_once(plan, t))
         rows.append((condition_number(X), operator_norm(X.entries - plan.scaled), X))
     return rows
 
@@ -272,7 +315,7 @@ class TestPrunedReduction:
     def test_singular_draws_at_n3(self):
         orth, _ = flat_orthogonal(3)
         plan = RoundingPlan(target=orth, trials=64, master_seed=1)
-        kappas = [condition_number(round_once(plan, t)).kappa for t in range(64)]
+        kappas = [condition_number(SignMatrix(round_once(plan, t))).kappa for t in range(64)]
         assert any(math.isinf(k) for k in kappas) and any(math.isfinite(k) for k in kappas)
         assert_matches_reference(round_best(plan), brute_force(every_trial(plan)))
 

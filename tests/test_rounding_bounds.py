@@ -58,7 +58,7 @@ def test_bounds_hold_for_drawn_trials(n, monkeypatch):
     # seed 0 at n = 92 draws trials with lambda_min(X^T X) near 0; a copied
     # row makes one of them exactly singular
     plan = plan_at(n)
-    signs = np.stack([round_once(plan, t).entries for t in range(plan.trials)])
+    signs = np.stack([SignMatrix(round_once(plan, t)).entries for t in range(plan.trials)])
     singular = signs[0].copy()
     singular[1] = -singular[0]
     assert math.isinf(condition_number(SignMatrix(singular)).kappa)
@@ -117,7 +117,7 @@ def test_only_a_singular_trial_keeps_its_start_block():
     # one exactly singular draw among eight: its squared Gram has no LU, and
     # the others must still be moved by the solve
     plan = RoundingPlan(target=flat_orthogonal(3)[0], trials=64, master_seed=1)
-    draws = [round_once(plan, t) for t in range(plan.trials)]
+    draws = [SignMatrix(round_once(plan, t)) for t in range(plan.trials)]
     singular = [x.entries for x in draws if math.isinf(condition_number(x).kappa)]
     regular = [x.entries for x in draws if math.isfinite(condition_number(x).kappa)]
     signs = np.stack(regular[:3] + singular[:1] + regular[3:7]).astype(np.int8)

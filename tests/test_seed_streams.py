@@ -18,7 +18,7 @@ import pytest
 from approxhad import search
 from approxhad.constructions import build_catalog
 from approxhad.flatten import OrthMatrix, flat_orthogonal, submatrix_orthogonalize
-from approxhad.linalg import Draws
+from approxhad.linalg import Draws, SignMatrix
 from approxhad.rounding import RoundingPlan, round_once
 from approxhad.search import StructureClass, anneal
 from test_search_determinism import ANNEAL_PANEL, BUDGET, pattern
@@ -48,7 +48,8 @@ def test_round_streams_distinct(a, b):
     orth, _ = flat_orthogonal(11)  # k = 1: entries are not all +-1, so draws matter
 
     def draw(seed):
-        return round_once(RoundingPlan(target=orth, trials=1, master_seed=seed), 0).entries
+        plan = RoundingPlan(target=orth, trials=1, master_seed=seed)
+        return SignMatrix(round_once(plan, 0)).entries
 
     assert not np.array_equal(draw(a), draw(b))
 
@@ -218,7 +219,7 @@ def test_round_once_draws_generator_uniforms(seed):
     plan = RoundingPlan(target=flat_orthogonal(22)[0], trials=64, master_seed=seed)
     for t in (0, 1, 63):
         want = np.where(generator(seed, t).random((22, 22)) < (1.0 + plan.scaled) / 2.0, 1, -1)
-        assert np.array_equal(round_once(plan, t).entries, want), t
+        assert np.array_equal(SignMatrix(round_once(plan, t)).entries, want), t
 
 
 def flattened_by_generator(n, seed):
@@ -256,5 +257,5 @@ def test_no_generator_is_made(monkeypatch):
     want_round = np.where(generator(5, 1).random((22, 22)) < plan.plus_probability, 1, -1)
     want_flat = flattened_by_generator(23, 5)
     monkeypatch.setattr(np.random, "Generator", no_generator)
-    assert np.array_equal(round_once(plan, 1).entries, want_round)
+    assert np.array_equal(SignMatrix(round_once(plan, 1)).entries, want_round)
     assert np.array_equal(flat_orthogonal(23, seed=5)[0].entries, want_flat)
