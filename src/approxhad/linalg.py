@@ -67,6 +67,21 @@ def eigvalsh_margin(n: int, lam):
     return n * n * ETA_PER_N2_LMAX * lam
 
 
+def _checked_signs(a) -> np.ndarray:
+    """a as an array, after checking that it is square, of order >= 1,
+    with every entry +-1; a ValueError names the first fault."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("order must be >= 1")
+    bad = (a != 1) & (a != -1)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"entry at ({i}, {j}) is {a[i, j]}, not +-1")
+    return a
+
+
 @dataclass(frozen=True)
 class SignMatrix:
     """Square matrix with every entry in {-1, +1}."""
@@ -74,18 +89,9 @@ class SignMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("order must be >= 1")
-        # check before the cast, which would truncate 1.9 to 1
-        bad = (a != 1) & (a != -1)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValueError(f"entry at ({i}, {j}) is {a[i, j]}, not +-1")
-        # a copy, so freezing it leaves the caller's array writable
-        a = np.array(a, dtype=np.int64)
+        # checked before the cast, which would truncate 1.9 to 1; then a
+        # copy, so freezing it leaves the caller's array writable
+        a = np.array(_checked_signs(self.entries), dtype=np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -314,10 +320,10 @@ def condition_number(A: SignMatrix | np.ndarray, probes=None,
     """kappa(A) = sigma_max/sigma_min, formed by `gram_kappa` from the
     eigenvalues of the exact Gram; sigma_min is 0 when kappa is inf.
 
-    A is a SignMatrix or a square +-1 array of any dtype.  The array is
-    trusted as `gram_eigvalsh` trusts it, unchecked; the eigensolve and the
-    quotients see the same float64 matrix either way, so it gives the
-    SignMatrix's result bit for bit.
+    A is a SignMatrix or a square +-1 array of any dtype, which is checked
+    as SignMatrix checks it (ValueError otherwise) but not copied to int64;
+    the eigensolve and the quotients see the same float64 matrix either
+    way, so it gives the SignMatrix's result bit for bit.
 
     Early exit: given `probes` = (v, w), the quotients at v and w bound
     lambda_max and lambda_min of A^T A from the inside, whatever the
@@ -326,7 +332,7 @@ def condition_number(A: SignMatrix | np.ndarray, probes=None,
     that the eigensolve's cannot fall below.  If it exceeds `above`, None
     is returned without the eigensolve: kappa(A) > above.
     """
-    a = A.entries if isinstance(A, SignMatrix) else A
+    a = A.entries if isinstance(A, SignMatrix) else _checked_signs(A)
     n = a.shape[-1]
     if probes is not None:
         a = np.asarray(a, dtype=np.float64)

@@ -23,8 +23,8 @@ iteration in one LU.  That solve starts from two vectors, E's power-step
 vector and cos(2i) for i = 1..n, and of the two it returns, the one with
 the lower Rayleigh quotient on X^T X is the lambda_min probe.  The power
 steps and those quotients run in float32, on E and on one float32 copy
-of X; the power steps normalize only after every 4th step and after the
-last, which `_power` bounds.  The Grams are formed from that copy while
+of X; the power steps normalize only after every 4th step, which
+`_power` bounds.  The Grams are formed from that copy while
 n^3 <= 2^24, and in float64 above: their partial sums are integers of
 magnitude at most n^3, so the LU, in float64, sees the exact (X^T X)^2
 either way.  The trial is then passed to `condition_number` and
@@ -82,16 +82,6 @@ class RoundingPlan:
         """ceil(plus_probability 2^53) as uint64, the draw's integer
         thresholds (see the RNG contract above); computed once."""
         return np.ceil(self.plus_probability * 2.0 ** 53).astype(np.uint64)
-
-    @cached_property
-    def scaled32(self) -> np.ndarray:
-        """`scaled` as float32, which E's power steps subtract; computed once."""
-        return self.scaled.astype(np.float32)
-
-    @cached_property
-    def cos_start(self) -> np.ndarray:
-        """cos(2i) for i = 1..n, a start vector of the inverse iteration; computed once."""
-        return np.cos(2.0 * np.arange(1, self.n + 1))
 
     @property
     def n(self) -> int:
@@ -159,10 +149,11 @@ class RoundingResult:
 # Trials whose probes are formed together: one (_BLOCK, n, n) stack
 # per array, so memory does not grow with the trial count.
 _BLOCK = 8
+# `_power` normalizes after every _NORM_EVERY-th step; both step counts
+# are multiples of it, so the last step is normalized too
+_NORM_EVERY = 4
 _E_STEPS = 24  # power steps towards the top right singular vector of E
 _GRAM_STEPS = 4  # power steps on X^T X, started from E's vector
-# `_power` normalizes after every _NORM_EVERY-th step up to this order
-_NORM_EVERY, _NORM_EVERY_MAX_N = 4, 10 ** 4
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -179,17 +170,17 @@ def _power(a: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
     columns; a column that vanishes or underflows comes back NaN.
 
     Each column is divided by its largest |entry| only after every 4th step
-    and after the last, then scaled to unit length.  From a column with
-    entries in [-1, 1], as the start columns have too, 4 steps and every
-    partial sum on the way stay below sqrt(n) max(1, ||a||_F^2)^4.  For an
-    n x n matrix with |a_ij| <= 2, as E and X are, that is at most
-    sqrt(n) (4 n^2)^4 < 2^128, finite in float32, for n <= 10^4; above that
-    order the column is divided at every step."""
-    every = _NORM_EVERY if a.shape[-1] <= _NORM_EVERY_MAX_N else 1
+    (`steps` is a multiple of 4), then scaled to unit length.  From a column
+    with entries in [-1, 1], as the start columns have too, 4 steps and
+    every partial sum on the way stay below sqrt(n) max(1, ||a||_F^2)^4.
+    For an n x n matrix with |a_ij| <= 2, as E and X are, that is at most
+    sqrt(n) (4 n^2)^4 < 2^128, so the columns stay finite in float32 for
+    n <= 10^4.  Beyond that a column may overflow and come back NaN, and a
+    NaN probe sends its trial to the exact eigensolve."""
     at = a.swapaxes(-1, -2)
     for step in range(1, steps + 1):
         v = at @ (a @ v)
-        if step % every == 0 or step == steps:
+        if step % _NORM_EVERY == 0:
             v = v / np.abs(v).max(axis=-2, keepdims=True)
     return v / np.sqrt(_sq_norms(v))[..., None, :]
 
@@ -233,7 +224,7 @@ def _probes(plan: RoundingPlan, x8: np.ndarray):
     as visiting orders: -inf where there is none, which visits first."""
     n = plan.n
     x = x8.astype(np.float32)
-    e = x - plan.scaled32
+    e = x - plan.scaled.astype(np.float32)
     with np.errstate(all="ignore"):
         v = _power(e, np.ones((len(x), n, 1), np.float32), _E_STEPS)
         e_order = _rayleigh(e, v)
@@ -243,7 +234,7 @@ def _probes(plan: RoundingPlan, x8: np.ndarray):
         # E's vector and from cos(2i); the lower quotient picks w_min
         b = np.empty((len(x), n, 2))
         b[..., :1] = np.where(np.isfinite(v), v, 1.0)
-        b[..., 1] = plan.cos_start
+        b[..., 1] = np.cos(2.0 * np.arange(1, n + 1))
         w = _solve(_squared_gram(x), b)
         w = w / np.sqrt(_sq_norms(w))[..., None, :]
         bad = ~np.isfinite(w).all(axis=(-2, -1))
@@ -270,8 +261,6 @@ def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
     """
     if plan.trials < 1:
         raise ValueError("need at least one trial")
-
-    plan.thresholds, plan.scaled32, plan.cos_start  # formed once, before any thread
 
     def block(b0: int):
         signs = np.stack([round_once(plan, t) for t in range(b0, min(b0 + _BLOCK, plan.trials))])

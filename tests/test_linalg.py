@@ -204,6 +204,19 @@ class TestConditionNumber:
                     bits(condition_number(A, probes, above=above)), (n, above)
         assert math.isinf(condition_number(singular.astype(dtype)).kappa)
 
+    @pytest.mark.parametrize("a, match", [
+        (np.array([[1, 1], [1, 2]], dtype=np.int8), r"entry at \(1, 1\) is 2, not \+-1"),
+        (np.array([[1.0, 0.5], [1.0, -1.0]]), r"entry at \(0, 1\) is 0.5, not \+-1"),
+        (np.full((2, 2), 2.0), r"entry at \(0, 0\)"),  # eta at n^2 would be too small
+        (np.ones((2, 3), dtype=np.int8), "expected a square matrix"),
+        (np.ones((0, 0), dtype=np.int8), "order must be >= 1"),
+    ])
+    def test_array_is_checked_as_a_sign_matrix(self, a, match):
+        n = a.shape[-1]
+        for probes in (None, (np.ones(n), np.ones(n))):
+            with pytest.raises(ValueError, match=match):
+                condition_number(a, probes, above=1.0)
+
     def test_barba_5(self):
         rep = condition_number(SignMatrix(circulant([1, 1, 1, 1, -1])))
         assert rep.kappa == pytest.approx(1.5, abs=1e-12)
