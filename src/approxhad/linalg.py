@@ -14,7 +14,8 @@ package trusts an eigenvalue of an order-n matrix only to
 eta = n^2 lambda 2^-52 with lambda >= lambda_max, from `eigvalsh_margin`.
 
 `gram_eigvalsh` is the one place a +-1 matrix becomes the eigenvalues of
-its exact Gram.  It calls `eigvalsh_lo`, the LAPACK gufunc in NumPy's
+its exact Gram, and the package's one eigenvalue-only solve (`operator_norm`
+calls it on a real E).  It calls `eigvalsh_lo`, the LAPACK gufunc in NumPy's
 private `numpy.linalg._umath_linalg` that `np.linalg.eigvalsh` itself
 calls on float64 input, so the bits are the same.  Skipping the public
 wrapper saves a few microseconds per call, a sizeable share of each of
@@ -62,8 +63,8 @@ ETA_PER_N2_LMAX = 2.0 ** -52
 
 
 def eigvalsh_margin(n: int, lam):
-    """The eta above at order n and lambda = lam, a float or an array:
-    n^2 2^-52 is exact, so only the product with lam rounds."""
+    """The eta above at order n and lambda = lam: n^2 2^-52 is exact, so
+    only the product with lam rounds."""
     return n * n * ETA_PER_N2_LMAX * lam
 
 
@@ -151,9 +152,10 @@ def gram_float64(a: np.ndarray) -> np.ndarray:
 def gram_eigvalsh(a: np.ndarray) -> np.ndarray:
     """The eigenvalues, ascending, of the exact Gram of a +-1 matrix or of
     each in a stack (..., n, n), n >= 1: `np.linalg.eigvalsh` of
-    `gram_float64(a)` bit for bit, with less overhead per call.  Pass
-    float64 to spare the conversion.  Raises LinAlgError where LAPACK does
-    not converge, which the gufunc reports as NaN."""
+    `gram_float64(a)` bit for bit, with less overhead per call.  A real
+    matrix gets those of its float64 a^T a.  Pass float64 to spare the
+    conversion.  Raises LinAlgError where LAPACK does not converge, which
+    the gufunc reports as NaN."""
     ev = _eigvalsh_lo(gram_float64(a))
     # a scalar test for one matrix: np.isnan(...).any() costs a few us
     nan = ev[0] != ev[0] if ev.ndim == 1 else np.isnan(ev[..., 0]).any()
@@ -350,9 +352,9 @@ def condition_number(A: SignMatrix | np.ndarray, probes=None,
 
 def operator_norm(E: np.ndarray, probe=None, above: float = math.inf) -> float:
     """Largest singular value of a dense matrix: sqrt of the top eigenvalue
-    of E^T E.  A full symmetric eigensolve cannot miss the top eigenvalue,
-    as power iteration does when its start vector lies in another
-    eigenspace.
+    of E^T E, from `gram_eigvalsh`.  A full symmetric eigensolve cannot
+    miss the top eigenvalue, as power iteration does when its start vector
+    lies in another eigenspace.
 
     Early exit: the quotient at `probe`, lowered by the margin eta (at
     lambda = ||E||_F^2), bounds the eigensolve's value from below.  If its
@@ -367,7 +369,7 @@ def operator_norm(E: np.ndarray, probe=None, above: float = math.inf) -> float:
         floor = _quotient(E, probe) - eigvalsh_margin(m, float(np.vdot(E, E)))
         if floor > 0 and math.sqrt(floor) > above:
             return math.sqrt(floor)
-    return math.sqrt(max(float(np.linalg.eigvalsh(E.T @ E)[-1]), 0.0))
+    return math.sqrt(max(float(gram_eigvalsh(E)[-1]), 0.0))
 
 
 def minpoly_residual(p: IntPolynomial, kappa: float) -> float:

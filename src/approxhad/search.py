@@ -30,7 +30,9 @@ general or symmetric anneal makes.  The bounds come from
 * the circulant-type classes (circulant, circulant_core,
   two_block_circulant, block_circulant) read the DFT eigenvalues of every
   single-bit neighbour, each within eta = n^2 * lambda_max * 2^-52 of what
-  eigvalsh returns on the exact Gram;
+  eigvalsh returns on the exact Gram.  One function, `kappa_bounds`, bounds
+  a neighbour as it is made, and a state's floor is its lo for every bit
+  (`kappa_floors`);
 * general and symmetric have no DFT.  A neighbour there starts with no
   bound until the chain has rejected _FLOOR_AFTER moves in a row at its
   state; then `RitzScreen` forms a floor under every neighbour's kappa from
@@ -422,7 +424,7 @@ def anneal(
             hit.lo, hit.hi = min(lo, _SINGULAR_ENERGY), min(hi, _SINGULAR_ENERGY)
 
         def lows(state: _State) -> np.ndarray:
-            return screen.all_kappa_bounds(spectra(state))[0]
+            return screen.kappa_floors(spectra(state))
 
     draws = Draws(seed, 0)
 
@@ -615,6 +617,8 @@ class Registry:
 
         The record's kappa is recomputed from the matrix first, by the one
         rule search also uses, and anything but the same float is rejected.
+        A singular matrix (kappa = inf, which JSON cannot hold) is declined
+        before anything is written.
         """
         recomputed = condition_number(record.matrix).kappa
         if recomputed != record.kappa:
@@ -622,6 +626,8 @@ class Registry:
                 f"stored kappa {record.kappa!r} does not match recomputed "
                 f"{recomputed!r}"
             )
+        if not math.isfinite(record.kappa):
+            return False
         d = self._dir(record.n)
         d.mkdir(parents=True, exist_ok=True)
         lock_path = d / ".lock"

@@ -19,7 +19,9 @@ cached cos/sin table, and flipping bit i subtracts 2 x_i times row i of
 that table.  A screened extreme eigenvalue lies within
 eta = n^2 * lambda_max * 2^-52 of what eigvalsh returns on the exact Gram
 (tests/test_screen_properties.py checks eta / 2), so a screened kappa is
-a pair of bounds on the exact-path kappa.
+a pair of bounds on the exact-path kappa.  `kappa_bounds` is the one
+bound function, per neighbour; the floor under all neighbours that
+anneal's rejection runs read, `kappa_floors`, is its lo for each bit.
 
 `RitzScreen` gives the general and symmetric classes, which no DFT
 diagonalizes, a one-sided bound instead: a floor under every single-bit
@@ -109,22 +111,6 @@ class SpectralScreen:
             lmax = max(lmax, big)
         return lmin, lmax
 
-    def all_extremes(self, spectra) -> tuple[np.ndarray, np.ndarray]:
-        """`extremes` of every neighbour at once, as two arrays indexed by
-        flipped bit; the same operations, so the same floats."""
-        lam, pm = spectra
-        lmin = lam.min(axis=1, initial=math.inf)
-        lmax = lam.max(axis=1, initial=0.0)
-        if self.core:
-            m = self.core
-            c0 = pm.sum() - 2 * pm
-            trace = (1 + 2 * m) + c0 * c0
-            det = (m - c0) ** 2
-            big = (trace + np.sqrt(trace * trace - 4 * det)) / 2
-            lmin = np.minimum(lmin, det / big)
-            lmax = np.maximum(lmax, big)
-        return lmin, lmax
-
     def kappa_bounds(self, spectra, i: int) -> tuple[float, float]:
         """lo <= kappa <= hi for the kappa that eigvalsh of neighbour i's
         exact Gram gives, both from `gram_kappa` with the eigenvalues
@@ -139,13 +125,10 @@ class SpectralScreen:
         return (gram_kappa(lmin + eta, lmax - eta, self.n),
                 gram_kappa(lmin - eta, lmax + eta, self.n))
 
-    def all_kappa_bounds(self, spectra) -> tuple[np.ndarray, np.ndarray]:
-        """`kappa_bounds` of every neighbour at once, as two arrays indexed
-        by flipped bit, equal to it bit for bit."""
-        lmin, lmax = self.all_extremes(spectra)
-        eta = eigvalsh_margin(self.n, lmax)
-        return (gram_kappas(lmin + eta, lmax - eta, self.n),
-                gram_kappas(lmin - eta, lmax + eta, self.n))
+    def kappa_floors(self, spectra) -> np.ndarray:
+        """The lo of `kappa_bounds` for every neighbour, by flipped bit: the
+        floor that anneal's rejection runs read."""
+        return np.array([self.kappa_bounds(spectra, i)[0] for i in range(len(spectra[0]))])
 
 
 class RitzScreen:

@@ -6,6 +6,10 @@ private name has one module that knows it.  Dunders are public here.
 
 NumPy's private surface is one import in linalg.py: no other module
 imports from a NumPy module path with a leading-underscore part.
+
+Every eigenvalue-only solve goes through linalg.gram_eigvalsh: no module
+calls NumPy's eigvalsh, eigvals or eig, and eigh, which gives the
+eigenvectors, appears only in spectral.py (RitzScreen).
 """
 
 import ast
@@ -52,3 +56,22 @@ def numpy_private_imports(path):
 def test_only_linalg_imports_private_numpy():
     found = [c for path in sorted(PACKAGE.glob("*.py")) for c in numpy_private_imports(path)]
     assert found == ["linalg.py imports numpy.linalg._umath_linalg.eigvalsh_lo"]
+
+
+EIGENSOLVERS = ("eigvalsh", "eigvals", "eig", "eigh")
+
+
+def eigensolver_uses(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS
+                and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")):
+            yield f"{path.name} uses np.linalg.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            for alias in node.names:
+                if alias.name in EIGENSOLVERS:
+                    yield f"{path.name} uses np.linalg.{alias.name}"
+
+
+def test_eigenvalues_come_from_one_kernel():
+    found = {c for path in sorted(PACKAGE.glob("*.py")) for c in eigensolver_uses(path)}
+    assert sorted(found) == ["spectral.py uses np.linalg.eigh"]

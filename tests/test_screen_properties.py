@@ -5,8 +5,8 @@ smallest orders, each neighbour's screened extreme Gram eigenvalues lie
 within eta / 2 of what eigvalsh returns on its exact Gram (anneal trusts
 them to eta), and the screen's kappa bounds contain the neighbour's
 exact-path kappa; lo bounds it also where hi = inf, as anneal's floors
-rely on.  The bounds of all neighbours at once, which anneal's rejection
-runs read, are the per-neighbour ones bit for bit, so never above them.
+rely on.  So does the floor under all neighbours that anneal's rejection
+runs read (SpectralScreen.kappa_floors, built from those bounds).
 
 For random and near-singular general and symmetric matrices, again down
 to the smallest orders, the Ritz values lie on the right side of the
@@ -60,6 +60,8 @@ def test_screen_matches_eigvalsh(case, data):
         near_singular_bits(nbits)))
     screen = search._screen(sclass, n)
     spectra = screen.spectra(bits)
+    floors = screen.kappa_floors(spectra)
+    assert floors.shape == (nbits,)
     for i in range(nbits):
         flipped = bits.copy()
         flipped[i] ^= 1
@@ -70,6 +72,7 @@ def test_screen_matches_eigvalsh(case, data):
         assert abs(lmax - lmax_exact) <= half_eta, (name, n, i)
         lo, hi = screen.kappa_bounds(spectra, i)
         assert lo <= kappa <= hi, (name, n, i)
+        assert floors[i] <= kappa, (name, n, i)
 
 
 def near_singular_bits(nbits):
@@ -86,26 +89,6 @@ def near_singular_bits(nbits):
                 bits[i] ^= 1
         return bits
     return draw()
-
-
-@hypothesis.settings(max_examples=60, deadline=None)
-@hypothesis.given(case=st.sampled_from(CASES), data=st.data())
-def test_all_bounds_are_the_per_neighbour_bounds(case, data):
-    name, n = case
-    sclass = StructureClass.parse(name)
-    nbits = sclass.n_bits(n)
-    bits = data.draw(st.one_of(
-        st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits).map(
-            lambda b: np.array(b, dtype=np.int64)),
-        near_singular_bits(nbits)))
-    screen = search._screen(sclass, n)
-    spectra = screen.spectra(bits)
-    lo_all, hi_all = screen.all_kappa_bounds(spectra)
-    assert lo_all.shape == hi_all.shape == (nbits,)
-    for i in range(nbits):
-        lo, hi = screen.kappa_bounds(spectra, i)
-        assert lo_all[i] <= lo, (name, n, i)
-        assert lo_all[i] == lo and hi_all[i] == hi, (name, n, i)
 
 
 RITZ_CASES = [

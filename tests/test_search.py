@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import signal
@@ -363,6 +364,27 @@ class TestRegistry:
         )
         with pytest.raises(RegistryRejection, match="recomputed"):
             Registry(tmp_path).update(nudged)
+
+    def test_singular_record_is_declined(self, tmp_path):
+        # JSON has no number for kappa = inf: storing it would write
+        # Infinity into index.json, which a strict parser rejects
+        def strict(name):
+            raise ValueError(f"index.json holds {name}")
+
+        reg = Registry(tmp_path)
+        singular = anneal(2, StructureClass("circulant"), seed=0, budget=10)
+        assert math.isinf(singular.kappa)
+        assert reg.update(singular) is False
+        assert list(tmp_path.iterdir()) == []
+        A = SignMatrix([[1, 1], [1, -1]])
+        assert reg.update(SearchRecord(n=2, structure="circulant", kappa=condition_number(A).kappa,
+                                       matrix=A, seed=1, effort={})) is True
+        files = sorted(p.name for p in (tmp_path / "2").iterdir())
+        assert reg.update(singular) is False
+        assert sorted(p.name for p in (tmp_path / "2").iterdir()) == files
+        for path in tmp_path.rglob("index.json"):
+            json.loads(path.read_text(), parse_constant=strict)
+        assert reg.best(2)["kappa"] == 1.0
 
     def test_roundtrip_matrix(self, tmp_path):
         reg = Registry(tmp_path)

@@ -12,7 +12,9 @@ error is below eta / 2 (see test_screen_properties.py), so the exact value
 stays inside the bounds anneal derives, and a decision the bounds settle
 cannot flip; one taken without a margin would.  With the bounds made
 (-inf, inf) instead, no decision may be read from them, and the records
-must still be the exact path's.
+must still be the exact path's.  A rejection run's floor is the lo of
+those per-neighbour bounds (SpectralScreen.kappa_floors), so the same
+patch moves it; counting kappa_floors calls shows that a run read it.
 
 Rejection runs (search._proven_rejections) commit many proven rejections
 at once; with them tried from the first rejection, or before every move,
@@ -113,20 +115,19 @@ def shifted_extremes(direction, calls):
     return shifted
 
 
-def shifted_all_extremes(direction, calls):
-    """SpectralScreen.all_extremes shifted as shifted_extremes shifts each
-    neighbour.  Each call, one per state a rejection run reads, appends
-    the state's neighbour count to calls."""
-    all_extremes = SpectralScreen.all_extremes
+def count_floors(monkeypatch) -> list:
+    """A list that each SpectralScreen.kappa_floors call, one per state a
+    rejection run reads, appends the state's neighbour count to."""
+    floors = []
+    kappa_floors = SpectralScreen.kappa_floors
 
-    def shifted(self, spectra):
-        lmin, lmax = all_extremes(self, spectra)
-        calls.append(len(lmin))
-        half = eigvalsh_margin(self.n, lmax) / 2
-        s = np.array([direction(i) for i in range(len(lmin))])
-        return lmin + s * half, lmax - s * half
+    def counted(self, spectra):
+        lo = kappa_floors(self, spectra)
+        floors.append(len(lo))
+        return lo
 
-    return shifted
+    monkeypatch.setattr(SpectralScreen, "kappa_floors", counted)
+    return floors
 
 
 DIRECTIONS = {
@@ -138,19 +139,18 @@ DIRECTIONS = {
 
 @pytest.mark.parametrize("direction", sorted(DIRECTIONS))
 def test_shifted_screen_keeps_every_decision(monkeypatch, direction):
-    calls, run_calls = [], []
+    calls = []
     monkeypatch.setattr(SpectralScreen, "extremes",
                         shifted_extremes(DIRECTIONS[direction], calls))
-    monkeypatch.setattr(SpectralScreen, "all_extremes",
-                        shifted_all_extremes(DIRECTIONS[direction], run_calls))
+    floors = count_floors(monkeypatch)
     for n, name, seed, kappa_hex, restarts, plus in SCREEN_PANEL:
         check(n, name, seed, BUDGET, kappa_hex, restarts, plus)
     for n, name, seed, kappa_hex, restarts, plus in SCREENED_ANNEAL_PANEL:
         check(n, name, seed, ANNEAL_PANEL_BUDGET, kappa_hex, restarts, plus)
-    # an anneal that bypassed the screen, or never ran a rejection run,
+    # an anneal that bypassed the screen, or never read a shifted floor,
     # would pass the checks above untested
     assert calls
-    assert run_calls
+    assert floors
 
 
 @pytest.mark.parametrize("n,name", [(19, "circulant"), (21, "circulant_core"),
@@ -175,16 +175,12 @@ def test_unbounded_screen_defers_to_the_exact_path(monkeypatch):
         calls.append(i)
         return -math.inf, math.inf
 
-    def all_unbounded(self, spectra):
-        count = len(spectra[0])
-        calls.append(count)
-        return np.full(count, -math.inf), np.full(count, math.inf)
-
     monkeypatch.setattr(SpectralScreen, "kappa_bounds", unbounded)
-    monkeypatch.setattr(SpectralScreen, "all_kappa_bounds", all_unbounded)
+    floors = count_floors(monkeypatch)
     for n, name, seed, kappa_hex, restarts, plus in SCREEN_PANEL:
         check(n, name, seed, BUDGET, kappa_hex, restarts, plus)
     assert calls
+    assert floors
 
 
 def test_exact_classes_have_no_screen():
