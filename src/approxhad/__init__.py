@@ -53,6 +53,7 @@ from .lower_bound import (
     CliqueCertificate,
     best_clique_certificate,
     kappa_floor,
+    orthogonal_triple_exists,
 )
 from .matrixio import parse_sign_matrix, write_sign_matrix
 from .rounding import (

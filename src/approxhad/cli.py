@@ -83,12 +83,13 @@ def _emit(report: dict, as_csv: bool) -> None:
 
 
 def _registry(args) -> Registry | None:
+    # empty means none: Registry("") would write into the working directory
     path = getattr(args, "registry", None) or os.environ.get(REGISTRY_ENV)
     return Registry(path) if path else None
 
 
 def _write_or_print(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open(out, "w") as f:
             f.write(text)
     else:
@@ -119,7 +120,7 @@ def cmd_construct(args) -> int:
     elif kind == "conference_plus_identity":
         fam = conference_plus_identity(n)
     else:
-        fx = bundled_fixtures().get(n)
+        fx = bundled_fixtures((n,)).get(n)
         if fx is None or detect_gram_class(fx["matrix"]) != "barba":
             raise ValueError(f"no bundled Barba witness at order {n}")
         fam = verify_barba(fx["matrix"])
@@ -143,9 +144,8 @@ def cmd_flatten(args) -> int:
         "orthogonality_defect": float_field(orth.orthogonality_defect),
         "seed": args.seed,
     }
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(write_orth_csv(orth.entries))
+    if args.out is not None:
+        _write_or_print(write_orth_csv(orth.entries), args.out)
     _emit(report, args.csv)
     return 0
 
@@ -168,9 +168,8 @@ def cmd_round(args) -> int:
         "empirical_E_norm": float_field(result.empirical_error_norm),
         "seed": args.seed,
     }
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(write_sign_matrix(result.matrix))
+    if args.out is not None:
+        _write_or_print(write_sign_matrix(result.matrix), args.out)
     _emit(report, args.csv)
     return 0
 
@@ -181,6 +180,9 @@ def cmd_search(args) -> int:
     else:
         sclass = StructureClass.parse(args.structure)
         record = anneal(args.n, sclass, args.seed, args.budget)
+    # before the registry update, so a failed --out stores nothing
+    if args.out is not None:
+        _write_or_print(write_sign_matrix(record.matrix), args.out)
     registry = _registry(args)
     stored = registry.update(record) if registry is not None else None
     report = {
@@ -192,16 +194,13 @@ def cmd_search(args) -> int:
         "stored": stored,
         "timestamp": record.timestamp,
     }
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(write_sign_matrix(record.matrix))
     _emit(report, args.csv)
     return 0
 
 
 def cmd_certify(args) -> int:
     matrix = load_matrix_file(args.input)
-    poly = IntPolynomial.parse(args.minpoly) if args.minpoly else None
+    poly = IntPolynomial.parse(args.minpoly) if args.minpoly is not None else None
     report = certify(matrix, minpoly=poly)
     _emit(report.to_dict(), args.csv)
     return 0

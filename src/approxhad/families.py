@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import paley_conference
-from .linalg import SignMatrix, condition_number, gram_float64
+from .linalg import SignMatrix, condition_number, gram
 
 __all__ = [
     "SdsPair",
@@ -113,12 +113,12 @@ def _is_symmetric_conference(c: np.ndarray) -> bool:
     """Zero diagonal, +-1 off the diagonal, C = C^T and C^T C = (n-1) I."""
     eye = np.eye(c.shape[0], dtype=np.int64)
     return (np.array_equal(np.abs(c), 1 - eye) and np.array_equal(c, c.T)
-            and np.array_equal(c.T @ c, (c.shape[0] - 1) * eye))
+            and np.array_equal(gram(c), (c.shape[0] - 1) * eye))
 
 
 def detect_gram_class(A: SignMatrix) -> str:
     """Which exact Gram identity A satisfies, if any, tried in the order below."""
-    g = gram_float64(A.entries)
+    g = gram(A.entries)
     for identity in ("hadamard", "barba", "sds_block"):
         expected = _expected_gram(identity, A.n)
         if expected is not None and np.array_equal(g, expected):
@@ -162,7 +162,7 @@ def verify_barba(A: SignMatrix) -> FamilyMatrix:
     n = A.n
     if n < 2:
         raise ValueError(f"the Barba closed form sqrt((2n-1)/(n-1)) needs order >= 2, not {n}")
-    g = gram_float64(A.entries)
+    g = gram(A.entries)
     expected = _expected_gram("barba", n)
     if not np.array_equal(g, expected):
         i, j = (int(v) for v in np.argwhere(g != expected)[0])
@@ -245,6 +245,6 @@ def sds_block_matrix(pair: SdsPair) -> FamilyMatrix:
     R = circulant(pair.r)
     S = circulant(pair.s)
     A = SignMatrix(np.block([[R, S], [S.T, -R.T]]))
-    if not np.array_equal(gram_float64(A.entries), _expected_gram("sds_block", n)):
+    if not np.array_equal(gram(A.entries), _expected_gram("sds_block", n)):
         raise AssertionError("block Gram identity failed despite a valid pair")
     return _certified("sds_block", A, math.sqrt((2 * n - 2) / (n - 2)))

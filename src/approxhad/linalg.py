@@ -2,7 +2,9 @@
 
 Condition numbers are always derived from the exact Gram matrix A^T A
 of a +-1 matrix, and kappa is sqrt(lambda_max / lambda_min) of a
-symmetric eigendecomposition.  The Gram is formed by a float64 BLAS
+symmetric eigendecomposition.  `gram` is the one function that forms
+the Gram of a +-1 (or {-1, 0, 1}) matrix, for the eigensolves and for
+every exact Gram identity the package checks.  It is a float64 BLAS
 product, which is exact: every entry of A^T A and every partial sum on
 the way to it is an integer of magnitude <= n, and binary64 represents
 all integers up to 2^53, so no summation order or fused multiply-add can
@@ -43,7 +45,6 @@ __all__ = [
     "Draws",
     "eigvalsh_margin",
     "gram",
-    "gram_float64",
     "gram_eigvalsh",
     "gram_kappa",
     "gram_kappas",
@@ -136,13 +137,7 @@ class IntPolynomial:
         return cls(tuple(int(t.strip()) for t in text.split(",")))
 
 
-def gram(A: SignMatrix) -> np.ndarray:
-    """Exact integer A^T A as int64.  Nothing in the package calls it; it
-    stays because the bench tracer wraps it by name.  Use gram_float64."""
-    return gram_float64(A.entries).astype(np.int64)
-
-
-def gram_float64(a: np.ndarray) -> np.ndarray:
+def gram(a: np.ndarray) -> np.ndarray:
     """Exact A^T A of a +-1 matrix, or of each in a stack (..., n, n), as
     float64 through BLAS; see the module docstring for why it is exact."""
     f = np.asarray(a, dtype=np.float64)
@@ -152,11 +147,11 @@ def gram_float64(a: np.ndarray) -> np.ndarray:
 def gram_eigvalsh(a: np.ndarray) -> np.ndarray:
     """The eigenvalues, ascending, of the exact Gram of a +-1 matrix or of
     each in a stack (..., n, n), n >= 1: `np.linalg.eigvalsh` of
-    `gram_float64(a)` bit for bit, with less overhead per call.  A real
-    matrix gets those of its float64 a^T a.  Pass float64 to spare the
-    conversion.  Raises LinAlgError where LAPACK does not converge, which
-    the gufunc reports as NaN."""
-    ev = _eigvalsh_lo(gram_float64(a))
+    `gram(a)`, the one Gram kernel, bit for bit, with less overhead per
+    call.  A real matrix gets those of its float64 a^T a.  Pass float64
+    to spare the conversion.  Raises LinAlgError where LAPACK does not
+    converge, which the gufunc reports as NaN."""
+    ev = _eigvalsh_lo(gram(a))
     # a scalar test for one matrix: np.isnan(...).any() costs a few us
     nan = ev[0] != ev[0] if ev.ndim == 1 else np.isnan(ev[..., 0]).any()
     if nan:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SignMatrix, gram_float64
+from .linalg import SignMatrix, gram
 
 __all__ = [
     "CliqueCertificate",
@@ -196,7 +196,7 @@ def best_clique_certificate(A: SignMatrix) -> CliqueCertificate:
     clique is maximum.
     """
     n = A.n
-    g = gram_float64(A.entries)
+    g = gram(A.entries)
     best = CliqueCertificate(indices=(0,), sign="positive", k=1, n=n, bound=1.0)
     for sign_name, adj in (("positive", g > 0), ("negative", g < 0)):
         clique = max_clique(adj)
@@ -223,7 +223,7 @@ def verify_certificate(cert: CliqueCertificate, A: SignMatrix) -> None:
         if cert.bound != 1.0:
             raise AssertionError("vacuous certificate must have bound 1")
         return
-    g = gram_float64(A.entries)
+    g = gram(A.entries)
     want = 1 if cert.sign == "positive" else -1
     for i, j in itertools.combinations(cert.indices, 2):
         entry = int(g[i, j])
@@ -268,7 +268,7 @@ def orthogonal_triple_exists(n: int) -> bool:
         v = -np.ones(n, dtype=np.int64)
         v[list(pos)] = 1
         cands.append(v)
-    B = np.stack(cands)
-    dots = B @ B.T
+    # the candidates as columns, so the Gram holds their dot products
+    dots = gram(np.stack(cands, axis=1))
     np.fill_diagonal(dots, 1)
     return bool((dots == 0).any())

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .linalg import eigvalsh_margin, gram_kappa, gram_kappas
+from .linalg import eigvalsh_margin, gram, gram_kappa, gram_kappas
 
 __all__ = ["SCREENED_KINDS", "SpectralScreen", "RitzScreen"]
 
@@ -181,7 +181,7 @@ class RitzScreen:
         n = self.n
         f = np.asarray(a, dtype=np.float64)
         # (row, side, vector): side 0 the bottom two, side 1 the top two
-        q = np.linalg.eigh(f.T @ f)[1][:, [0, 1, n - 2, n - 1]].reshape(n, 2, 2)
+        q = np.linalg.eigh(gram(f))[1][:, [0, 1, n - 2, n - 1]].reshape(n, 2, 2)
         p = (f @ q.reshape(n, 4)).reshape(n, 2, 2)
         g = np.einsum("ksi,ksj->sij", p, p)
         m00, m01, m11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]

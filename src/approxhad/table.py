@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Container
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
@@ -107,14 +108,10 @@ class Candidate(NamedTuple):
     matrix: SignMatrix
 
 
-def bundled_fixtures() -> dict[int, dict]:
-    """Witness matrices shipped with the package, keyed by order."""
-    return _fixtures(None)
-
-
-def _fixtures(orders: range | None) -> dict[int, dict]:
-    """The bundled witnesses of the given orders (all when None); a
-    witness file is parsed only when its order is wanted."""
+def bundled_fixtures(orders: Container[int] | None = None) -> dict[int, dict]:
+    """Witness matrices shipped with the package, keyed by order: those of
+    the given orders, or all when None.  A witness file is parsed only
+    when its order is wanted."""
     root = resources.files("approxhad") / "fixtures"
     index_file = root / "index.json"
     try:
@@ -173,7 +170,7 @@ def reproduce_table(
     anneal_budget: int = DEFAULT_BUDGET,
     seeds: tuple[int, ...] = (),
 ) -> list[TableRow]:
-    fixtures = _fixtures(range(n_min, n_max + 1))
+    fixtures = bundled_fixtures(range(n_min, n_max + 1))
     rows = []
     for n in sorted(TARGETS):
         if not n_min <= n <= n_max:

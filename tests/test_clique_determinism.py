@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from approxhad.flatten import flat_orthogonal
-from approxhad.linalg import SignMatrix, condition_number, gram_float64
+from approxhad.linalg import SignMatrix, condition_number, gram
 from approxhad import lower_bound
 from approxhad.lower_bound import (
     EXACT_CLIQUE_LIMIT,
@@ -138,7 +138,7 @@ def _rounded(n, seed, trials=64):
 
 
 def _color_graphs(A):
-    signs = np.sign(gram_float64(A.entries))
+    signs = np.sign(gram(A.entries))
     np.fill_diagonal(signs, 0)
     return signs > 0, signs < 0
 

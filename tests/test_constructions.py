@@ -17,12 +17,12 @@ from approxhad.constructions import (
     sylvester,
 )
 from approxhad.finite_field import PrimePowerField, supported_field_orders
-from approxhad.linalg import condition_number, gram_float64
+from approxhad.linalg import condition_number, gram
 
 
 def assert_hadamard(A):
     n = A.n
-    assert np.array_equal(gram_float64(A.entries), n * np.eye(n, dtype=np.int64))
+    assert np.array_equal(gram(A.entries), n * np.eye(n, dtype=np.int64))
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from approxhad.families import (
     sds_search,
     verify_barba,
 )
-from approxhad.linalg import SignMatrix, condition_number, gram_float64
+from approxhad.linalg import SignMatrix, condition_number, gram
 from approxhad.constructions import sylvester
 
 
@@ -56,7 +56,7 @@ class TestBarba:
     def _assert_barba_spectrum(fam):
         # (n-1) I + J has eigenvalue 2n-1 once and n-1 with multiplicity n-1
         n = fam.n
-        ev = np.linalg.eigvalsh(gram_float64(fam.matrix.entries))
+        ev = np.linalg.eigvalsh(gram(fam.matrix.entries))
         assert ev == pytest.approx([n - 1] * (n - 1) + [2 * n - 1], abs=1e-9)
 
     def test_n5_circulant_accepted(self):
@@ -220,7 +220,7 @@ class TestSdsBlockMatrix:
         n, half = fam.n, pair.half
         block = (n - 2) * np.eye(half, dtype=np.int64) + 2
         expected = np.kron(np.eye(2, dtype=np.int64), block)
-        assert np.array_equal(gram_float64(fam.matrix.entries), expected)
+        assert np.array_equal(gram(fam.matrix.entries), expected)
 
     def test_sds_beats_conference_at_same_order(self):
         # both exist at n = 6, 10, 14, 18; the block construction wins

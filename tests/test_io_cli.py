@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import approxhad.cli as cli
+import approxhad.table as table
 from approxhad.certify import SCHEMA, certify, detect_gram_class
 from approxhad.constructions import sylvester
 from approxhad.families import circulant, conference_plus_identity, sds_block_matrix, sds_search
@@ -171,6 +172,16 @@ class TestCli:
         assert code == 0
         assert detect_gram_class(parse_sign_matrix(out)) == "barba"
 
+    def test_construct_barba_parses_one_fixture(self, capsys, monkeypatch):
+        # only the witness of the asked order is read, not all 18
+        parsed = []
+        parse = table.parse_sign_matrix
+        monkeypatch.setattr(table, "parse_sign_matrix",
+                            lambda text: parsed.append(text) or parse(text))
+        code, _, _ = run_cli(capsys, "construct", "family", "--order", "13", "--kind", "barba")
+        assert code == 0
+        assert len(parsed) == 1
+
     @pytest.mark.parametrize("order", ["7", "11", "15", "19", "27"])
     def test_construct_sds_odd_order_is_domain_error(self, capsys, order):
         code, out, err = run_cli(capsys, "construct", "family", "--kind", "sds",
@@ -310,6 +321,16 @@ class TestCli:
                                "circulant", "--seed", "1", "--budget", "500")
         assert code == 0
         assert Registry(tmp_path).best(5) is not None
+
+    def test_failed_out_leaves_the_registry_untouched(self, capsys, tmp_path):
+        # --out was once written after the registry update, which stored the
+        # record before the bad path failed
+        code, out, err = run_cli(capsys, "search", "--n", "5", "--structure", "circulant",
+                                 "--budget", "200", "--registry", str(tmp_path / "reg"),
+                                 "--out", str(tmp_path / "missing" / "x.mat"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert not (tmp_path / "reg").exists()
 
     @pytest.mark.parametrize("command, n", [
         *(pytest.param("search", n, id=n) for n in ("0", "-3")),
@@ -466,6 +487,13 @@ MALFORMED = {
     "table_anneal_budget_zero": ["table", "--min", "3", "--max", "3", "--anneal-budget", "0"],
     "catalog_max_order_negative": ["catalog", "--max-order", "-1"],
     "catalog_max_order_zero": ["catalog", "--max-order", "0"],
+    # an empty --out or --minpoly is an error, not "not given"
+    "construct_out_empty": ["construct", "hadamard", "--order", "4", "--out="],
+    "flatten_out_empty": ["flatten", "--n", "7", "--out="],
+    "round_out_empty": ["round", "--n", "7", "--trials", "1", "--seed", "0", "--out="],
+    "search_out_empty": ["search", "--n", "3", "--exhaustive", "--out="],
+    "table_out_empty": ["table", "--min", "3", "--max", "3", "--out="],
+    "certify_minpoly_empty": ["certify", "--input", "{tmp}/b5.mat", "--minpoly="],
 }
 
 

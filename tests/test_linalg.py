@@ -10,8 +10,8 @@ from approxhad.linalg import (
     SignMatrix,
     SINGULAR_TOLERANCE_PER_N,
     condition_number,
+    gram,
     gram_eigvalsh,
-    gram_float64,
     gram_kappa,
     kronecker,
     minpoly_residual,
@@ -48,15 +48,15 @@ class TestSignMatrix:
 
 class TestGram:
     def test_h2(self):
-        g = gram_float64(SignMatrix([[1, 1], [1, -1]]).entries)
+        g = gram(SignMatrix([[1, 1], [1, -1]]).entries)
         assert g.tolist() == [[2, 0], [0, 2]]
 
     def test_all_ones_3(self):
-        g = gram_float64(SignMatrix(np.ones((3, 3))).entries)
+        g = gram(SignMatrix(np.ones((3, 3))).entries)
         assert (g == 3).all()
 
     def test_barba_circulant_5(self):
-        g = gram_float64(SignMatrix(circulant([1, 1, 1, 1, -1])).entries)
+        g = gram(SignMatrix(circulant([1, 1, 1, 1, -1])).entries)
         expected = 4 * np.eye(5, dtype=np.int64) + 1
         assert np.array_equal(g, expected)
 
@@ -64,7 +64,7 @@ class TestGram:
         rng = np.random.default_rng(11)
         for _ in range(1000):
             n = int(rng.integers(2, 17))
-            g = gram_float64(random_sign(rng, n).entries)
+            g = gram(random_sign(rng, n).entries)
             off = g[~np.eye(n, dtype=bool)]
             assert ((off - n) % 2 == 0).all()
             assert (np.abs(off) <= n).all()
@@ -76,12 +76,12 @@ class TestGramFloat64:
         for n in (1, 2, 7, 30, 64, 116):
             a = random_sign(rng, n).entries
             exact = (a.T @ a).astype(np.float64)
-            assert gram_float64(a).tobytes() == exact.tobytes()
+            assert gram(a).tobytes() == exact.tobytes()
 
     def test_stack(self):
         rng = np.random.default_rng(6)
         stack = rng.integers(0, 2, (4, 5, 5)) * 2 - 1
-        for a, g in zip(stack, gram_float64(stack)):
+        for a, g in zip(stack, gram(stack)):
             assert g.tobytes() == (a.T @ a).astype(np.float64).tobytes()
 
 
@@ -100,7 +100,7 @@ class TestGramEigvalsh:
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
     def test_equals_eigvalsh_of_the_gram_bit_for_bit(self, n, dtype):
         stack = sign_stack(n, n).astype(dtype)
-        want = np.linalg.eigvalsh(gram_float64(stack))
+        want = np.linalg.eigvalsh(gram(stack))
         assert gram_eigvalsh(stack).tobytes() == want.tobytes()
         for a, ev in zip(stack, want):
             assert gram_eigvalsh(a).tobytes() == ev.tobytes()
@@ -243,7 +243,7 @@ class TestConditionNumber:
             n = int(rng.integers(2, 9))
             A = random_sign(rng, n)
             rep = condition_number(A)
-            is_had = np.array_equal(gram_float64(A.entries), n * np.eye(n, dtype=np.int64))
+            is_had = np.array_equal(gram(A.entries), n * np.eye(n, dtype=np.int64))
             if is_had:
                 assert abs(rep.kappa - 1.0) <= 1e-12
             else:

@@ -7,7 +7,7 @@ import pytest
 
 from approxhad.constructions import sylvester
 from approxhad.families import circulant
-from approxhad.linalg import SignMatrix, condition_number, gram_float64
+from approxhad.linalg import SignMatrix, condition_number, gram
 from approxhad.lower_bound import (
     best_clique_certificate,
     kappa_floor,
@@ -24,7 +24,7 @@ def random_sign(rng, n):
 def gram_signs(A):
     """Entrywise sign of the Gram, the coloring the clique bound reads;
     diagonal zeroed."""
-    signs = np.sign(gram_float64(A.entries)).astype(np.int64)
+    signs = np.sign(gram(A.entries)).astype(np.int64)
     np.fill_diagonal(signs, 0)
     return signs
 

@@ -10,6 +10,10 @@ imports from a NumPy module path with a leading-underscore part.
 Every eigenvalue-only solve goes through linalg.gram_eigvalsh: no module
 calls NumPy's eigvalsh, eigvals or eig, and eigh, which gives the
 eigenvectors, appears only in spectral.py (RitzScreen).
+
+Every public top-level function, class and constant of the package has a
+job: another part of src/ reads it, a script in scripts/ uses it, or
+approxhad/__init__.py exports it.
 """
 
 import ast
@@ -75,3 +79,60 @@ def eigensolver_uses(path):
 def test_eigenvalues_come_from_one_kernel():
     found = {c for path in sorted(PACKAGE.glob("*.py")) for c in eigensolver_uses(path)}
     assert sorted(found) == ["spectral.py uses np.linalg.eigh"]
+
+
+SCRIPTS = PACKAGE.parent.parent / "scripts"
+
+
+def public_definitions(tree):
+    """(name, node) for each public top-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node
+
+
+def loads(tree, skip=None):
+    """The names that tree reads, as a name or an attribute, outside the
+    subtree skip."""
+    inside = set() if skip is None else {id(n) for n in ast.walk(skip)}
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_public_name_has_a_job():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    exported = set(imported_names(trees.pop("__init__.py")))
+    used_by_scripts = set()
+    for path in sorted(SCRIPTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used_by_scripts |= set(loads(tree)) | set(imported_names(tree))
+    reads = {module: set(loads(tree)) for module, tree in trees.items()}
+    idle = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(r for m, r in reads.items() if m != module))
+        for name, node in public_definitions(tree):
+            if name in exported or name in used_by_scripts or name in elsewhere:
+                continue
+            if name not in set(loads(tree, skip=node)):
+                idle.append(f"{module[:-3]}.{name}")
+    assert idle == []

@@ -24,7 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from approxhad import search  # noqa: E402
-from approxhad.linalg import SINGULAR_TOLERANCE_PER_N, eigvalsh_margin, gram_float64  # noqa: E402
+from approxhad.linalg import SINGULAR_TOLERANCE_PER_N, eigvalsh_margin, gram  # noqa: E402
 from approxhad.search import StructureClass  # noqa: E402
 from approxhad.spectral import RitzScreen  # noqa: E402
 
@@ -43,7 +43,7 @@ CASES = [
 
 
 def exact_path(sclass, n, bits):
-    ev = np.linalg.eigvalsh(gram_float64(sclass.build(n, bits)))
+    ev = np.linalg.eigvalsh(gram(sclass.build(n, bits)))
     kappa = math.inf if ev[0] <= n * SINGULAR_TOLERANCE_PER_N else math.sqrt(ev[-1] / ev[0])
     return ev[0], ev[-1], kappa
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from approxhad.linalg import SignMatrix, condition_number, gram_float64, gram_kappas
+from approxhad.linalg import SignMatrix, condition_number, gram, gram_kappas
 from approxhad.search import (
     Registry,
     RegistryRejection,
@@ -144,7 +144,7 @@ class TestExhaustive:
         bits = (idx[:, None] >> np.arange(m * m)) & 1
         mats = np.ones((len(idx), n, n))
         mats[:, 1:, 1:] = (bits * 2 - 1).reshape(len(idx), m, m)
-        ev = np.linalg.eigvalsh(gram_float64(mats))
+        ev = np.linalg.eigvalsh(gram(mats))
         kap = gram_kappas(ev[:, 0], ev[:, -1], n)
         near = np.flatnonzero(kap <= kap.min() + 1e-12)
         sign, logdet = np.linalg.slogdet(mats[near])

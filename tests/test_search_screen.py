@@ -323,12 +323,10 @@ def test_ritz_runs_across_restarts_keep_every_record(monkeypatch, n, name):
 
 
 def exact_solves(monkeypatch, n, name):
-    """The exact eigensolves of the seed-0 fallback anneal at order n:
-    anneal's kernel, and any eigvalsh besides."""
+    """The exact eigensolves of the seed-0 fallback anneal at order n."""
     solves = []
-    gram_eigvalsh, eigvalsh = search.gram_eigvalsh, np.linalg.eigvalsh
+    gram_eigvalsh = search.gram_eigvalsh
     monkeypatch.setattr(search, "gram_eigvalsh", lambda a: solves.append(1) or gram_eigvalsh(a))
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: solves.append(1) or eigvalsh(g))
     anneal(n, StructureClass(name), 0, FALLBACK_BUDGET)
     return len(solves)
 
