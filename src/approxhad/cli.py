@@ -214,7 +214,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    plot_kappa_curve(Registry(args.registry), args.out)
+    if (registry := _registry(args)) is None:
+        raise ValueError(f"no registry to plot: --registry and {REGISTRY_ENV} are empty")
+    plot_kappa_curve(registry, args.out)
     return 0
 
 

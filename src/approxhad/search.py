@@ -40,16 +40,15 @@ general or symmetric anneal makes.  The bounds come from
   eigenvectors).
 
 Once the chain has rejected _RUN_AFTER moves in a row at one state, anneal
-proves the rejections ahead in array form: `Draws.peek` reads the coming
-moves' draws without consuming them, the state's floor bounds every
-neighbour at once (a neighbour already made gives its own lo), and
-`_proven_rejections` marks each move whose neighbour lies above the
-state by a margin that the uniform clears.  The leading run of proven
-moves is committed in one step -- draws, temperatures, stall count --
-short of the budget and of the move on which a restart falls; the first
-unproven move takes the move-by-move path.  A proven move is one that
-path rejects from the bounds alone, so the draws and decisions are
-unchanged.
+proves as many moves ahead as that streak in array form: `Draws.peek` reads
+their draws without consuming them, the state's floor bounds every neighbour at
+once (a neighbour already made gives its own lo), and `_proven_rejections`
+marks each move whose neighbour lies above the state by a margin that the
+uniform clears.  The leading run of proven moves is committed in one step --
+draws, temperatures, stall count -- short of the budget and of the move on
+which a restart falls, and a whole run extends the streak; the first unproven
+move takes the move-by-move path.  A proven move is one that path rejects from
+the bounds alone, so the draws and decisions are unchanged.
 
 Every anneal draw is read by `linalg.Draws(seed, 0)`.
 """
@@ -329,9 +328,8 @@ class _State:
 # rejected this many moves in a row there
 _FLOOR_AFTER = 16
 # a rejection run is tried once the chain has rejected this many moves in
-# a row at one state, and covers up to _RUN_MOVES moves
+# a row at one state, and covers as many moves as that streak
 _RUN_AFTER = 64
-_RUN_MOVES = 2048
 # relative slack on a run's np.exp against the scalar path's slacked math.exp
 _RUN_EXP_SLACK = 2.0 ** -38
 
@@ -514,20 +512,19 @@ def anneal(
     temperature = t0
     stall_limit = 10 * n * n
     stall = 0
-    # a rejection run needs a drawn move index
-    runs = nbits > 1
     rejected = 0
 
     moves = 0
     while moves < budget:
-        if runs and rejected >= _RUN_AFTER and stall < stall_limit - 1:
+        if rejected >= _RUN_AFTER and stall < stall_limit - 1:
             # a run stops short of the budget and of the move that would
-            # bring stall to stall_limit
-            k = min(_RUN_MOVES, budget - moves, stall_limit - 1 - stall)
+            # bring stall to stall_limit (with one bit, peek draws no move)
+            k = min(max(rejected, 1), budget - moves, stall_limit - 1 - stall)
             j, temperature = rejection_run(state, temperature, k)
             moves += j
             stall += j
             if j == k:
+                rejected += k
                 continue
             # the run was cut; wait for another _RUN_AFTER rejections
             rejected = 0

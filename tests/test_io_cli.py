@@ -442,6 +442,20 @@ class TestPlot:
         assert code == 1
         assert "empty" in err
 
+    def test_empty_registry_flag_is_no_registry(self, capsys, tmp_path, monkeypatch):
+        # an empty --registry once plotted the working directory
+        Registry(tmp_path).update(anneal(5, StructureClass("circulant"), seed=0, budget=200))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.REGISTRY_ENV, raising=False)
+        code, _, err = run_cli(capsys, "plot", "--registry=", "--out", "k.svg")
+        assert code == 1
+        assert "registry" in err
+        assert not (tmp_path / "k.svg").exists()
+        # as in search and table, the environment variable stands in for it
+        monkeypatch.setenv(cli.REGISTRY_ENV, str(tmp_path))
+        assert run_cli(capsys, "plot", "--registry=", "--out", "k.svg")[0] == 0
+        assert (tmp_path / "k.svg").exists()
+
     def test_fixture_registry_matches_golden(self, tmp_path):
         import pathlib
 

@@ -13,7 +13,9 @@ eigenvectors, appears only in spectral.py (RitzScreen).
 
 Every public top-level function, class and constant of the package has a
 job: another part of src/ reads it, a script in scripts/ uses it, or
-approxhad/__init__.py exports it.
+approxhad/__init__.py exports it.  Every private one is read in its own
+module, outside its own definition: a constant kept only for tests to
+patch has no reader.
 """
 
 import ast
@@ -84,8 +86,8 @@ def test_eigenvalues_come_from_one_kernel():
 SCRIPTS = PACKAGE.parent.parent / "scripts"
 
 
-def public_definitions(tree):
-    """(name, node) for each public top-level function, class and constant."""
+def definitions(tree):
+    """(name, node) for each top-level function, class and constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -95,8 +97,7 @@ def public_definitions(tree):
         else:
             continue
         for name in names:
-            if not name.startswith("_"):
-                yield name, node
+            yield name, node
 
 
 def loads(tree, skip=None):
@@ -130,9 +131,20 @@ def test_every_public_name_has_a_job():
     idle = []
     for module, tree in trees.items():
         elsewhere = set().union(*(r for m, r in reads.items() if m != module))
-        for name, node in public_definitions(tree):
-            if name in exported or name in used_by_scripts or name in elsewhere:
+        for name, node in definitions(tree):
+            if (name.startswith("_") or name in exported or name in used_by_scripts
+                    or name in elsewhere):
                 continue
             if name not in set(loads(tree, skip=node)):
                 idle.append(f"{module[:-3]}.{name}")
+    assert idle == []
+
+
+def test_every_private_name_has_a_reader():
+    idle = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, node in definitions(tree):
+            if is_private(name) and name not in set(loads(tree, skip=node)):
+                idle.append(f"{path.stem}.{name}")
     assert idle == []

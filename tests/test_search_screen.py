@@ -188,11 +188,10 @@ def test_exact_classes_have_no_screen():
     assert search._screen(StructureClass("symmetric"), 7) is None
 
 
-def run_early(monkeypatch, after, moves=search._RUN_MOVES):
-    """Try a rejection run of up to `moves` moves once `after` moves in a
-    row were rejected (0: before every move)."""
+def run_early(monkeypatch, after):
+    """Try a rejection run once `after` moves in a row were rejected (0:
+    before every move)."""
     monkeypatch.setattr(search, "_RUN_AFTER", after)
-    monkeypatch.setattr(search, "_RUN_MOVES", moves)
 
 
 def count_run_moves(monkeypatch) -> list:
@@ -237,19 +236,41 @@ def test_runs_across_restarts_keep_every_record(monkeypatch, n, name):
     want = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
     assert all(effort["restarts"] for _, _, effort in want)
     lengths = count_run_moves(monkeypatch)
-    # short runs, so that many end at the budget, a restart or a cut
-    for moves in (5, 40):
-        run_early(monkeypatch, after=0, moves=moves)
+    # early runs start short, so that many end at the budget, a restart or a cut
+    for after in (0, 1, 5):
+        run_early(monkeypatch, after)
         lengths.clear()
         got = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
-        assert got == want, moves
-        assert sum(lengths) > 0, moves
+        assert got == want, after
+        assert sum(lengths) > 0, after
 
 
 def test_runs_cover_most_moves(monkeypatch):
     lengths = count_run_moves(monkeypatch)
     anneal(30, StructureClass("two_block_circulant"), 0, BUDGET)
     assert sum(lengths) > BUDGET / 2
+
+
+@pytest.mark.parametrize("panel,budget,committed", [(FALLBACK_PANEL, FALLBACK_BUDGET, 15458),
+                                                    (SCREEN_PANEL, BUDGET, 65035)])
+def test_runs_look_ahead_as_far_as_their_streak(monkeypatch, panel, budget, committed):
+    """A run peeks as many moves as the streak that triggered it, so the
+    moves peeked stay within twice the moves committed; a fixed 2048-move
+    look-ahead peeked 294,803 moves on the fallbacks."""
+    peeked = []
+    peek = Draws.peek
+
+    def counted(self, high, k):
+        idx, u = peek(self, high, k)
+        peeked.append(len(idx))
+        return idx, u
+
+    monkeypatch.setattr(Draws, "peek", counted)
+    lengths = count_run_moves(monkeypatch)
+    for n, name, seed, *_ in panel:
+        anneal(n, StructureClass.parse(name), seed, budget)
+    assert sum(lengths) == committed
+    assert sum(peeked) <= 2 * committed
 
 
 @pytest.mark.parametrize("delta", [1e-9, 1e-3, 0.5, 3.0, 40.0, 700.0, 745.0, 1e4, 1e18])
@@ -314,12 +335,12 @@ def test_ritz_runs_across_restarts_keep_every_record(monkeypatch, n, name):
     assert all(effort["restarts"] for _, _, effort in want)
     monkeypatch.setattr(search, "_FLOOR_AFTER", 0)
     lengths = count_run_moves(monkeypatch)
-    for moves in (5, 40):
-        run_early(monkeypatch, after=0, moves=moves)
+    for after in (0, 1, 5):
+        run_early(monkeypatch, after)
         lengths.clear()
         got = [record_key(anneal(n, sclass, seed, RESTART_BUDGET)) for seed in seeds]
-        assert got == want, moves
-        assert sum(lengths) > 0, moves
+        assert got == want, after
+        assert sum(lengths) > 0, after
 
 
 def exact_solves(monkeypatch, n, name):
