@@ -72,7 +72,7 @@ import numpy as np
 from .families import circulant
 from .linalg import Draws, SignMatrix, condition_number, gram_eigvalsh, gram_kappa, gram_kappas
 from .matrixio import parse_sign_matrix, write_sign_matrix
-from .spectral import SCREENED_KINDS, RitzScreen, SpectralScreen
+from .spectral import RitzScreen, SpectralScreen, dft_phases
 
 __all__ = [
     "StructureClass",
@@ -139,7 +139,7 @@ class StructureClass:
 
     def build(self, n: int, bits: np.ndarray) -> np.ndarray:
         """Map a 0/1 vector to the matrix it encodes (int64 entries)."""
-        nbits, idx = _layout(self, n)
+        nbits, idx, _ = _layout(self, n)
         bits = np.asarray(bits, dtype=np.int64)
         if bits.shape != (nbits,):
             raise ValueError(
@@ -153,13 +153,17 @@ class StructureClass:
 
 
 @functools.cache
-def _layout(sclass: StructureClass, n: int) -> tuple[int, np.ndarray]:
-    """n_bits and the index table of a class at order n.
+def _layout(sclass: StructureClass, n: int) -> tuple[int, np.ndarray, SpectralScreen | RitzScreen]:
+    """n_bits, the index table and the neighbour screen of a class at order n.
 
     Entry (i, j) of the built matrix is ext[idx[i, j]], where ext holds the
     +-1 bits, a constant +1 at index n_bits, and then the negations of
     those n_bits + 1 values, so a negated entry adds n_bits + 1 to its index.
+    The circulant-type classes get the `SpectralScreen` of their DFT, and
+    general and symmetric the `RitzScreen` of their bit positions.
     """
+    if n < 1:
+        raise ValueError("order must be >= 1")
     kind = sclass.kind
     if kind == "two_block_circulant" and n % 2:
         raise ValueError("two_block_circulant needs an even order")
@@ -169,43 +173,46 @@ def _layout(sclass: StructureClass, n: int) -> tuple[int, np.ndarray]:
              "circulant_core": n - 1}.get(kind, n)
     idx = np.full((n, n), nbits, dtype=np.int64)
     if kind == "general":
+        rows, cols = np.divmod(np.arange(nbits), n - 1)
         idx[1:, 1:] = np.arange(nbits).reshape(n - 1, n - 1)
+        screen = RitzScreen(n, rows + 1, cols + 1, mirrored=False)
     elif kind == "symmetric":
         iu = np.triu_indices(n - 1)
         core = np.empty((n - 1, n - 1), dtype=np.int64)
         core[iu] = np.arange(nbits)
         core.T[iu] = core[iu]
         idx[1:, 1:] = core
+        screen = RitzScreen(n, iu[0] + 1, iu[1] + 1, mirrored=True)
     elif kind == "circulant":
         idx = circulant(np.arange(n))
+        screen = SpectralScreen(n, dft_phases(1, n))
     elif kind == "circulant_core":
+        # the border couples to the core's frequency 0, which the screen
+        # takes in closed form
         idx[1:, 1:] = circulant(np.arange(n - 1))
+        screen = SpectralScreen(n, dft_phases(1, n - 1)[:, 1:], core=n - 1)
     elif kind == "two_block_circulant":
-        # [[R, S], [S^T, -R^T]] with R, S circulant on the two halves
+        # [[R, S], [S^T, -R^T]] with R, S circulant on the two halves; the
+        # Gram is I_2 (x) (R^T R + S^T S), so R and S are the two channels
         half = n // 2
         r = circulant(np.arange(half))
         s = r + half
         idx = np.block([[r, s], [s.T, r.T + nbits + 1]])
+        screen = SpectralScreen(n, dft_phases(1, half), channels=2)
     else:
         # b x b circulant arrangement of s x s circulant blocks
         s = sclass.block_size
         blocks = [circulant(np.arange(t * s, (t + 1) * s)) for t in range(n // s)]
         idx = np.block([[blocks[t] for t in row] for row in circulant(np.arange(n // s))])
+        screen = SpectralScreen(n, dft_phases(n // s, s))
     idx.setflags(write=False)
-    return nbits, idx
+    return nbits, idx, screen
 
 
 # relative slack on a screened exp(-delta / T) against one-ulp exp rounding
 _EXP_SLACK = 2.0 ** -40
 # the annealing energy of a singular matrix (kappa = inf)
 _SINGULAR_ENERGY = 1e18
-
-
-@functools.cache
-def _screen(sclass: StructureClass, n: int) -> SpectralScreen | None:
-    if sclass.kind not in SCREENED_KINDS:
-        return None
-    return SpectralScreen(sclass.kind, n, sclass.block_size)
 
 
 @dataclass(frozen=True)
@@ -368,11 +375,9 @@ def anneal(
     10 n^2 moves without improvement.  Deterministic given
     (n, class, seed, budget).
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    nbits, _, screen = _layout(sclass, n)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    nbits = sclass.n_bits(n)
     best = _Best()
     restarts = 0
 
@@ -389,29 +394,22 @@ def anneal(
         return state
 
     # bound(state, i, hit) gives hit, neighbour i of state, its class's
-    # bounds, and lows(state) a lower bound on every neighbour's energy;
-    # `floor` reads lows once the chain has rejected floor_after moves in a
-    # row at the state
-    screen = _screen(sclass, n)
-    if screen is None:
-        ritz = RitzScreen(sclass.kind, n)
-        floor_after = _FLOOR_AFTER
-
+    # bounds, and lows(state) a lower bound on every neighbour's energy,
+    # which `floor` reads
+    if isinstance(screen, RitzScreen):
         def bound(state: _State, i: int, hit: _State) -> None:
-            # no bound but the state's Ritz floor, once formed; before that,
+            # no bound but the state's Ritz floor, formed once the chain has
+            # rejected _FLOOR_AFTER moves in a row there; before that,
             # `accepted` will settle the neighbour, so its matrix is flipped
             # from the state's, which spares settle a build
-            if state.floor is None:
-                hit.mat = ritz.flip(settle(state).mat, i)
+            if state.floor is None and rejected < _FLOOR_AFTER:
+                hit.mat = screen.flip(settle(state).mat, i)
             else:
-                hit.lo = float(state.floor[i])
+                hit.lo = float(floor(state)[i])
 
         def lows(state: _State) -> np.ndarray:
-            return ritz.kappa_floors(settle(state).mat)
+            return screen.kappa_floors(settle(state).mat)
     else:
-        # the screen bounds every neighbour: no floor before the first run
-        floor_after = _RUN_AFTER
-
         def spectra(state: _State):
             if state.spectra is None:
                 state.spectra = screen.spectra(state.bits)
@@ -441,8 +439,11 @@ def anneal(
         if hit is None:
             bits = state.bits.copy()
             bits[i] ^= 1
-            hit = state.near[i] = _State(bits)
+            hit = _State(bits)
+            # bound before joining near: a floor formed in bound copies the
+            # lo of each neighbour in near
             bound(state, i, hit)
+            state.near[i] = hit
         return i, hit
 
     def accepted(cand: _State, cur: _State, temperature: float) -> bool:
@@ -493,6 +494,8 @@ def anneal(
         draws.commit(j)
         return j, float(temps[j])
 
+    # bound reads the rejection streak from the temperature probe on
+    rejected = 0
     state = fresh_state()
     if nbits == 0:
         # order 1 with a fixed border: [[1]] is the only matrix
@@ -512,7 +515,6 @@ def anneal(
     temperature = t0
     stall_limit = 10 * n * n
     stall = 0
-    rejected = 0
 
     moves = 0
     while moves < budget:
@@ -528,8 +530,6 @@ def anneal(
                 continue
             # the run was cut; wait for another _RUN_AFTER rejections
             rejected = 0
-        if rejected >= floor_after:
-            floor(state)
         moves += 1
         i, cand = neighbour(state)
         if accepted(cand, state, temperature):

@@ -26,6 +26,9 @@ anneal's rejection runs read, `kappa_floors`, is its lo for each bit.
 `RitzScreen` gives the general and symmetric classes, which no DFT
 diagonalizes, a one-sided bound instead: a floor under every single-bit
 neighbour's kappa from one eigh of the current Gram (Rayleigh-Ritz).
+
+Neither screen knows a class by name: each class builds its screen next
+to its bit layout in `search`, from the DFT angles or the bit positions.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ import numpy as np
 
 from .linalg import eigvalsh_margin, gram, gram_kappa, gram_kappas
 
-__all__ = ["SCREENED_KINDS", "SpectralScreen", "RitzScreen"]
-
-SCREENED_KINDS = ("circulant", "circulant_core", "two_block_circulant", "block_circulant")
+__all__ = ["SpectralScreen", "RitzScreen", "dft_phases"]
 
 _PLUS_MINUS = np.array([-1.0, 1.0])
 
@@ -59,27 +60,21 @@ def dft_phases(b: int, s: int) -> np.ndarray:
 
 class SpectralScreen:
     """Approximate extreme Gram eigenvalues of all single-bit neighbours
-    in one circulant-type class at order n (bits laid out as in
-    `search.StructureClass.build`)."""
+    in one circulant-type class at order n.
 
-    def __init__(self, kind: str, n: int, block_size: int | None = None):
-        if kind not in SCREENED_KINDS:
-            raise ValueError(f"no spectral screen for {kind!r}")
+    theta holds the DFT angle of each bit (row) at each kept frequency
+    (column), as `dft_phases` gives them.  With channels > 1 the bits are
+    that many equal blocks, each with theta as its angles, and an
+    eigenvalue sums one frequency's squared moduli over the blocks.  core
+    > 0 is the order of a circulant core under an all-+1 border.
+    """
+
+    def __init__(self, n: int, theta: np.ndarray, channels: int = 1, core: int = 0):
         self.n = n
-        self.core = n - 1 if kind == "circulant_core" else 0
-        live = channels = 1
-        if kind == "circulant":
-            theta = dft_phases(1, n)
-        elif kind == "circulant_core":
-            theta = dft_phases(1, n - 1)[:, 1:]
-        elif kind == "block_circulant":
-            theta = dft_phases(n // block_size, block_size)
-        else:
-            # R and S get their own columns, zero on the other half's bits
-            half = dft_phases(1, n // 2)
-            theta = np.kron(np.eye(2), half)
-            live = np.kron(np.eye(2), np.ones_like(half))
-            channels = 2
+        self.core = core
+        # each channel's columns, zero on the other channels' bits
+        live = np.kron(np.eye(channels), np.ones_like(theta))
+        theta = np.kron(np.eye(channels), theta)
         self.table = np.hstack([np.cos(theta) * live, np.sin(theta) * live])
         self.table2 = 2 * self.table
         # sums the squared cos and sin columns of each frequency
@@ -133,11 +128,11 @@ class SpectralScreen:
 
 class RitzScreen:
     """Floors under the exact-path kappa of all single-bit neighbours of a
-    general or symmetric matrix of order n >= 2 (bits laid out as in
-    `search.StructureClass.build`).
+    +-1 matrix of order n >= 2 whose bit b is entry (rows[b], cols[b]),
+    and with mirrored also entry (cols[b], rows[b]).
 
     Flipping bit b adds d e_r e_c^T to A, d = -2 a_rc, and for an
-    off-diagonal symmetric bit also d e_c e_r^T.  For Q with orthonormal
+    off-diagonal mirrored bit also d e_c e_r^T.  For Q with orthonormal
     columns, Rayleigh-Ritz (Cauchy interlacing for the compression
     Q^T G' Q; Parlett, The Symmetric Eigenvalue Problem) gives lambda_min(G') <= lambda_min(Q^T G' Q)
     and lambda_max(G') >= lambda_max(Q^T G' Q).  Here Q is the bottom or
@@ -153,16 +148,10 @@ class RitzScreen:
     (tests/test_screen_properties.py checks eta / 2).
     """
 
-    def __init__(self, kind: str, n: int):
-        if kind == "general":
-            rows, cols = np.divmod(np.arange((n - 1) ** 2), n - 1)
-        elif kind == "symmetric":
-            rows, cols = np.triu_indices(n - 1)
-        else:
-            raise ValueError(f"no Ritz screen for {kind!r}")
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, mirrored: bool):
         self.n = n
-        self.symmetric = kind == "symmetric"
-        self.rows, self.cols = rows + 1, cols + 1
+        self.rows, self.cols = rows, cols
+        self.mirrored = mirrored
         self.eta = eigvalsh_margin(n, n * n)
 
     def flip(self, a: np.ndarray, i: int) -> np.ndarray:
@@ -171,7 +160,7 @@ class RitzScreen:
         b = a.astype(np.float64)
         r, c = self.rows[i], self.cols[i]
         b[r, c] = -b[r, c]
-        if self.symmetric:
+        if self.mirrored:
             b[c, r] = b[r, c]
         return b
 
@@ -189,7 +178,7 @@ class RitzScreen:
         d = -2.0 * f[rows, cols]
         # (row r of P, row c of Q, d): row r of A'Q is P[r] + d Q[c]
         terms = [(rows, cols, d)]
-        if self.symmetric:
+        if self.mirrored:
             terms.append((cols, rows, d * (rows != cols)))
         for r, c, dr in terms:
             x = dr[:, None, None] * q[c]

@@ -11,6 +11,10 @@ Every eigenvalue-only solve goes through linalg.gram_eigvalsh: no module
 calls NumPy's eigvalsh, eigvals or eig, and eigh, which gives the
 eigenvectors, appears only in spectral.py (RitzScreen).
 
+spectral.py names no structure class: each class builds its screen next
+to its bit layout in search.py, so no string constant in spectral.py,
+docstrings apart, is a StructureClass kind.
+
 Every public top-level function, class and constant of the package has a
 job: another part of src/ reads it, a script in scripts/ uses it, or
 approxhad/__init__.py exports it.  Every private one is read in its own
@@ -20,6 +24,8 @@ patch has no reader.
 
 import ast
 from pathlib import Path
+
+from approxhad.search import StructureClass
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "approxhad"
 
@@ -81,6 +87,24 @@ def eigensolver_uses(path):
 def test_eigenvalues_come_from_one_kernel():
     found = {c for path in sorted(PACKAGE.glob("*.py")) for c in eigensolver_uses(path)}
     assert sorted(found) == ["spectral.py uses np.linalg.eigh"]
+
+
+def docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def test_spectral_names_no_structure_class():
+    path = PACKAGE / "spectral.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    skip = {id(node) for node in docstrings(tree)}
+    found = [f"spectral.py:{node.lineno} names {node.value!r}" for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and id(node) not in skip
+             and node.value in StructureClass._KINDS]
+    assert found == []
 
 
 SCRIPTS = PACKAGE.parent.parent / "scripts"

@@ -26,7 +26,6 @@ st = hypothesis.strategies
 from approxhad import search  # noqa: E402
 from approxhad.linalg import SINGULAR_TOLERANCE_PER_N, eigvalsh_margin, gram  # noqa: E402
 from approxhad.search import StructureClass  # noqa: E402
-from approxhad.spectral import RitzScreen  # noqa: E402
 
 CASES = [
     ("circulant", 1), ("circulant", 2), ("circulant", 3), ("circulant", 10),
@@ -58,7 +57,7 @@ def test_screen_matches_eigvalsh(case, data):
         st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits).map(
             lambda b: np.array(b, dtype=np.int64)),
         near_singular_bits(nbits)))
-    screen = search._screen(sclass, n)
+    screen = search._layout(sclass, n)[2]
     spectra = screen.spectra(bits)
     floors = screen.kappa_floors(spectra)
     assert floors.shape == (nbits,)
@@ -109,7 +108,7 @@ def test_ritz_floor_is_below_eigvalsh(case, data):
         st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits).map(
             lambda b: np.array(b, dtype=np.int64)),
         near_singular_bits(nbits)))
-    ritz = RitzScreen(kind, n)
+    ritz = search._layout(sclass, n)[2]
     a = sclass.build(n, bits)
     bottom, top = ritz.extremes(a)
     lo = ritz.kappa_floors(a)

@@ -50,6 +50,17 @@ class TestStructureClasses:
         sclass = StructureClass.parse(name)
         assert sclass.n_bits(n) == expected_bits
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("name", ["general", "symmetric", "circulant", "circulant_core",
+                                      "two_block_circulant", "block_circulant1",
+                                      "block_circulant3"])
+    def test_order_below_one_rejected(self, name, n):
+        sclass = StructureClass.parse(name)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            sclass.n_bits(n)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            sclass.build(n, np.zeros(0, dtype=np.int64))
+
     def test_parse_roundtrip(self):
         for name in ("general", "symmetric", "circulant", "circulant_core",
                      "two_block_circulant", "block_circulant9"):

@@ -21,7 +21,8 @@ at once; with them tried from the first rejection, or before every move,
 every record must be the one the move-by-move loop gives.
 
 The general and symmetric classes read a one-sided Ritz floor
-(spectral.RitzScreen) once the chain lingers on a state.  The same tests
+(spectral.RitzScreen) once the chain lingers on a state; the FALLBACK_PANEL
+anneals pin how many floors and exact eigensolves that takes.  The same tests
 raise every floor by moving the Ritz values out by eta / 2, and form the
 floors and try the runs from the first rejection, on the ANNEAL_PANEL and
 FALLBACK_PANEL rows of those classes.
@@ -35,7 +36,7 @@ import pytest
 from approxhad import search
 from approxhad.linalg import Draws, condition_number, eigvalsh_margin
 from approxhad.search import StructureClass, anneal
-from approxhad.spectral import SCREENED_KINDS, RitzScreen, SpectralScreen
+from approxhad.spectral import RitzScreen, SpectralScreen
 from test_search_determinism import ANNEAL_PANEL, FALLBACK_BUDGET, FALLBACK_PANEL, pattern
 from test_search_determinism import BUDGET as ANNEAL_PANEL_BUDGET
 
@@ -82,8 +83,13 @@ SCREEN_PANEL = [
 ]
 
 
+def screen_of(row):
+    """The neighbour screen of a panel row's class at its order."""
+    return search._layout(StructureClass.parse(row[1]), row[0])[2]
+
+
 SCREENED_ANNEAL_PANEL = [row for row in ANNEAL_PANEL
-                         if StructureClass.parse(row[1]).kind in SCREENED_KINDS]
+                         if isinstance(screen_of(row), SpectralScreen)]
 
 
 def check(n, name, seed, budget, kappa_hex, restarts, plus):
@@ -183,9 +189,15 @@ def test_unbounded_screen_defers_to_the_exact_path(monkeypatch):
     assert floors
 
 
-def test_exact_classes_have_no_screen():
-    assert search._screen(StructureClass("general"), 7) is None
-    assert search._screen(StructureClass("symmetric"), 7) is None
+def test_screen_types_by_class():
+    """The DFT screens the circulant-type classes; general and symmetric,
+    which no DFT diagonalizes, get the Ritz floor."""
+    screens = {"general": RitzScreen, "symmetric": RitzScreen, "circulant": SpectralScreen,
+               "circulant_core": SpectralScreen, "two_block_circulant": SpectralScreen,
+               "block_circulant3": SpectralScreen}
+    assert {StructureClass.parse(name).kind for name in screens} == set(StructureClass._KINDS)
+    for name, screen in screens.items():
+        assert type(search._layout(StructureClass.parse(name), 12)[2]) is screen, name
 
 
 def run_early(monkeypatch, after):
@@ -293,8 +305,7 @@ def test_proven_rejection_is_a_bounds_rejection(delta, t):
                                          np.array([t]))[0]
 
 
-RITZ_ANNEAL_PANEL = [row for row in ANNEAL_PANEL
-                     if StructureClass.parse(row[1]).kind not in SCREENED_KINDS]
+RITZ_ANNEAL_PANEL = [row for row in ANNEAL_PANEL if isinstance(screen_of(row), RitzScreen)]
 
 
 def test_raised_ritz_floors_keep_every_decision(monkeypatch):
@@ -362,3 +373,27 @@ def test_ritz_floor_spares_symmetric_exact_evaluations(monkeypatch, n, cap):
     # the floors make 12,598 and 11,038 eigensolves here, the exact path
     # alone 13,196 and 11,750
     assert exact_solves(monkeypatch, n, "symmetric") < cap
+
+
+@pytest.mark.parametrize("n,name,seed,solves,floors", [
+    (15, "symmetric", 0, 12598, 76), (17, "symmetric", 0, 11038, 70),
+    (25, "general", 0, 8446, 108)])
+def test_ritz_floor_trigger_is_pinned(monkeypatch, n, name, seed, solves, floors):
+    """The FALLBACK_PANEL anneals make exactly these exact eigensolves and
+    Ritz floors (one eigh each).  A floor formed at another move, or a
+    neighbour that misses its state's floor, changes the counts though
+    not the records."""
+    assert (n, name, seed) in [row[:3] for row in FALLBACK_PANEL]
+    counts = {"solves": 0, "floors": 0}
+    gram_eigvalsh, eigh = search.gram_eigvalsh, np.linalg.eigh
+
+    def counted(key, solve):
+        def call(a):
+            counts[key] += 1
+            return solve(a)
+        return call
+
+    monkeypatch.setattr(search, "gram_eigvalsh", counted("solves", gram_eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted("floors", eigh))
+    anneal(n, StructureClass(name), seed, FALLBACK_BUDGET)
+    assert counts == {"solves": solves, "floors": floors}
