@@ -29,23 +29,13 @@ from approxhad.table import MATCH_TOLERANCE, TARGETS
 
 def pg2_barba_13() -> SignMatrix:
     """13x13 Barba matrix from the incidence of the projective plane of
-    order 3 (points vs lines of PG(2,3)): A = J - 2N has A^T A = 12 I + J."""
-    q = 3
-    points = []
-    for v in itertools.product(range(q), repeat=3):
-        if v == (0, 0, 0):
-            continue
-        first = next(x for x in v if x)
-        inv = pow(first, q - 2, q)
-        vn = tuple((x * inv) % q for x in v)
-        if vn not in points:
-            points.append(vn)
-    n = len(points)
-    incidence = np.zeros((n, n), dtype=np.int64)
-    for i, pt in enumerate(points):
-        for j, line in enumerate(points):
-            if sum(a * b for a, b in zip(pt, line)) % q == 0:
-                incidence[i, j] = 1
+    order 3 (points vs lines of PG(2,3)): A = J - 2N has A^T A = 12 I + J.
+
+    A point is a nonzero vector of GF(3)^3 whose first nonzero entry is 1,
+    the first member of its projective class in product order."""
+    points = np.array([v for v in itertools.product(range(3), repeat=3)
+                       if next((x for x in v if x), 0) == 1])
+    incidence = points @ points.T % 3 == 0
     return verify_barba(SignMatrix(1 - 2 * incidence)).matrix
 
 

@@ -47,7 +47,6 @@ from .linalg import (
     SpectralReport,
     condition_number,
     kronecker,
-    minpoly_residual,
 )
 from .lower_bound import (
     CliqueCertificate,

@@ -7,17 +7,10 @@ sign-clique lower bound and an optional minimal-polynomial residual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .families import detect_gram_class
-from .linalg import (
-    IntPolynomial,
-    SignMatrix,
-    SpectralReport,
-    condition_number,
-    minpoly_residual,
-)
+from .linalg import IntPolynomial, SignMatrix, SpectralReport, condition_number
 from .lower_bound import CliqueCertificate, best_clique_certificate
 from .search import format_kappa
 
@@ -28,8 +21,6 @@ SCHEMA = "approxhad.certify/1"
 
 def float_field(x: float) -> dict:
     """A float as both a 10-significant-digit decimal and an exact hex."""
-    if math.isinf(x):
-        return {"dec": "inf", "hex": "inf"}
     return {"dec": format_kappa(x), "hex": float(x).hex()}
 
 
@@ -67,19 +58,16 @@ class CertifyReport:
 def certify(A: SignMatrix, minpoly: IntPolynomial | None = None) -> CertifyReport:
     report = condition_number(A)
     clique = best_clique_certificate(A)
-    if math.isfinite(report.kappa) and clique.bound > report.kappa + 1e-9:
+    if clique.bound > report.kappa + 1e-9:
         raise AssertionError(
             f"clique bound {clique.bound} exceeds kappa {report.kappa}: "
             "lower-bound certificate is unsound"
         )
-    residual = None
-    if minpoly is not None:
-        residual = minpoly_residual(minpoly, report.kappa)
     return CertifyReport(
         n=A.n,
         report=report,
         gram_class=detect_gram_class(A),
         clique=clique,
         minpoly=minpoly,
-        minpoly_residual=residual,
+        minpoly_residual=None if minpoly is None else minpoly(report.kappa),
     )

@@ -49,7 +49,6 @@ __all__ = [
     "gram_kappa",
     "gram_kappas",
     "condition_number",
-    "minpoly_residual",
     "kronecker",
     "operator_norm",
 ]
@@ -111,13 +110,15 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """Integer polynomial, constant term first."""
+    """Nonzero integer polynomial, constant term first."""
 
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
         coeffs = tuple(int(c) for c in self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
+        if not any(coeffs):
+            raise ValueError("polynomial must be nonzero")
+        while coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -365,13 +366,6 @@ def operator_norm(E: np.ndarray, probe=None, above: float = math.inf) -> float:
         if floor > 0 and math.sqrt(floor) > above:
             return math.sqrt(floor)
     return math.sqrt(max(float(gram_eigvalsh(E)[-1]), 0.0))
-
-
-def minpoly_residual(p: IntPolynomial, kappa: float) -> float:
-    """p(kappa) evaluated exactly over the rationals (signed value)."""
-    if not any(p.coefficients):
-        raise ValueError("polynomial must be nonzero")
-    return p(kappa)
 
 
 def kronecker(A: SignMatrix, B: SignMatrix) -> SignMatrix:

@@ -69,8 +69,6 @@ def _bound(sign: str, k: int, n: int) -> float:
         return 1.0
     if sign == "positive":
         return math.sqrt(1.0 + k / (n - 1.0))
-    if n + 1 - k <= 0:
-        return math.inf
     return math.sqrt(1.0 + k / (n + 1.0 - k))
 
 
@@ -216,9 +214,15 @@ def best_clique_certificate(A: SignMatrix) -> CliqueCertificate:
 
 
 def verify_certificate(cert: CliqueCertificate, A: SignMatrix) -> None:
-    """Independent check: strict common sign on every pair, bound formula."""
+    """Independent check: the certificate's order is the matrix's, its
+    indices are distinct columns, every pair has the strict common sign,
+    and the bound follows the formula."""
     if cert.k != len(cert.indices):
         raise AssertionError("certificate size mismatch")
+    if cert.n != A.n:
+        raise AssertionError(f"certificate order {cert.n} is not the matrix order {A.n}")
+    if len(set(cert.indices)) != cert.k or not all(0 <= i < A.n for i in cert.indices):
+        raise AssertionError(f"certificate indices {cert.indices} are not distinct columns")
     if cert.k == 1:
         if cert.bound != 1.0:
             raise AssertionError("vacuous certificate must have bound 1")
@@ -249,7 +253,7 @@ def kappa_floor(n: int) -> float:
         raise ValueError(f"n = {n}: no unconditional floor above 1")
     if n < 3:
         raise ValueError(f"n = {n}: Hadamard matrices exist, the floor is 1")
-    return math.sqrt(1.0 + 2.0 / (n - 1.0))
+    return _bound("positive", 2, n)
 
 
 def orthogonal_triple_exists(n: int) -> bool:

@@ -36,7 +36,7 @@ def plot_kappa_curve(registry: Registry, out_path: str) -> None:
 
     n_lo = min(n for n, _ in points)
     n_hi = max(n for n, _ in points)
-    n_min, n_max = max(2, n_lo - 1), n_hi + 1
+    n_min, n_max = min(n_lo, max(2, n_lo - 1)), n_hi + 1
 
     floor = [
         (n, kappa_floor(n)) for n in range(max(3, n_min), n_max + 1) if n % 4 != 0

@@ -220,8 +220,10 @@ def _probes(plan: RoundingPlan, x8: np.ndarray):
     float32, and only the LU in float64.  A row is NaN where no vector
     could be formed.
 
-    Also the estimates of ||E||_op^2 and kappa^2 that those quotients give,
-    as visiting orders: -inf where there is none, which visits first."""
+    Returned flat as (e_order, kappa_order, v_e, v_max, w_min): first the
+    estimates of ||E||_op^2 and kappa^2 that those quotients give, as
+    visiting orders (-inf where there is none, which visits first), then
+    the three probe vectors."""
     n = plan.n
     x = x8.astype(np.float32)
     e = x - plan.scaled.astype(np.float32)
@@ -242,8 +244,8 @@ def _probes(plan: RoundingPlan, x8: np.ndarray):
         low = _rayleigh(x, w.astype(np.float32))
         w_min = np.take_along_axis(w, low.argmin(axis=-1)[:, None, None], axis=-1)
         orders = (e_order, _rayleigh(x, v_max) / low.min(axis=-1, keepdims=True))
-    orders = tuple(np.where(np.isnan(o[:, 0]), -np.inf, o[:, 0]) for o in orders)
-    return orders, tuple(p[..., 0].astype(np.float64, copy=False) for p in (v, v_max, w_min))
+    return (*(np.where(np.isnan(o[:, 0]), -np.inf, o[:, 0]) for o in orders),
+            *(p[..., 0].astype(np.float64, copy=False) for p in (v, v_max, w_min)))
 
 
 def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
@@ -272,10 +274,7 @@ def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
             blocks = list(pool.map(block, starts))
     else:
         blocks = [block(b0) for b0 in starts]
-    signs, orders, probes = zip(*blocks)
-    x8 = np.concatenate(signs)
-    e_order, kappa_order = (np.concatenate(o) for o in zip(*orders))
-    v_e, v_max, w_min = (np.concatenate(p) for p in zip(*probes))
+    x8, e_order, kappa_order, v_e, v_max, w_min = (np.concatenate(c) for c in zip(*blocks))
     # a repeated draw ties an earlier trial in both values, with a larger index
     first: dict[bytes, int] = {}
     for t, x in enumerate(x8):

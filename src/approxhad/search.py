@@ -94,8 +94,6 @@ _KAPPA_TIE = 1e-12
 
 def format_kappa(x: float) -> str:
     """10 significant digits, trailing zeros kept (the table convention)."""
-    if math.isinf(x):
-        return "inf"
     return f"{x:#.10g}"
 
 
@@ -223,19 +221,9 @@ class SearchRecord:
     matrix: SignMatrix
     seed: int
     effort: dict
-    timestamp: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        if not self.timestamp:
-            object.__setattr__(
-                self,
-                "timestamp",
-                datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            )
-
-    @property
-    def kappa_str(self) -> str:
-        return format_kappa(self.kappa)
+    timestamp: str = field(
+        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        compare=False)
 
 
 def _logabsdet(a: np.ndarray) -> float:
@@ -593,13 +581,10 @@ class Registry:
         return {"best": {}, "history": []}
 
     def best(self, n: int, structure: str | None = None) -> dict | None:
-        index = self._index(n)
-        entries = index["best"]
+        entries = self._index(n)["best"]
         if structure is not None:
             return entries.get(structure)
-        if not entries:
-            return None
-        return min(entries.values(), key=lambda e: e["kappa"])
+        return min(entries.values(), key=lambda e: e["kappa"], default=None)
 
     def load_matrix(self, n: int, entry: dict) -> SignMatrix:
         return parse_sign_matrix((self._dir(n) / entry["file"]).read_text())
@@ -634,12 +619,13 @@ class Registry:
             current = index["best"].get(record.structure)
             if current is not None and record.kappa >= current["kappa"] - 1e-10:
                 return False
-            fname = f"{record.structure}-{record.kappa_str}-{record.seed}.mat"
+            kappa_str = format_kappa(record.kappa)
+            fname = f"{record.structure}-{kappa_str}-{record.seed}.mat"
             (d / fname).write_text(write_sign_matrix(record.matrix))
             entry = {
                 "structure": record.structure,
                 "kappa": record.kappa,
-                "kappa_str": record.kappa_str,
+                "kappa_str": kappa_str,
                 "seed": record.seed,
                 "file": fname,
                 "effort": record.effort,

@@ -22,14 +22,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from collections.abc import Container
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
 from .families import conference_plus_identity, sds_block_matrix, sds_search
-from .linalg import IntPolynomial, SignMatrix, condition_number, minpoly_residual
+from .linalg import IntPolynomial, SignMatrix, condition_number
 from .matrixio import parse_sign_matrix
 from .search import DEFAULT_BUDGET, Registry, StructureClass, anneal, exhaustive_min, format_kappa
 
@@ -182,13 +181,10 @@ def reproduce_table(
             ((condition_number(c.matrix).kappa, SOURCES.index(c.source), c) for c in cands),
             key=lambda scored: scored[:2],
         )
-        residual = minpoly_residual(target.minpoly, kappa)
+        residual = target.minpoly(kappa)
         scale = max(abs(c) for c in target.minpoly.coefficients)
-        matched = (
-            math.isfinite(kappa)
-            and abs(kappa - target.kappa_value) <= MATCH_TOLERANCE
-            and abs(residual) <= RESIDUAL_REL * scale
-        )
+        matched = (abs(kappa - target.kappa_value) <= MATCH_TOLERANCE
+                   and abs(residual) <= RESIDUAL_REL * scale)
         rows.append(TableRow(n=n, kappa=kappa, target_kappa=target.kappa, matched=matched,
                              structure=best.structure, minpoly_residual=residual,
                              seed=best.seed, source=best.source))

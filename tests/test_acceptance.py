@@ -15,7 +15,7 @@ import approxhad.cli as cli
 from approxhad.constructions import gap_bound_exponent
 from approxhad.families import circulant, conference_plus_identity, sds_block_matrix, sds_search, verify_barba
 from approxhad.flatten import OrthMatrix, flat_orthogonal, submatrix_orthogonalize
-from approxhad.linalg import SignMatrix, condition_number, minpoly_residual
+from approxhad.linalg import SignMatrix, condition_number
 from approxhad.lower_bound import best_clique_certificate, orthogonal_triple_exists, verify_certificate
 from approxhad.matrixio import parse_sign_matrix, write_sign_matrix
 from approxhad.rounding import RoundingPlan, round_best
@@ -55,7 +55,7 @@ def test_family_rows():
     def check(n, matrix, digits10):
         kappa = condition_number(matrix).kappa
         assert abs(kappa - float(digits10)) <= 5e-10, (n, kappa, digits10)
-        residual = minpoly_residual(TARGETS[n].minpoly, kappa)
+        residual = TARGETS[n].minpoly(kappa)
         assert abs(residual) <= 1e-8, (n, residual)
         matched[n] = kappa
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -261,6 +262,24 @@ class TestCli:
         assert out.startswith("key,value\n")
         assert "kappa,1.000000000" in out
 
+    def test_certify_singular_matrix(self, capsys, tmp_path):
+        path = tmp_path / "j2.mat"
+        path.write_text("++\n++\n")
+        code, out, _ = run_cli(capsys, "certify", "--input", str(path))
+        assert code == 0
+        d = json.loads(out)
+        assert d["kappa"] == {"dec": "inf", "hex": "inf"}
+        assert d["sigma_min"] == {"dec": "0.000000000", "hex": "0x0.0p+0"}
+        code, out, _ = run_cli(capsys, "certify", "--input", str(path), "--csv")
+        assert code == 0
+        assert "\nkappa,inf\n" in out
+
+    def test_certify_zero_minpoly_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "b5.mat"
+        path.write_text(write_sign_matrix(SignMatrix(circulant([1, 1, 1, 1, -1]))))
+        code, out, err = run_cli(capsys, "certify", "--input", str(path), "--minpoly=0")
+        assert (code, out, err) == (1, "", "error: polynomial must be nonzero\n")
+
     def test_certify_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--input", "/nonexistent.mat")
         assert code == 1
@@ -435,6 +454,22 @@ class TestPlot:
         assert svg == out2.read_bytes()  # deterministic bytes
         assert svg.startswith(b"<svg")
         assert b"circle" in svg and b"polyline" in svg
+
+    def test_every_point_inside_the_axes(self, capsys, tmp_path):
+        # an order-1 point once fell left of the y axis, at x = -80
+        reg = str(tmp_path / "reg")
+        for n, structure in (("1", "general"), ("5", "circulant")):
+            assert run_cli(capsys, "search", "--n", n, "--structure", structure,
+                           "--budget", "200", "--registry", reg)[0] == 0
+        out = tmp_path / "p.svg"
+        assert run_cli(capsys, "plot", "--registry", reg, "--out", str(out))[0] == 0
+        svg = out.read_text()
+        circles = re.findall(r'<circle cx="([-\d.]+)" cy="([-\d.]+)"', svg)
+        lines = re.findall(r'points="([^"]*)"', svg)
+        xy = [tuple(map(float, c)) for c in circles]
+        xy += [tuple(map(float, p.split(","))) for pts in lines for p in pts.split()]
+        assert len(circles) >= 2
+        assert all(60 <= x <= 620 and 20 <= y <= 435 for x, y in xy), xy
 
     def test_empty_registry_fails(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "plot", "--registry", str(tmp_path / "nothing"),

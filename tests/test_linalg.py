@@ -14,7 +14,6 @@ from approxhad.linalg import (
     gram_eigvalsh,
     gram_kappa,
     kronecker,
-    minpoly_residual,
     operator_norm,
 )
 from approxhad.constructions import sylvester
@@ -253,18 +252,21 @@ class TestConditionNumber:
 
 class TestMinpolyResidual:
     def test_linear_root(self):
-        assert minpoly_residual(IntPolynomial((-2, 1)), 2.0) == 0.0
+        assert IntPolynomial((-2, 1))(2.0) == 0.0
 
     def test_table_13(self):
         kappa = 1.443375673  # rounded to 10 digits; the exact root is 5/(2 sqrt 3)
-        assert abs(minpoly_residual(IntPolynomial((-25, 0, 12)), kappa)) <= 1e-8
+        assert abs(IntPolynomial((-25, 0, 12))(kappa)) <= 1e-8
 
     def test_signed_value(self):
-        assert minpoly_residual(IntPolynomial((-3, 2)), 1.0) == -1.0
+        assert IntPolynomial((-3, 2))(1.0) == -1.0
 
     def test_zero_poly_rejected(self):
-        with pytest.raises(ValueError):
-            minpoly_residual(IntPolynomial((0,)), 1.0)
+        for make in (lambda: IntPolynomial((0,)), lambda: IntPolynomial(()),
+                     lambda: IntPolynomial.parse("0,0")):
+            with pytest.raises(ValueError, match="^polynomial must be nonzero$"):
+                make()
+        assert IntPolynomial((1, 0, 0)).coefficients == (1,)
 
     def test_exact_rational_evaluation(self):
         # float64 Horner would lose ~1e-9 here; rational evaluation must not
@@ -274,7 +276,7 @@ class TestMinpolyResidual:
         from fractions import Fraction
 
         exact = sum(c * Fraction(x) ** i for i, c in enumerate(p.coefficients))
-        assert minpoly_residual(p, x) == pytest.approx(float(exact), rel=1e-15)
+        assert p(x) == pytest.approx(float(exact), rel=1e-15)
 
 
 class TestKronecker:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import signal
@@ -9,6 +10,7 @@ from approxhad.constructions import sylvester
 from approxhad.families import circulant
 from approxhad.linalg import SignMatrix, condition_number, gram
 from approxhad.lower_bound import (
+    CliqueCertificate,
     best_clique_certificate,
     kappa_floor,
     max_clique,
@@ -140,6 +142,27 @@ class TestCliqueCertificate:
                 if math.isfinite(kappa):
                     assert cert.bound <= kappa + 1e-9
                 verify_certificate(cert, A)
+
+    def test_certificate_must_fit_the_matrix(self):
+        # a clique restated at another order, repeated columns, and indices
+        # outside 0..n-1 are refused, however consistent the bound formula
+        from approxhad.table import bundled_fixtures
+
+        A29 = bundled_fixtures([29])[29]["matrix"]
+        cert = best_clique_certificate(A29)
+        assert (cert.sign, cert.k) == ("positive", 9)
+        restated = dataclasses.replace(cert, n=2, bound=math.sqrt(1 + 9 / (2 - 1.0)))
+        A5 = SignMatrix(circulant([1, 1, 1, 1, -1]))  # Gram 4 I + J, kappa 1.5
+
+        def positive(indices):
+            k = len(indices)
+            return CliqueCertificate(indices, "positive", k, 5, math.sqrt(1 + k / 4.0))
+
+        for bad, A in ((restated, A29), (positive((0, 0, 0, 0, 0, 1)), A5),
+                       (positive((0, -1)), A5), (positive((0, 7)), A5)):
+            with pytest.raises(AssertionError):
+                verify_certificate(bad, A)
+        verify_certificate(positive((0, 4)), A5)
 
     def test_positive_clique_bound_equality_gram(self):
         # Gram (n-1) I_k + J_k: kappa of the underlying matrix equals the

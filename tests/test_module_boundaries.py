@@ -3,6 +3,8 @@
 A module of src/approxhad imports only public names from its siblings,
 and reads a leading-underscore attribute only on self or cls, so each
 private name has one module that knows it.  Dunders are public here.
+The scripts in scripts/ keep to the package's public names too, and
+every name in a module's __all__ is defined in that module.
 
 NumPy's private surface is one import in linalg.py: no other module
 imports from a NumPy module path with a leading-underscore part.
@@ -23,6 +25,7 @@ patch has no reader.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 from approxhad.search import StructureClass
@@ -46,9 +49,22 @@ def crossings(path):
             yield f"{path.name}:{node.lineno} reads .{node.attr}"
 
 
+SCRIPTS = PACKAGE.parent.parent / "scripts"
+
+
 def test_no_private_name_crosses_a_module():
-    found = [c for path in sorted(PACKAGE.glob("*.py")) for c in crossings(path)]
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    found = [c for path in paths for c in crossings(path)]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"approxhad.{path.stem}".removesuffix(".__init__"))
+        stale += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert stale == []
 
 
 def numpy_private_imports(path):
@@ -105,9 +121,6 @@ def test_spectral_names_no_structure_class():
              if isinstance(node, ast.Constant) and id(node) not in skip
              and node.value in StructureClass._KINDS]
     assert found == []
-
-
-SCRIPTS = PACKAGE.parent.parent / "scripts"
 
 
 def definitions(tree):

@@ -323,7 +323,7 @@ class TestPrunedReduction:
         # with no usable probe, every distinct draw gets both eigensolves
         def no_probes(plan, signs):
             nan = np.full((len(signs), plan.n), np.nan)
-            return (np.full(len(signs), -np.inf),) * 2, (nan,) * 3
+            return (np.full(len(signs), -np.inf),) * 2 + (nan,) * 3
 
         solves = []
         gram_eigvalsh = linalg.gram_eigvalsh

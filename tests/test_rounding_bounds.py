@@ -32,7 +32,7 @@ def assert_bounds_hold(plan, signs, monkeypatch):
     """Neither early exit, at half the margin, skips a trial whose exact
     value equals the value to beat."""
     monkeypatch.setattr(linalg, "ETA_PER_N2_LMAX", linalg.ETA_PER_N2_LMAX / 2)
-    _, (v_e, v_max, w_min) = rounding._probes(plan, signs.astype(np.int8))
+    _, _, v_e, v_max, w_min = rounding._probes(plan, signs.astype(np.int8))
     for t, x in enumerate(signs):
         report = condition_number(SignMatrix(x))
         err = operator_norm(x - plan.scaled)
@@ -120,7 +120,7 @@ def test_only_a_singular_trial_keeps_its_start_block():
     singular = [x.entries for x in draws if math.isinf(condition_number(x).kappa)]
     regular = [x.entries for x in draws if math.isfinite(condition_number(x).kappa)]
     signs = np.stack(regular[:3] + singular[:1] + regular[3:7]).astype(np.int8)
-    _, (v_e, _, _) = rounding._probes(plan, signs)
+    v_e = rounding._probes(plan, signs)[2]
     b = np.empty((len(signs), 3, 2))
     b[..., 0] = v_e
     b[..., 1] = np.cos(2.0 * np.arange(1, 4))

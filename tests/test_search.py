@@ -247,6 +247,13 @@ class TestRegistry:
         assert entry["kappa"] == pytest.approx(rec.kappa)
         assert (tmp_path / "6" / entry["file"]).exists()
 
+    def test_entry_carries_the_formatted_kappa(self, tmp_path):
+        rec = self._record()
+        assert Registry(tmp_path).update(rec) is True
+        entry = json.loads((tmp_path / "6" / "index.json").read_text())["best"][rec.structure]
+        assert entry["kappa_str"] == format_kappa(rec.kappa)
+        assert entry["file"] == f"{rec.structure}-{format_kappa(rec.kappa)}-{rec.seed}.mat"
+
     def test_strict_improvement_stored(self, tmp_path):
         reg = Registry(tmp_path)
         worse = SearchRecord(

@@ -1,12 +1,14 @@
+import importlib.util
 import math
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from approxhad import table
 from approxhad.families import circulant, sds_block_matrix, sds_search, verify_barba
-from approxhad.linalg import SignMatrix, condition_number, minpoly_residual
+from approxhad.linalg import SignMatrix, condition_number
 from approxhad.matrixio import write_sign_matrix
 from approxhad.search import Registry, SearchRecord, StructureClass, anneal, format_kappa
 from approxhad.table import (
@@ -27,7 +29,7 @@ class TestTargets:
         # the 10-digit value must sit on the polynomial to ~1e-8
         for n, t in TARGETS.items():
             scale = max(abs(c) for c in t.minpoly.coefficients)
-            res = minpoly_residual(t.minpoly, t.kappa_value)
+            res = t.minpoly(t.kappa_value)
             assert abs(res) <= 1e-7 * scale, (n, res)
 
     def test_structures_parse(self):
@@ -72,11 +74,17 @@ class TestFixtures:
                         ref = a[0:s, ((j - i) % b) * s:((j - i) % b + 1) * s]
                         assert np.array_equal(blk, ref)
 
-    @pytest.mark.parametrize("n", [3, 5, 6, 10, 14, 18])
+    @pytest.mark.parametrize("n", [3, 5, 6, 10, 13, 14, 18])
     def test_constructed_fixtures_rebuild(self, n):
         # the direct constructions of scripts/generate_fixtures.py
         if n in (3, 5):
             matrix = SignMatrix(circulant([1] * (n - 1) + [-1]))
+        elif n == 13:
+            path = Path(__file__).resolve().parents[1] / "scripts" / "generate_fixtures.py"
+            spec = importlib.util.spec_from_file_location("generate_fixtures", path)
+            script = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(script)
+            matrix = script.pg2_barba_13()
         else:
             matrix = sds_block_matrix(sds_search(n // 2)[0]).matrix
         fname = bundled_fixtures()[n]["file"]
