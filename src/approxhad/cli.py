@@ -304,6 +304,8 @@ def main(argv=None) -> int:
         # exhaustive_min enumerates the general class only
         parser.exit(2, f"approxhad search: error: --exhaustive searches the general "
                        f"class, not --structure {args.structure}\n")
+    if args.command == "construct" and args.kind is not None and args.what != "family":
+        parser.exit(2, f"approxhad construct: error: --kind applies to family, not {args.what}\n")
     if args.command == "table" and args.min > args.max:
         parser.exit(2, f"approxhad table: error: --min {args.min} exceeds --max {args.max}\n")
     if args.command == "table" and not any(args.min <= n <= args.max for n in TARGETS):

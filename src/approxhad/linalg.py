@@ -174,7 +174,7 @@ class Draws:
     top 53 bits of a fresh 64-bit output and leaves a kept half in place.
     """
 
-    __slots__ = ("_raw", "_buf", "_at", "_half", "_peeked")
+    __slots__ = ("_raw", "_buf", "_at", "_half")
     _BLOCK = 256  # raw outputs fetched per refill of the buffer
 
     def __init__(self, seed: int, counter: int):
@@ -187,7 +187,6 @@ class Draws:
         self._buf = memoryview(np.empty(0, dtype=np.uint64))
         self._at = 0
         self._half: int | None = None
-        self._peeked: np.ndarray | None = None
 
     def _next64(self) -> int:
         at = self._at
@@ -268,7 +267,7 @@ class Draws:
         s = 0 if self._half is None else 1
         pairs = (s + k + 1) // 2
         need = 3 * pairs - 2 * s
-        out = self._peeked = np.empty((pairs, 3), dtype="<u8")
+        out = np.empty((pairs, 3), dtype="<u8")
         out.reshape(-1)[2 * s:] = self._ahead(need)[:need]
         if s:
             out[0, 0] = self._half << 32
@@ -281,15 +280,15 @@ class Draws:
         return (m[:cut] >> np.uint64(32)).astype(np.int64), (doubles >> np.uint64(11)) * 2.0 ** -53
 
     def commit(self, j: int) -> None:
-        """Consume the first j moves of the last `peek`."""
-        peeked, self._peeked = self._peeked, None
+        """Consume the first j moves of the last `peek`, with nothing drawn
+        in between: the outputs it read are still in the buffer from _at on."""
         if j == 0:
             return
         s = 0 if self._half is None else 1
         done = s + j
-        used = 3 * (done // 2) + 2 * (done % 2) - 2 * s
-        self._half = int(peeked[done // 2, 0] >> np.uint64(32)) if done % 2 else None
-        self._at += used
+        at = self._at + 3 * (done // 2) - 2 * s  # output a of triple done // 2
+        self._half = self._buf[at] >> 32 if done % 2 else None
+        self._at = at + 2 * (done % 2)
 
 
 def gram_kappa(lmin: float, lmax: float, n: int) -> float:

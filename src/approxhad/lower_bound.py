@@ -40,7 +40,8 @@ EXACT_CLIQUE_LIMIT = 20
 
 @dataclass(frozen=True)
 class CliqueCertificate:
-    """Columns whose pairwise Gram entries share a strict sign.
+    """Columns of an order-n matrix whose pairwise Gram entries share a
+    strict sign: the whole evidence, from which k and the bound follow.
 
     k = 1 is the vacuous certificate with bound 1 (a single column says
     nothing); it is still emitted so downstream reports have a uniform
@@ -49,9 +50,15 @@ class CliqueCertificate:
 
     indices: tuple[int, ...]
     sign: str  # "positive" | "negative"
-    k: int
     n: int
-    bound: float
+
+    @property
+    def k(self) -> int:
+        return len(self.indices)
+
+    @property
+    def bound(self) -> float:
+        return _bound(self.sign, self.k, self.n)
 
     def to_dict(self) -> dict:
         return {
@@ -89,14 +96,11 @@ def max_clique(adjacency: np.ndarray) -> list[int]:
     start's clique replaces the best only when strictly larger.  Diagonal
     entries are ignored.
     """
-    n = adjacency.shape[0]
-    if n == 0:
-        return []
     adj = adjacency != 0
     np.fill_diagonal(adj, False)
     packed = np.packbits(adj, axis=1, bitorder="little")
     nb = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    if n <= EXACT_CLIQUE_LIMIT:
+    if len(nb) <= EXACT_CLIQUE_LIMIT:
         return _max_clique_exact(nb)
     return _max_clique_greedy(adj, nb)
 
@@ -193,20 +197,10 @@ def best_clique_certificate(A: SignMatrix) -> CliqueCertificate:
     independently of the search, so it is sound regardless of whether the
     clique is maximum.
     """
-    n = A.n
     g = gram(A.entries)
-    best = CliqueCertificate(indices=(0,), sign="positive", k=1, n=n, bound=1.0)
+    best = CliqueCertificate((0,), "positive", A.n)
     for sign_name, adj in (("positive", g > 0), ("negative", g < 0)):
-        clique = max_clique(adj)
-        if len(clique) < 2:
-            continue
-        cert = CliqueCertificate(
-            indices=tuple(clique),
-            sign=sign_name,
-            k=len(clique),
-            n=n,
-            bound=_bound(sign_name, len(clique), n),
-        )
+        cert = CliqueCertificate(tuple(max_clique(adj)), sign_name, A.n)
         if cert.bound > best.bound:
             best = cert
     verify_certificate(best, A)
@@ -214,19 +208,17 @@ def best_clique_certificate(A: SignMatrix) -> CliqueCertificate:
 
 
 def verify_certificate(cert: CliqueCertificate, A: SignMatrix) -> None:
-    """Independent check: the certificate's order is the matrix's, its
-    indices are distinct columns, every pair has the strict common sign,
-    and the bound follows the formula."""
-    if cert.k != len(cert.indices):
-        raise AssertionError("certificate size mismatch")
+    """Independent check of the evidence: the certificate's order is the
+    matrix's, its sign is positive or negative, its indices are distinct
+    integer columns (a bool is not one), and every pair has the strict
+    common sign.  k and the bound follow from these."""
     if cert.n != A.n:
         raise AssertionError(f"certificate order {cert.n} is not the matrix order {A.n}")
-    if len(set(cert.indices)) != cert.k or not all(0 <= i < A.n for i in cert.indices):
+    if cert.sign not in ("positive", "negative"):
+        raise AssertionError(f"certificate sign {cert.sign!r} is neither positive nor negative")
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < A.n
+               for i in cert.indices) or len(set(cert.indices)) != cert.k:
         raise AssertionError(f"certificate indices {cert.indices} are not distinct columns")
-    if cert.k == 1:
-        if cert.bound != 1.0:
-            raise AssertionError("vacuous certificate must have bound 1")
-        return
     g = gram(A.entries)
     want = 1 if cert.sign == "positive" else -1
     for i, j in itertools.combinations(cert.indices, 2):
@@ -235,9 +227,6 @@ def verify_certificate(cert: CliqueCertificate, A: SignMatrix) -> None:
             raise AssertionError(
                 f"Gram entry ({i}, {j}) = {entry} breaks the {cert.sign} clique"
             )
-    expected = _bound(cert.sign, cert.k, cert.n)
-    if abs(cert.bound - expected) > 1e-12:
-        raise AssertionError("certificate bound does not match its formula")
 
 
 def kappa_floor(n: int) -> float:

@@ -73,12 +73,10 @@ class SpectralScreen:
         self.n = n
         self.core = core
         # each channel's columns, zero on the other channels' bits
-        live = np.kron(np.eye(channels), np.ones_like(theta))
-        theta = np.kron(np.eye(channels), theta)
-        self.table = np.hstack([np.cos(theta) * live, np.sin(theta) * live])
+        self.table = np.hstack([np.kron(np.eye(channels), f(theta)) for f in (np.cos, np.sin)])
         self.table2 = 2 * self.table
         # sums the squared cos and sin columns of each frequency
-        self.groups = np.vstack([np.eye(theta.shape[1] // channels)] * (2 * channels))
+        self.groups = np.vstack([np.eye(theta.shape[1])] * (2 * channels))
 
     def spectra(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The screen's view of every neighbour of bits, by flipped bit:

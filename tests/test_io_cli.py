@@ -598,6 +598,22 @@ def test_exhaustive_with_a_structure_is_a_usage_error(capsys, tmp_path):
     assert cli.main(["search", "--n", "3", "--exhaustive", "--structure", "general"]) == 0
 
 
+@pytest.mark.parametrize("what, order, kind", [("hadamard", 4, "sds"),
+                                               ("conference", 6, "barba")])
+def test_kind_outside_family_is_a_usage_error(capsys, what, order, kind):
+    # --kind picks a family member; hadamard and conference once ignored it
+    # and printed their matrix
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", what, "--order", str(order), "--kind", kind])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"approxhad construct: error: --kind applies to family, not {what}")
+    assert cli.main(["construct", what, "--order", str(order)]) == 0
+    assert cli.main(["construct", "family", "--order", "6", "--kind", "sds"]) == 0
+
+
 def test_table_min_above_max_is_a_usage_error(capsys):
     # the empty range once printed the CSV header alone and exited 0
     with pytest.raises(SystemExit) as exc:

@@ -55,6 +55,9 @@ class TestMaxClique:
         adj = np.zeros((5, 5), dtype=bool)
         assert len(max_clique(adj)) == 1
 
+    def test_no_vertices(self):
+        assert max_clique(np.zeros((0, 0), dtype=bool)) == []
+
     def test_complete_graph(self):
         adj = np.ones((7, 7), dtype=bool)
         np.fill_diagonal(adj, False)
@@ -151,18 +154,46 @@ class TestCliqueCertificate:
         A29 = bundled_fixtures([29])[29]["matrix"]
         cert = best_clique_certificate(A29)
         assert (cert.sign, cert.k) == ("positive", 9)
-        restated = dataclasses.replace(cert, n=2, bound=math.sqrt(1 + 9 / (2 - 1.0)))
+        restated = dataclasses.replace(cert, n=2)
         A5 = SignMatrix(circulant([1, 1, 1, 1, -1]))  # Gram 4 I + J, kappa 1.5
 
         def positive(indices):
-            k = len(indices)
-            return CliqueCertificate(indices, "positive", k, 5, math.sqrt(1 + k / 4.0))
+            return CliqueCertificate(indices, "positive", 5)
 
         for bad, A in ((restated, A29), (positive((0, 0, 0, 0, 0, 1)), A5),
                        (positive((0, -1)), A5), (positive((0, 7)), A5)):
             with pytest.raises(AssertionError):
                 verify_certificate(bad, A)
         verify_certificate(positive((0, 4)), A5)
+
+    def test_verify_refuses_an_unknown_sign_or_a_non_integer_index(self):
+        # any sign but "positive" was once read as negative and printed as
+        # given, and an index that is not an integer escaped as IndexError
+        # or TypeError
+        A = SignMatrix(np.array([[1, 1, 1], [1, -1, 1], [1, 1, -1]]))  # kappa 2
+        for bad in (CliqueCertificate((1, 2), "zero", 3),
+                    CliqueCertificate((1.0, 2), "negative", 3),
+                    CliqueCertificate((True, 2), "negative", 3),
+                    CliqueCertificate((np.bool_(True), 2), "negative", 3)):
+            with pytest.raises(AssertionError):
+                verify_certificate(bad, A)
+        verify_certificate(CliqueCertificate((1, 2), "negative", 3), A)
+        verify_certificate(CliqueCertificate((np.int64(1), np.intp(2)), "negative", 3), A)
+
+    def test_conclusions_follow_the_evidence(self):
+        # k and the bound are computed from the columns, the sign and the
+        # order, so a certificate cannot carry a stale conclusion
+        from approxhad.lower_bound import _bound
+        from approxhad.table import bundled_fixtures
+
+        cert = best_clique_certificate(bundled_fixtures([29])[29]["matrix"])
+        assert (cert.sign, cert.k) == ("positive", 9)
+        assert cert.k == len(cert.indices)
+        assert cert.bound.hex() == _bound("positive", 9, 29).hex()
+        assert dataclasses.replace(cert, n=30).bound == _bound("positive", 9, 30)
+        for extra in ({"k": 9}, {"bound": cert.bound}):
+            with pytest.raises(TypeError):
+                CliqueCertificate(cert.indices, "positive", 29, **extra)
 
     def test_positive_clique_bound_equality_gram(self):
         # Gram (n-1) I_k + J_k: kappa of the underlying matrix equals the
