@@ -10,10 +10,11 @@ index.json.  Timestamps and the temporary directory's path are replaced by
 fixed text first, and the fixture directory's path by `<fixtures>`.
 
 Groups: table, certify (every bundled fixture, as JSON and as CSV with a
-minimal polynomial), round (46 and 92, each certified), search (five
-structured anneals into one registry), construct, catalog, flatten and
-plot (the search registry).  --quick runs catalog, construct and certify
-of three fixtures only.
+minimal polynomial, then the singular ++/++ with a minimal polynomial),
+round (46 and 92, each certified), search (six structured anneals into one
+registry), construct, catalog, flatten and plot (the search registry).
+--quick runs catalog, construct and certify of three fixtures and ++/++
+only.
 
 OPENBLAS_NUM_THREADS is 1 unless already set, before NumPy loads, because
 round's empirical_E_norm depends on the BLAS thread count.  approxhad is
@@ -43,7 +44,8 @@ FIXTURES = Path(approxhad.__file__).parent / "fixtures"
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 QUICK_FIXTURES = ("n05-circulant.mat", "n13-symmetric.mat", "n29-circulant_core.mat")
 SEARCHES = ((18, "two_block_circulant"), (22, "two_block_circulant"),
-            (29, "circulant_core"), (27, "block_circulant9"), (15, "symmetric"))
+            (29, "circulant_core"), (27, "block_circulant9"), (15, "symmetric"),
+            (19, "circulant"))
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -68,6 +70,9 @@ def _commands(tmp: Path, quick: bool):
         path = str(FIXTURES / name)
         yield "certify", ["certify", "--input", path], []
         yield "certify", ["certify", "--input", path, "--minpoly=-2,1", "--csv"], []
+    singular = tmp / "j2.mat"
+    singular.write_text("++\n++\n")
+    yield "certify", ["certify", "--input", str(singular), "--minpoly=-2,1"], []
     if quick:
         return
     yield "table", ["table", "--min", "3", "--max", "30"], []
@@ -110,7 +115,7 @@ def digests(quick: bool = False) -> dict[str, str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description="One SHA-256 per group of CLI outputs.")
     parser.add_argument("--quick", action="store_true",
-                        help="catalog, construct and certify of three fixtures only")
+                        help="catalog, construct and certify of three fixtures and ++/++ only")
     args = parser.parse_args()
     # a registry named in the environment would feed table and plot
     os.environ.pop(cli.REGISTRY_ENV, None)

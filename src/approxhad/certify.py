@@ -31,10 +31,9 @@ class CertifyReport:
     gram_class: str
     clique: CliqueCertificate
     minpoly: IntPolynomial | None = None
-    minpoly_residual: float | None = None
 
     def to_dict(self) -> dict:
-        rep = self.report
+        rep, clique = self.report, self.clique
         return {
             "schema": SCHEMA,
             "n": self.n,
@@ -42,13 +41,15 @@ class CertifyReport:
             "sigma_min": float_field(rep.sigma_min),
             "sigma_max": float_field(rep.sigma_max),
             "gram_class": self.gram_class,
+            # verified: best_clique_certificate has run verify_certificate on it
             "clique_certificate": {
-                **self.clique.to_dict(),
-                "bound": float_field(self.clique.bound),
+                "n": clique.n, "k": clique.k, "sign": clique.sign,
+                "indices": list(clique.indices), "bound": float_field(clique.bound),
+                "verified": True,
             },
             "minpoly": None if self.minpoly is None else {
                 "coefficients": list(self.minpoly.coefficients),
-                "residual": float_field(self.minpoly_residual),
+                "residual": float_field(self.minpoly(rep.kappa)),
             },
             # nothing fills it; kept so approxhad.certify/1 output is unchanged
             "bernstein": None,
@@ -69,5 +70,4 @@ def certify(A: SignMatrix, minpoly: IntPolynomial | None = None) -> CertifyRepor
         gram_class=detect_gram_class(A),
         clique=clique,
         minpoly=minpoly,
-        minpoly_residual=None if minpoly is None else minpoly(report.kappa),
     )

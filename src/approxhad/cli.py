@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -62,8 +61,7 @@ def _emit(report: dict, as_csv: bool) -> None:
     if not as_csv:
         print(json.dumps(report, indent=2))
         return
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
+    w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["key", "value"])
 
     def walk(prefix, obj):
@@ -79,7 +77,6 @@ def _emit(report: dict, as_csv: bool) -> None:
             w.writerow([prefix, obj])
 
     walk("", report)
-    print(out.getvalue(), end="")
 
 
 def _registry(args) -> Registry | None:

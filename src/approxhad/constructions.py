@@ -166,10 +166,8 @@ class HadamardOrderCatalog:
 
 def build_catalog(max_order: int = 256) -> HadamardOrderCatalog:
     known: dict[int, Recipe] = {}
-    t = 0
-    while 2**t <= max_order:
-        known[2**t] = Recipe("sylvester", t)
-        t += 1
+    for t in range(max(max_order, 0).bit_length()):
+        known[1 << t] = Recipe("sylvester", t)
     for q in supported_field_orders(max_order - 1):
         if q % 4 == 3 and q + 1 <= max_order:
             known.setdefault(q + 1, Recipe("paley1", q))

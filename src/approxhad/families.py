@@ -98,15 +98,16 @@ class BarbaRejection(ValueError):
         self.expected = expected
 
 
-def _expected_gram(identity: str, n: int) -> np.ndarray | None:
-    """A^T A under `identity` at order n; None for an SDS block of odd order."""
+def _expected_gram(identity: str, n: int) -> np.ndarray:
+    """A^T A under `identity` at order n.  At odd n the SDS block Gram is
+    (n-1) x (n-1), so it equals no Gram of order n."""
     eye = np.eye(n, dtype=np.int64)
     if identity == "hadamard":
         return n * eye
     if identity == "barba":
         return (n - 1) * eye + 1
     block = (n - 2) * np.eye(n // 2, dtype=np.int64) + 2
-    return None if n % 2 else np.kron(np.eye(2, dtype=np.int64), block)
+    return np.kron(np.eye(2, dtype=np.int64), block)
 
 
 def _is_symmetric_conference(c: np.ndarray) -> bool:
@@ -120,8 +121,7 @@ def detect_gram_class(A: SignMatrix) -> str:
     """Which exact Gram identity A satisfies, if any, tried in the order below."""
     g = gram(A.entries)
     for identity in ("hadamard", "barba", "sds_block"):
-        expected = _expected_gram(identity, A.n)
-        if expected is not None and np.array_equal(g, expected):
+        if np.array_equal(g, _expected_gram(identity, A.n)):
             return identity
     if _is_symmetric_conference(A.entries - np.eye(A.n, dtype=np.int64)):
         return "conference_plus_I"
@@ -131,7 +131,7 @@ def detect_gram_class(A: SignMatrix) -> str:
 def _certified(family: str, A: SignMatrix, closed: float) -> FamilyMatrix:
     """The family record of A, once its kappa matches the closed form."""
     kappa = condition_number(A).kappa
-    if not math.isfinite(kappa) or abs(kappa - closed) > _KAPPA_RTOL * closed:
+    if abs(kappa - closed) > _KAPPA_RTOL * closed:
         raise AssertionError(
             f"{family}: computed kappa {kappa!r} does not match the closed "
             f"form {closed!r}"

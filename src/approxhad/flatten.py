@@ -49,7 +49,7 @@ class OrthMatrix:
 
     @classmethod
     def from_array(cls, m: np.ndarray, defect_tol_per_n: float = ORTH_DEFECT_PER_N):
-        m = np.asarray(m, dtype=np.float64)
+        m = np.array(m, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         n = m.shape[0]
@@ -59,7 +59,6 @@ class OrthMatrix:
                 f"matrix is not orthogonal: defect {defect:.3e} > "
                 f"{defect_tol_per_n * n:.3e}"
             )
-        m = m.copy()
         m.setflags(write=False)
         return cls(
             entries=m,

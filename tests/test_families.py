@@ -121,6 +121,15 @@ class TestSdsSearch:
         with pytest.raises(ValueError, match="autocorrelation"):
             SdsPair((1, 1, 1), (1, 1, 1))
 
+    @pytest.mark.parametrize("r,s,message", [
+        ((1, 1), (1,), "sequences must have equal length"),
+        ((1, 0), (1, 1), "sequence entries must be +-1"),
+    ])
+    def test_pair_shape_enforced(self, r, s, message):
+        with pytest.raises(ValueError) as exc:
+            SdsPair(r, s)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize(
         "r,s,message",
         [

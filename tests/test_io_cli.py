@@ -99,8 +99,11 @@ class TestCertify:
         assert d["schema"] == SCHEMA
         assert d["kappa"]["dec"] == "1.500000000"
         assert d["gram_class"] == "barba"
-        assert d["clique_certificate"]["k"] == 5
-        assert d["clique_certificate"]["bound"]["dec"] == "1.500000000"
+        assert d["clique_certificate"] == {
+            "n": 5, "k": 5, "sign": "positive", "indices": [0, 1, 2, 3, 4],
+            "bound": {"dec": "1.500000000", "hex": "0x1.8000000000000p+0"},
+            "verified": True,
+        }
         assert abs(float.fromhex(d["minpoly"]["residual"]["hex"])) <= 1e-12
         assert d["bernstein"] is None
         assert list(d) == ["schema", "n", "kappa", "sigma_min", "sigma_max", "gram_class",
@@ -196,6 +199,11 @@ class TestCli:
         assert (code, out) == (1, "")
         assert err == "error: the SDS closed form sqrt((2n-2)/(n-2)) needs order >= 4, not 2\n"
 
+    def test_construct_sds_without_a_pair_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "family", "--kind", "sds",
+                                 "--order", "8")
+        assert (code, out, err) == (1, "", "error: no two-circulant pair exists at order 8\n")
+
     @pytest.mark.parametrize("kind", [(), ("--kind", "barba")])
     def test_construct_barba_needs_barba_fixture(self, capsys, kind):
         # the bundled n = 9 witness is symmetric but not a Barba matrix
@@ -273,6 +281,22 @@ class TestCli:
         code, out, _ = run_cli(capsys, "certify", "--input", str(path), "--csv")
         assert code == 0
         assert "\nkappa,inf\n" in out
+
+    def test_certify_singular_matrix_with_minpoly(self, capsys, tmp_path):
+        path = tmp_path / "j2.mat"
+        path.write_text("++\n++\n")
+        code, out, _ = run_cli(capsys, "certify", "--input", str(path), "--minpoly=-2,1")
+        assert code == 0
+        d = json.loads(out)
+        assert d["kappa"] == {"dec": "inf", "hex": "inf"}
+        assert d["gram_class"] == "conference_plus_I"
+        assert d["clique_certificate"] == {
+            "n": 2, "k": 2, "sign": "positive", "indices": [0, 1],
+            "bound": {"dec": "1.732050808", "hex": "0x1.bb67ae8584caap+0"},
+            "verified": True,
+        }
+        assert d["minpoly"] == {"coefficients": [-2, 1],
+                                "residual": {"dec": "inf", "hex": "inf"}}
 
     def test_certify_zero_minpoly_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "b5.mat"

@@ -180,6 +180,23 @@ class TestCliqueCertificate:
         verify_certificate(CliqueCertificate((1, 2), "negative", 3), A)
         verify_certificate(CliqueCertificate((np.int64(1), np.intp(2)), "negative", 3), A)
 
+    def test_verify_refuses_a_pair_without_the_common_sign(self):
+        # well-formed evidence whose Gram entries have the other sign, or
+        # are zero, is refused by the pair check alone
+        from approxhad.table import bundled_fixtures
+
+        A29 = bundled_fixtures([29])[29]["matrix"]
+        cert = best_clique_certificate(A29)
+        assert (cert.sign, cert.k) == ("positive", 9)
+        H4 = sylvester(2)  # Gram 4 I: every pair is orthogonal
+        A3 = SignMatrix(np.array([[1, 1, 1], [1, -1, 1], [1, 1, -1]]))
+        for bad, A in ((dataclasses.replace(cert, sign="negative"), A29),
+                       (CliqueCertificate((0, 1), "positive", 4), H4),
+                       (CliqueCertificate((0, 1), "negative", 4), H4),
+                       (CliqueCertificate((1, 2), "positive", 3), A3)):
+            with pytest.raises(AssertionError, match="breaks the"):
+                verify_certificate(bad, A)
+
     def test_conclusions_follow_the_evidence(self):
         # k and the bound are computed from the columns, the sign and the
         # order, so a certificate cannot carry a stale conclusion

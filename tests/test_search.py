@@ -61,6 +61,15 @@ class TestStructureClasses:
         with pytest.raises(ValueError, match="order must be >= 1"):
             sclass.build(n, np.zeros(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("name,n,message", [
+        ("two_block_circulant", 5, "two_block_circulant needs an even order"),
+        ("block_circulant3", 10, "order 10 is not a multiple of block size 3"),
+    ])
+    def test_order_outside_the_class_rejected(self, name, n, message):
+        with pytest.raises(ValueError) as exc:
+            StructureClass.parse(name).n_bits(n)
+        assert str(exc.value) == message
+
     def test_parse_roundtrip(self):
         for name in ("general", "symmetric", "circulant", "circulant_core",
                      "two_block_circulant", "block_circulant9"):
@@ -221,6 +230,10 @@ class TestAnneal:
     def test_rejects_order_below_one(self, name, n):
         with pytest.raises(ValueError, match="order must be >= 1"):
             anneal(n, StructureClass.parse(name), seed=0, budget=10)
+
+    def test_rejects_budget_below_one(self):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            anneal(5, StructureClass("circulant"), 0, budget=0)
 
     @pytest.mark.parametrize("name", ["general", "symmetric", "circulant_core"])
     def test_zero_bit_class_is_the_one_by_one_matrix(self, name):
