@@ -9,10 +9,12 @@ the --out files, and for the search group the registry's matrices and
 index.json.  Timestamps and the temporary directory's path are replaced by
 fixed text first, and the fixture directory's path by `<fixtures>`.
 
-Groups: table, certify (every bundled fixture, as JSON and as CSV with a
-minimal polynomial, then the singular ++/++ with a minimal polynomial),
-round (46 and 92, each certified), search (six structured anneals into one
-registry), construct, catalog, flatten and plot (the search registry).
+Groups: table (3 to 30, then again with the search registry), certify
+(every bundled fixture, as JSON and as CSV with a minimal polynomial, then
+the singular ++/++ with a minimal polynomial), round (46 and 92, each
+certified; 46 again as CSV, 92 again on two workers), search (six
+structured anneals into one registry), construct, catalog, flatten (JSON
+with --out, then CSV) and plot (the search registry).
 --quick runs catalog, construct and certify of three fixtures and ++/++
 only.
 
@@ -81,14 +83,19 @@ def _commands(tmp: Path, quick: bool):
         yield "round", ["round", "--n", str(n), "--trials", "64", "--seed", "1",
                         "--out", str(out)], [out]
         yield "round", ["certify", "--input", str(out)], []
+    yield "round", ["round", "--n", "46", "--trials", "64", "--seed", "1", "--csv"], []
+    # --workers must not change a byte
+    yield "round", ["round", "--n", "92", "--trials", "64", "--seed", "1", "--workers", "2"], []
     out = tmp / "flat92.csv"
     yield "flatten", ["flatten", "--n", "92", "--seed", "3", "--out", str(out)], [out]
+    yield "flatten", ["flatten", "--n", "70", "--csv"], []
     registry = tmp / "registry"
     for n, structure in SEARCHES:
         out = tmp / f"search{n}.mat"
         yield "search", ["search", "--n", str(n), "--structure", structure, "--seed", "3",
                          "--budget", "5000", "--registry", str(registry),
                          "--out", str(out)], [out, registry]
+    yield "table", ["table", "--min", "3", "--max", "30", "--registry", str(registry)], []
     plot = tmp / "kappa.svg"
     yield "plot", ["plot", "--registry", str(registry), "--out", str(plot)], [plot]
 

@@ -8,6 +8,7 @@ sign-clique lower bound and an optional minimal-polynomial residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .families import detect_gram_class
 from .linalg import IntPolynomial, SignMatrix, SpectralReport, condition_number
@@ -26,17 +27,32 @@ def float_field(x: float) -> dict:
 
 @dataclass(frozen=True)
 class CertifyReport:
-    n: int
-    report: SpectralReport
-    gram_class: str
-    clique: CliqueCertificate
+    # the evidence; the report, the Gram class and the verified clique follow from it
+    matrix: SignMatrix
     minpoly: IntPolynomial | None = None
+
+    @cached_property
+    def report(self) -> SpectralReport:
+        return condition_number(self.matrix)
+
+    @cached_property
+    def gram_class(self) -> str:
+        return detect_gram_class(self.matrix)
+
+    @cached_property
+    def clique(self) -> CliqueCertificate:
+        kappa = self.report.kappa
+        clique = best_clique_certificate(self.matrix)
+        if clique.bound > kappa + 1e-9:
+            raise AssertionError(f"clique bound {clique.bound} exceeds kappa {kappa}: "
+                                 "lower-bound certificate is unsound")
+        return clique
 
     def to_dict(self) -> dict:
         rep, clique = self.report, self.clique
         return {
             "schema": SCHEMA,
-            "n": self.n,
+            "n": self.matrix.n,
             "kappa": float_field(rep.kappa),
             "sigma_min": float_field(rep.sigma_min),
             "sigma_max": float_field(rep.sigma_max),
@@ -57,17 +73,6 @@ class CertifyReport:
 
 
 def certify(A: SignMatrix, minpoly: IntPolynomial | None = None) -> CertifyReport:
-    report = condition_number(A)
-    clique = best_clique_certificate(A)
-    if clique.bound > report.kappa + 1e-9:
-        raise AssertionError(
-            f"clique bound {clique.bound} exceeds kappa {report.kappa}: "
-            "lower-bound certificate is unsound"
-        )
-    return CertifyReport(
-        n=A.n,
-        report=report,
-        gram_class=detect_gram_class(A),
-        clique=clique,
-        minpoly=minpoly,
-    )
+    report = CertifyReport(A, minpoly)
+    report.clique  # raises here, not when printed, if the bound exceeds kappa
+    return report

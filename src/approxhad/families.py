@@ -82,8 +82,11 @@ class SdsPair:
 @dataclass(frozen=True)
 class FamilyMatrix:
     matrix: SignMatrix
-    n: int
     kappa_closed_form: float
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n
 
 
 class BarbaRejection(ValueError):
@@ -136,7 +139,7 @@ def _certified(family: str, A: SignMatrix, closed: float) -> FamilyMatrix:
             f"{family}: computed kappa {kappa!r} does not match the closed "
             f"form {closed!r}"
         )
-    return FamilyMatrix(matrix=A, n=A.n, kappa_closed_form=closed)
+    return FamilyMatrix(matrix=A, kappa_closed_form=closed)
 
 
 def conference_plus_identity(n: int) -> FamilyMatrix:

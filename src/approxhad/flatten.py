@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,30 +42,30 @@ class SingularSplitError(ValueError):
 
 @dataclass(frozen=True)
 class OrthMatrix:
-    """Real orthogonal matrix with cached max-entry and orthogonality defect."""
+    """Real orthogonal matrix; max entry and orthogonality defect are computed once."""
 
     entries: np.ndarray
-    max_abs_entry: float
-    orthogonality_defect: float
 
     @classmethod
     def from_array(cls, m: np.ndarray, defect_tol_per_n: float = ORTH_DEFECT_PER_N):
         m = np.array(m, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        n = m.shape[0]
-        defect = float(np.abs(m.T @ m - np.eye(n)).max())
-        if defect > defect_tol_per_n * n:
-            raise ValueError(
-                f"matrix is not orthogonal: defect {defect:.3e} > "
-                f"{defect_tol_per_n * n:.3e}"
-            )
         m.setflags(write=False)
-        return cls(
-            entries=m,
-            max_abs_entry=float(np.abs(m).max()),
-            orthogonality_defect=defect,
-        )
+        out = cls(m)
+        tol = defect_tol_per_n * out.n
+        if out.orthogonality_defect > tol:
+            raise ValueError(f"matrix is not orthogonal: defect "
+                             f"{out.orthogonality_defect:.3e} > {tol:.3e}")
+        return out
+
+    @cached_property
+    def max_abs_entry(self) -> float:
+        return float(np.abs(self.entries).max())
+
+    @cached_property
+    def orthogonality_defect(self) -> float:
+        return float(np.abs(self.entries.T @ self.entries - np.eye(self.n)).max())
 
     @property
     def n(self) -> int:
@@ -77,9 +78,15 @@ class FlatCertificate:
 
     n: int
     m: int
-    k: int
     max_entry: float
-    bound: float  # 1 / (sqrt(m) - k)
+
+    @property
+    def k(self) -> int:
+        return self.m - self.n
+
+    @property
+    def bound(self) -> float:
+        return 1.0 / (math.sqrt(self.m) - self.k)
 
 
 def submatrix_orthogonalize(M: OrthMatrix, k: int) -> OrthMatrix:
@@ -130,8 +137,5 @@ def flat_orthogonal(n: int, *, seed: int | None = None) -> tuple[OrthMatrix, Fla
         H = H[draws.permutation(m), :][:, draws.permutation(m)]
     M = OrthMatrix.from_array(H / math.sqrt(m))
     out = M if k == 0 else submatrix_orthogonalize(M, k)
-    cert = FlatCertificate(
-        n=n, m=m, k=k, max_entry=out.max_abs_entry, bound=1.0 / (math.sqrt(m) - k)
-    )
-    return out, cert
+    return out, FlatCertificate(n=n, m=m, max_entry=out.max_abs_entry)
 

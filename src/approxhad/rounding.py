@@ -100,9 +100,20 @@ class BernsteinCertificate:
 
     n: int
     u: float
-    e_n: float
-    kappa_bound: float
-    kappa_bound_doubled: float
+
+    @property
+    def e_n(self) -> float:
+        v = max(float(self.n) - 1.0 / (self.u * self.u), 0.0)
+        log2n = math.log(2 * self.n)
+        return math.sqrt(2.0 * v * log2n) + (2.0 / 3.0) * log2n
+
+    @property
+    def kappa_bound(self) -> float:
+        return _kappa_from_error(self.u, self.e_n)
+
+    @property
+    def kappa_bound_doubled(self) -> float:
+        return _kappa_from_error(self.u, 2.0 * self.e_n)
 
 
 def _kappa_from_error(u: float, e: float) -> float:
@@ -113,16 +124,7 @@ def bernstein_bound(n: int, u: float) -> BernsteinCertificate:
     """Bernstein certificate for rounding an order-n target of flatness u."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    v = max(float(n) - 1.0 / (u * u), 0.0)
-    log2n = math.log(2 * n)
-    e_n = math.sqrt(2.0 * v * log2n) + (2.0 / 3.0) * log2n
-    return BernsteinCertificate(
-        n=n,
-        u=u,
-        e_n=e_n,
-        kappa_bound=_kappa_from_error(u, e_n),
-        kappa_bound_doubled=_kappa_from_error(u, 2.0 * e_n),
-    )
+    return BernsteinCertificate(n=n, u=u)
 
 
 def round_once(plan: RoundingPlan, trial_index: int) -> np.ndarray:

@@ -213,7 +213,6 @@ _SINGULAR_ENERGY = 1e18
 
 @dataclass(frozen=True)
 class SearchRecord:
-    n: int
     structure: str
     kappa: float
     matrix: SignMatrix
@@ -222,6 +221,10 @@ class SearchRecord:
     timestamp: str = field(
         default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds"),
         compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n
 
 
 def _logabsdet(a: np.ndarray) -> float:
@@ -257,7 +260,7 @@ class _Best:
     def record(self, n: int, sclass: StructureClass, seed: int, effort: dict) -> SearchRecord:
         """The incumbent as a search result."""
         matrix = SignMatrix(sclass.build(n, np.array(self.bits)))
-        return SearchRecord(n=n, structure=sclass.name, kappa=self.kappa, matrix=matrix,
+        return SearchRecord(structure=sclass.name, kappa=self.kappa, matrix=matrix,
                             seed=seed, effort=effort)
 
 
@@ -585,7 +588,10 @@ class Registry:
         return min(entries.values(), key=lambda e: e["kappa"], default=None)
 
     def load_matrix(self, n: int, entry: dict) -> SignMatrix:
-        return parse_sign_matrix((self._dir(n) / entry["file"]).read_text())
+        a = parse_sign_matrix((self._dir(n) / entry["file"]).read_text())
+        if a.n != n:  # a hand-edited or foreign registry can misfile one
+            raise RegistryRejection(f"registry file {n}/{entry['file']} has order {a.n}, not {n}")
+        return a
 
     def orders(self) -> list[int]:
         if not self.root.exists():

@@ -24,6 +24,7 @@ import io
 import json
 from collections.abc import Container
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import NamedTuple
 
@@ -90,14 +91,25 @@ TARGETS: dict[int, TableTarget] = {
 
 @dataclass(frozen=True)
 class TableRow:
-    n: int
+    n: int                    # a key of TARGETS; the target columns follow from n, kappa
     kappa: float
-    target_kappa: str
-    matched: bool
     structure: str            # a StructureClass name
-    minpoly_residual: float
     seed: int
     source: str               # one of SOURCES
+
+    @property
+    def target_kappa(self) -> str:
+        return TARGETS[self.n].kappa
+
+    @cached_property
+    def minpoly_residual(self) -> float:
+        return TARGETS[self.n].minpoly(self.kappa)
+
+    @property
+    def matched(self) -> bool:
+        scale = max(abs(c) for c in TARGETS[self.n].minpoly.coefficients)
+        return (abs(self.kappa - TARGETS[self.n].kappa_value) <= MATCH_TOLERANCE
+                and abs(self.minpoly_residual) <= RESIDUAL_REL * scale)
 
 
 class Candidate(NamedTuple):
@@ -174,19 +186,13 @@ def reproduce_table(
     for n in sorted(TARGETS):
         if not n_min <= n <= n_max:
             continue
-        target = TARGETS[n]
-        cands = _candidates(n, target, registry, anneal_budget, seeds, fixtures)
+        cands = _candidates(n, TARGETS[n], registry, anneal_budget, seeds, fixtures)
         # ties within one source (the anneal seed panel) keep the earlier seed
         kappa, _, best = min(
             ((condition_number(c.matrix).kappa, SOURCES.index(c.source), c) for c in cands),
             key=lambda scored: scored[:2],
         )
-        residual = target.minpoly(kappa)
-        scale = max(abs(c) for c in target.minpoly.coefficients)
-        matched = (abs(kappa - target.kappa_value) <= MATCH_TOLERANCE
-                   and abs(residual) <= RESIDUAL_REL * scale)
-        rows.append(TableRow(n=n, kappa=kappa, target_kappa=target.kappa, matched=matched,
-                             structure=best.structure, minpoly_residual=residual,
+        rows.append(TableRow(n=n, kappa=kappa, structure=best.structure,
                              seed=best.seed, source=best.source))
     return rows
 

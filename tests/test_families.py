@@ -9,6 +9,7 @@ import pytest
 
 from approxhad.families import (
     BarbaRejection,
+    FamilyMatrix,
     SdsPair,
     _canonical_codes,
     circulant,
@@ -38,6 +39,13 @@ class TestConferencePlusIdentity:
         fam = conference_plus_identity(10)
         assert fam.kappa_closed_form == pytest.approx(2.0, rel=1e-12)
         assert condition_number(fam.matrix).kappa == pytest.approx(2.0, rel=1e-10)
+
+    def test_order_is_the_matrix_order(self):
+        # a family record once stored its order beside its matrix
+        fam = conference_plus_identity(6)
+        assert fam.n == fam.matrix.n == 6
+        with pytest.raises(TypeError):
+            FamilyMatrix(matrix=fam.matrix, n=7, kappa_closed_form=fam.kappa_closed_form)
 
     def test_n8_rejected(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,13 @@ import pytest
 
 from approxhad.constructions import CatalogGapError, Recipe, build_catalog
 from approxhad.flatten import (
+    FlatCertificate,
     OrthMatrix,
     SingularSplitError,
     flat_orthogonal,
     submatrix_orthogonalize,
 )
+from approxhad.rounding import RoundingPlan, bernstein_bound
 
 
 def random_orthogonal(rng, n):
@@ -32,6 +34,22 @@ class TestOrthMatrix:
         m = OrthMatrix.from_array(np.eye(4))
         assert m.max_abs_entry == 1.0
         assert m.orthogonality_defect == 0.0
+
+    def test_entries_are_the_whole_evidence(self):
+        # max entry and defect were once stored beside the entries: a
+        # quarter of the max entry gave rounding probabilities in
+        # [-1.5, 2.02] and a finite Bernstein bound where the true one is inf
+        M = flat_orthogonal(22)[0]
+        with pytest.raises(TypeError):
+            OrthMatrix(entries=M.entries, max_abs_entry=M.max_abs_entry / 4,
+                       orthogonality_defect=0.0)
+        hand = OrthMatrix(M.entries)
+        assert hand.max_abs_entry == np.abs(M.entries).max()
+        assert hand.orthogonality_defect == np.abs(M.entries.T @ M.entries - np.eye(22)).max()
+        p = RoundingPlan(hand, trials=1, master_seed=0).plus_probability
+        assert 0.0 <= p.min() and p.max() <= 1.0
+        assert bernstein_bound(22, hand.max_abs_entry).kappa_bound == math.inf
+        assert OrthMatrix(2.0 * np.eye(3)).orthogonality_defect == 3.0
 
 
 class TestSubmatrixOrthogonalize:
@@ -119,6 +137,12 @@ class TestFlatOrthogonal:
         assert (cert.m, cert.k) == (96, 4)
         assert cert.max_entry <= cert.bound + 1e-12
         assert orth.orthogonality_defect <= 1e-9 * 96
+
+    def test_certificate_holds_n_m_and_the_max_entry(self):
+        cert = FlatCertificate(n=92, m=96, max_entry=0.1)
+        assert (cert.k, cert.bound) == (4, 1.0 / (math.sqrt(96) - 4))
+        with pytest.raises(TypeError):
+            FlatCertificate(n=92, m=96, k=0, max_entry=0.1, bound=1.0)
 
     def test_seeded_split_differs_but_stays_flat(self):
         a, ca = flat_orthogonal(11, seed=1)

@@ -10,10 +10,11 @@ import pytest
 
 import approxhad.cli as cli
 import approxhad.table as table
-from approxhad.certify import SCHEMA, certify, detect_gram_class
+from approxhad.certify import SCHEMA, CertifyReport, certify, detect_gram_class
 from approxhad.constructions import sylvester
 from approxhad.families import circulant, conference_plus_identity, sds_block_matrix, sds_search
-from approxhad.linalg import IntPolynomial, SignMatrix
+from approxhad.linalg import IntPolynomial, SignMatrix, condition_number
+from approxhad.lower_bound import CliqueCertificate, verify_certificate
 from approxhad.matrixio import (
     ParseError,
     parse_sign_matrix,
@@ -135,6 +136,28 @@ class TestCertify:
             for i, j in cells:
                 flipped[i, j] = -flipped[i, j]
             assert detect_gram_class(SignMatrix(flipped)) == "none", cells
+
+    def test_report_prints_its_matrix_verified_clique(self):
+        # a report once took its clique as given, and printed the clique
+        # (0, 0, 5) at n = 3 as verified
+        A = SignMatrix([[1, 1, 1], [1, -1, 1], [1, 1, -1]])
+        with pytest.raises(TypeError):
+            CertifyReport(n=3, report=condition_number(A), gram_class="none",
+                          clique=CliqueCertificate((0, 0, 5), "positive", 3))
+        d = CertifyReport(A).to_dict()
+        assert d == certify(A).to_dict()
+        block = d["clique_certificate"]
+        assert (block["n"], block["k"], block["verified"]) == (3, len(block["indices"]), True)
+        verify_certificate(CliqueCertificate(tuple(block["indices"]), block["sign"], 3), A)
+
+    def test_clique_above_kappa_raises_in_certify(self, monkeypatch):
+        # kappa(H_4) = 1, so a clique of two columns claims too much; the
+        # module comes from sys.modules, as the package's certify function
+        # shadows its name
+        monkeypatch.setattr(sys.modules["approxhad.certify"], "best_clique_certificate",
+                            lambda A: CliqueCertificate((0, 1), "positive", A.n))
+        with pytest.raises(AssertionError, match="unsound"):
+            certify(sylvester(2))
 
     def test_clique_bound_below_kappa(self):
         rng = np.random.default_rng(3)
@@ -526,7 +549,7 @@ class TestPlot:
         reg = Registry(tmp_path / "reg")
         for n, fx in sorted(bundled_fixtures().items()):
             reg.update(SearchRecord(
-                n=n, structure=fx["class"],
+                structure=fx["class"],
                 kappa=condition_number(fx["matrix"]).kappa,
                 matrix=fx["matrix"], seed=fx["seed"], effort={"mode": "fixture"},
             ))
@@ -647,6 +670,22 @@ def test_table_min_above_max_is_a_usage_error(capsys):
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == "approxhad table: error: --min 20 exceeds --max 10"
     assert cli.main(["table", "--min", "3", "--max", "3"]) == 0
+
+
+def test_table_refuses_a_registry_matrix_of_another_order(capsys, tmp_path):
+    # a 2 x 2 Hadamard matrix filed by hand under 7/ once gave row 7
+    # kappa = 1.000000000, below the odd-order floor sqrt(4/3)
+    slot = tmp_path / "7"
+    slot.mkdir()
+    (slot / "general-1.000000000-0.mat").write_text("++\n+-\n")
+    entry = {"structure": "general", "kappa": 1.0, "kappa_str": "1.000000000", "seed": 0,
+             "file": "general-1.000000000-0.mat", "effort": {}, "timestamp": "t"}
+    (slot / "index.json").write_text(json.dumps({"best": {"general": entry},
+                                                 "history": [entry]}))
+    code, out, err = run_cli(capsys, "table", "--min", "7", "--max", "7",
+                             "--registry", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == "error: registry file 7/general-1.000000000-0.mat has order 2, not 7\n"
 
 
 @pytest.mark.parametrize("lo, hi", [(4, 4), (31, 40), (-3, 2)])

@@ -9,6 +9,7 @@ from approxhad.constructions import paley_i
 from approxhad.flatten import OrthMatrix, flat_orthogonal
 from approxhad.linalg import SignMatrix, condition_number, operator_norm
 from approxhad.rounding import (
+    BernsteinCertificate,
     RoundingPlan,
     _kappa_from_error,
     bernstein_bound,
@@ -41,6 +42,15 @@ class TestBernsteinBound:
     def test_clamps_v_at_zero(self):
         cert = bernstein_bound(9, 0.2)  # 1/u^2 = 25 > 9
         assert cert.e_n == pytest.approx((2 / 3) * math.log(18))
+
+    def test_bounds_follow_from_n_and_u(self):
+        # a certificate once stored e_n and both kappa bounds beside n and u
+        with pytest.raises(TypeError):
+            BernsteinCertificate(n=16, u=0.25, e_n=0.0, kappa_bound=1.0, kappa_bound_doubled=1.0)
+        cert = BernsteinCertificate(n=16, u=0.25)
+        assert cert == bernstein_bound(16, 0.25)
+        assert cert.kappa_bound == _kappa_from_error(0.25, cert.e_n)
+        assert cert.kappa_bound_doubled == _kappa_from_error(0.25, 2 * cert.e_n)
 
     def test_monotone_in_u(self):
         n = 64

@@ -270,7 +270,7 @@ class TestRegistry:
     def test_strict_improvement_stored(self, tmp_path):
         reg = Registry(tmp_path)
         worse = SearchRecord(
-            n=6, structure="two_block_circulant", kappa=condition_number(
+            structure="two_block_circulant", kappa=condition_number(
                 SignMatrix(np.ones((6, 6)) - 2 * np.eye(6))).kappa,
             matrix=SignMatrix(np.ones((6, 6)) - 2 * np.eye(6)), seed=1,
             effort={},
@@ -286,7 +286,7 @@ class TestRegistry:
     def test_crash_mid_index_write_keeps_previous_index(self, tmp_path, monkeypatch):
         reg = Registry(tmp_path)
         worse = SearchRecord(
-            n=6, structure="two_block_circulant", kappa=condition_number(
+            structure="two_block_circulant", kappa=condition_number(
                 SignMatrix(np.ones((6, 6)) - 2 * np.eye(6))).kappa,
             matrix=SignMatrix(np.ones((6, 6)) - 2 * np.eye(6)), seed=1,
             effort={},
@@ -325,7 +325,7 @@ class TestRegistry:
             approxhad.search.write_sign_matrix = stall
             A = SignMatrix([[1, 1], [1, -1]])
             Registry({str(tmp_path)!r}).update(SearchRecord(
-                n=2, structure="general", kappa=condition_number(A).kappa,
+                structure="general", kappa=condition_number(A).kappa,
                 matrix=A, seed=0, effort={{}}))
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -340,7 +340,7 @@ class TestRegistry:
             child.stdout.close()
         assert (tmp_path / "2" / ".lock").exists()
         A = SignMatrix([[1, 1], [-1, 1]])
-        record = SearchRecord(n=2, structure="general", kappa=condition_number(A).kappa,
+        record = SearchRecord(structure="general", kappa=condition_number(A).kappa,
                               matrix=A, seed=1, effort={})
         t0 = time.monotonic()
         assert Registry(tmp_path).update(record) is True
@@ -359,7 +359,7 @@ class TestRegistry:
             A = SignMatrix([[1, 1], [1, -1]])
             for k in range(5):
                 assert Registry({str(tmp_path)!r}).update(SearchRecord(
-                    n=2, structure=f"w{{sys.argv[1]}}-{{k}}", kappa=1.0,
+                    structure=f"w{{sys.argv[1]}}-{{k}}", kappa=1.0,
                     matrix=A, seed=k, effort={{}}))
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -379,7 +379,7 @@ class TestRegistry:
         reg = Registry(tmp_path)
         rec = self._record()
         tampered = SearchRecord(
-            n=rec.n, structure=rec.structure, kappa=1.0,
+            structure=rec.structure, kappa=1.0,
             matrix=rec.matrix, seed=rec.seed, effort=rec.effort,
         )
         with pytest.raises(RegistryRejection, match="recomputed"):
@@ -390,7 +390,7 @@ class TestRegistry:
         # same float is the matrix's kappa; 5e-10 more can change its 10 digits
         rec = self._record()
         nudged = SearchRecord(
-            n=rec.n, structure=rec.structure, kappa=rec.kappa + 5e-10,
+            structure=rec.structure, kappa=rec.kappa + 5e-10,
             matrix=rec.matrix, seed=rec.seed, effort=rec.effort,
         )
         with pytest.raises(RegistryRejection, match="recomputed"):
@@ -408,7 +408,7 @@ class TestRegistry:
         assert reg.update(singular) is False
         assert list(tmp_path.iterdir()) == []
         A = SignMatrix([[1, 1], [1, -1]])
-        assert reg.update(SearchRecord(n=2, structure="circulant", kappa=condition_number(A).kappa,
+        assert reg.update(SearchRecord(structure="circulant", kappa=condition_number(A).kappa,
                                        matrix=A, seed=1, effort={})) is True
         files = sorted(p.name for p in (tmp_path / "2").iterdir())
         assert reg.update(singular) is False
@@ -416,6 +416,20 @@ class TestRegistry:
         for path in tmp_path.rglob("index.json"):
             json.loads(path.read_text(), parse_constant=strict)
         assert reg.best(2)["kappa"] == 1.0
+
+    @pytest.mark.parametrize("rows", [[[1, 1], [1, -1]], [[1, 1, 1], [1, -1, 1], [1, 1, -1]]])
+    def test_record_is_filed_under_its_matrix_order(self, tmp_path, rows):
+        # a record once carried its own n, and n = 7 with a 2 x 2 Hadamard
+        # matrix filed kappa = 1 under order 7
+        A = SignMatrix(rows)
+        with pytest.raises(TypeError):
+            SearchRecord(n=7, structure="general", kappa=condition_number(A).kappa,
+                         matrix=A, seed=0, effort={})
+        record = SearchRecord(structure="general", kappa=condition_number(A).kappa,
+                              matrix=A, seed=0, effort={})
+        assert record.n == A.n
+        assert Registry(tmp_path).update(record) is True
+        assert [p.name for p in tmp_path.iterdir()] == [str(A.n)]
 
     def test_roundtrip_matrix(self, tmp_path):
         reg = Registry(tmp_path)

@@ -15,6 +15,7 @@ from approxhad.table import (
     MATCH_TOLERANCE,
     SOURCES,
     TARGETS,
+    TableRow,
     bundled_fixtures,
     reproduce_table,
     table_csv,
@@ -105,6 +106,17 @@ class TestReproduceTable:
         for n in BEST_EFFORT_ROWS:
             assert not rows[n].matched
 
+    def test_row_target_columns_follow_from_n_and_kappa(self):
+        # a row once stored target_kappa, matched and the residual beside n and kappa
+        with pytest.raises(TypeError):
+            TableRow(n=5, kappa=1.6, target_kappa="1.600000000", matched=True,
+                     structure="circulant", minpoly_residual=0.0, seed=0, source="fixture")
+        row = TableRow(n=5, kappa=1.5, structure="circulant", seed=0, source="fixture")
+        assert (row.target_kappa, row.matched, row.minpoly_residual) == ("1.500000000", True, 0.0)
+        off = TableRow(n=5, kappa=1.6, structure="circulant", seed=0, source="fixture")
+        assert not off.matched
+        assert off.minpoly_residual == pytest.approx(0.2)
+
     def test_n22_beats_published_value(self):
         # the two-circulant-block optimum is strictly below the table entry
         row = {r.n: r for r in reproduce_table(22, 22)}[22]
@@ -121,7 +133,7 @@ class TestReproduceTable:
         # the registry holds the fixture's own matrix, so kappa ties bit for bit
         fx = bundled_fixtures()[6]
         reg = Registry(tmp_path)
-        reg.update(SearchRecord(n=6, structure=fx["class"],
+        reg.update(SearchRecord(structure=fx["class"],
                                 kappa=condition_number(fx["matrix"]).kappa,
                                 matrix=fx["matrix"], seed=99, effort={"mode": "test"}))
         row = reproduce_table(6, 6, registry=reg)[0]
