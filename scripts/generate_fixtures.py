@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from approxhad.families import circulant, sds_block_matrix, sds_search, verify_barba
+from approxhad.families import circulant, sds_family, verify_barba
 from approxhad.linalg import SignMatrix, condition_number
 from approxhad.matrixio import write_sign_matrix
 from approxhad.search import SEED_PANEL, StructureClass, anneal, format_kappa
@@ -88,8 +88,7 @@ def main() -> int:
     emit(3, SignMatrix(circulant([1, 1, -1])), "circulant", 0, "construction")
     emit(5, SignMatrix(circulant([1, 1, 1, 1, -1])), "circulant", 0, "construction")
     for half in (3, 5, 7, 9):
-        fam = sds_block_matrix(sds_search(half)[0])
-        emit(2 * half, fam.matrix, "two_block_circulant", 0, "sds-search")
+        emit(2 * half, sds_family(2 * half).matrix, "two_block_circulant", 0, "sds-search")
     emit(13, pg2_barba_13(), "symmetric", 0, "projective-plane incidence")
 
     for n, cls, budget in ANNEAL_ROWS:

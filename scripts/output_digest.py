@@ -13,7 +13,9 @@ Groups: table (3 to 30, then again with the search registry), certify
 (every bundled fixture, as JSON and as CSV with a minimal polynomial, then
 the singular ++/++ with a minimal polynomial), round (46 and 92, each
 certified; 46 again as CSV, 92 again on two workers), search (six
-structured anneals into one registry), construct, catalog, flatten (JSON
+structured anneals into one registry), construct (the default family at
+seven orders, each --kind at the orders it builds and at some it refuses,
+two conference matrices and a Hadamard matrix), catalog, flatten (JSON
 with --out, then CSV) and plot (the search registry).
 --quick runs catalog, construct and certify of three fixtures and ++/++
 only.
@@ -66,6 +68,11 @@ def _commands(tmp: Path, quick: bool):
     yield "catalog", ["catalog", "--max-order", "256"], []
     for order in (5, 6, 10, 13, 14, 25, 26):
         yield "construct", ["construct", "family", "--order", str(order)], []
+    # every family maker, and each of its refusals (exit 1)
+    for kind, orders in (("conference_plus_identity", (6, 10, 14, 18, 26, 30, 8, 22)),
+                         ("sds", (2, 7, 8)), ("barba", (9,))):
+        for order in orders:
+            yield "construct", ["construct", "family", "--order", str(order), "--kind", kind], []
     for what, order in (("conference", 10), ("conference", 14), ("hadamard", 12)):
         yield "construct", ["construct", what, "--order", str(order)], []
     for name in QUICK_FIXTURES if quick else fixtures:

@@ -31,6 +31,7 @@ from .families import (
     circulant,
     conference_plus_identity,
     sds_block_matrix,
+    sds_family,
     sds_search,
     verify_barba,
 )

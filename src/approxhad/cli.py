@@ -18,8 +18,7 @@ import sys
 from . import __version__
 from .certify import certify, float_field
 from .constructions import build_catalog, paley_conference
-from .families import (conference_plus_identity, detect_gram_class, sds_block_matrix,
-                       sds_search, verify_barba)
+from .families import conference_plus_identity, detect_gram_class, sds_family, verify_barba
 from .flatten import flat_orthogonal
 from .linalg import IntPolynomial
 from .matrixio import (
@@ -95,9 +94,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def cmd_construct(args) -> int:
     if args.what == "hadamard":
-        catalog = build_catalog(max(256, args.order))
-        matrix = catalog.build(args.order)
-        _write_or_print(write_sign_matrix(matrix), args.out)
+        _write_or_print(write_sign_matrix(build_catalog(args.order).build(args.order)), args.out)
         return 0
     if args.what == "conference":
         _write_or_print(write_conference_matrix(paley_conference(args.order - 1)), args.out)
@@ -108,12 +105,7 @@ def cmd_construct(args) -> int:
     if kind is None:
         kind = "sds" if n % 2 == 0 else "barba"
     if kind == "sds":
-        if n % 2:
-            raise ValueError(f"SDS block matrices have even order, not {n}")
-        pairs = sds_search(n // 2)
-        if not pairs:
-            raise ValueError(f"no two-circulant pair exists at order {n}")
-        fam = sds_block_matrix(pairs[0])
+        fam = sds_family(n)
     elif kind == "conference_plus_identity":
         fam = conference_plus_identity(n)
     else:
@@ -136,7 +128,7 @@ def cmd_flatten(args) -> int:
         "n": cert.n,
         "m": cert.m,
         "k": cert.k,
-        "max_entry": float_field(cert.max_entry),
+        "max_entry": float_field(orth.max_abs_entry),
         "bound": float_field(cert.bound),
         "orthogonality_defect": float_field(orth.orthogonality_defect),
         "seed": args.seed,

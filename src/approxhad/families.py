@@ -10,7 +10,8 @@ Three families, each certified by an exact integer Gram identity:
   A^T A = I_2 (x) ((n-2) I + 2 J) and kappa = sqrt((2n-2)/(n-2)).
 
 This module is the one home of these identities and of the Hadamard one,
-A^T A = n I; `certify` reads them through `detect_gram_class`.
+A^T A = n I: `detect_gram_class` (which `certify` reads) and `FamilyMatrix`
+test them through one predicate, `_expected_gram`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "verify_barba",
     "sds_search",
     "sds_block_matrix",
+    "sds_family",
     "detect_gram_class",
 ]
 
@@ -79,14 +81,38 @@ class SdsPair:
         return len(self.r)
 
 
+# kappa at order n of a matrix satisfying each family's identity
+_CLOSED_FORMS = {
+    "barba": lambda n: math.sqrt((2 * n - 1) / (n - 1)),
+    "sds_block": lambda n: math.sqrt((2 * n - 2) / (n - 2)),
+    "conference_plus_I": lambda n: (math.sqrt(n - 1) + 1.0) / (math.sqrt(n - 1) - 1.0),
+}
+
+
 @dataclass(frozen=True)
 class FamilyMatrix:
+    """A matrix of the family whose identity, a key of _CLOSED_FORMS, it names;
+    made only if that identity holds exactly and kappa matches its closed form."""
+
     matrix: SignMatrix
-    kappa_closed_form: float
+    identity: str
+
+    def __post_init__(self):
+        closed, a = self.kappa_closed_form, self.matrix.entries
+        if not np.array_equal(gram(a), _expected_gram(self.identity, a)):
+            raise AssertionError(f"the {self.identity} Gram identity fails")
+        kappa = condition_number(self.matrix).kappa
+        if abs(kappa - closed) > _KAPPA_RTOL * closed:
+            raise AssertionError(f"{self.identity}: computed kappa {kappa!r} does not "
+                                 f"match the closed form {closed!r}")
 
     @property
     def n(self) -> int:
         return self.matrix.n
+
+    @property
+    def kappa_closed_form(self) -> float:
+        return _CLOSED_FORMS[self.identity](self.n)
 
 
 class BarbaRejection(ValueError):
@@ -101,63 +127,45 @@ class BarbaRejection(ValueError):
         self.expected = expected
 
 
-def _expected_gram(identity: str, n: int) -> np.ndarray:
-    """A^T A under `identity` at order n.  At odd n the SDS block Gram is
-    (n-1) x (n-1), so it equals no Gram of order n."""
+def _expected_gram(identity: str, a: np.ndarray) -> np.ndarray:
+    """A^T A of the +-1 matrix a if a satisfies `identity`.
+
+    At odd n the SDS block Gram is (n-1) x (n-1), so it equals no Gram of
+    order n.  A^T A = (n-2) I + 2A holds iff A = C + I for a symmetric
+    conference matrix C: the left side is symmetric with diagonal n, so A
+    is symmetric with unit diagonal, and A^T A = C^2 + 2C + I."""
+    n = len(a)
     eye = np.eye(n, dtype=np.int64)
     if identity == "hadamard":
         return n * eye
     if identity == "barba":
         return (n - 1) * eye + 1
+    if identity == "conference_plus_I":
+        return (n - 2) * eye + 2 * a
     block = (n - 2) * np.eye(n // 2, dtype=np.int64) + 2
     return np.kron(np.eye(2, dtype=np.int64), block)
-
-
-def _is_symmetric_conference(c: np.ndarray) -> bool:
-    """Zero diagonal, +-1 off the diagonal, C = C^T and C^T C = (n-1) I."""
-    eye = np.eye(c.shape[0], dtype=np.int64)
-    return (np.array_equal(np.abs(c), 1 - eye) and np.array_equal(c, c.T)
-            and np.array_equal(gram(c), (c.shape[0] - 1) * eye))
 
 
 def detect_gram_class(A: SignMatrix) -> str:
     """Which exact Gram identity A satisfies, if any, tried in the order below."""
     g = gram(A.entries)
-    for identity in ("hadamard", "barba", "sds_block"):
-        if np.array_equal(g, _expected_gram(identity, A.n)):
+    for identity in ("hadamard", "barba", "sds_block", "conference_plus_I"):
+        if np.array_equal(g, _expected_gram(identity, A.entries)):
             return identity
-    if _is_symmetric_conference(A.entries - np.eye(A.n, dtype=np.int64)):
-        return "conference_plus_I"
     return "none"
 
 
-def _certified(family: str, A: SignMatrix, closed: float) -> FamilyMatrix:
-    """The family record of A, once its kappa matches the closed form."""
-    kappa = condition_number(A).kappa
-    if abs(kappa - closed) > _KAPPA_RTOL * closed:
-        raise AssertionError(
-            f"{family}: computed kappa {kappa!r} does not match the closed "
-            f"form {closed!r}"
-        )
-    return FamilyMatrix(matrix=A, kappa_closed_form=closed)
-
-
 def conference_plus_identity(n: int) -> FamilyMatrix:
-    """C + I for the symmetric conference matrix of order n = q + 1.
+    """C + I for the symmetric conference matrix C of order n = q + 1.
 
-    Verifies C = C^T, tr C = 0 and C^2 = (n-1) I in exact integers, which
-    pins the eigenvalues of C at +-sqrt(n-1) with multiplicity n/2 each.
+    The record checks C = C^T, tr C = 0 and C^2 = (n-1) I in exact integers,
+    which pins the eigenvalues of C at +-sqrt(n-1) with multiplicity n/2 each.
     """
-    q = n - 1
     try:
-        C = paley_conference(q)
+        C = paley_conference(n - 1)
     except ValueError as exc:
         raise ValueError(f"no supported conference matrix of order {n}: {exc}")
-    if not _is_symmetric_conference(C):
-        raise AssertionError("C is not a symmetric conference matrix")
-    closed = (math.sqrt(q) + 1.0) / (math.sqrt(q) - 1.0)
-    return _certified("conference_plus_identity", SignMatrix(C + np.eye(n, dtype=np.int64)),
-                      closed)
+    return FamilyMatrix(SignMatrix(C + np.eye(n, dtype=np.int64)), "conference_plus_I")
 
 
 def verify_barba(A: SignMatrix) -> FamilyMatrix:
@@ -165,12 +173,11 @@ def verify_barba(A: SignMatrix) -> FamilyMatrix:
     n = A.n
     if n < 2:
         raise ValueError(f"the Barba closed form sqrt((2n-1)/(n-1)) needs order >= 2, not {n}")
-    g = gram(A.entries)
-    expected = _expected_gram("barba", n)
+    g, expected = gram(A.entries), _expected_gram("barba", A.entries)
     if not np.array_equal(g, expected):
         i, j = (int(v) for v in np.argwhere(g != expected)[0])
         raise BarbaRejection(i, j, int(g[i, j]), int(expected[i, j]))
-    return _certified("barba", A, math.sqrt((2 * n - 1) / (n - 1)))
+    return FamilyMatrix(A, "barba")
 
 
 def _canonical_codes(codes: np.ndarray, half: int) -> np.ndarray:
@@ -240,14 +247,20 @@ def sds_search(half: int) -> list[SdsPair]:
 
 
 def sds_block_matrix(pair: SdsPair) -> FamilyMatrix:
-    """Assemble [[R, S], [S^T, -R^T]] and certify its Gram identity, at
-    order n = 2 * pair.half >= 4."""
+    """Assemble [[R, S], [S^T, -R^T]], at order n = 2 * pair.half >= 4."""
     n = 2 * pair.half
     if n < 4:
         raise ValueError(f"the SDS closed form sqrt((2n-2)/(n-2)) needs order >= 4, not {n}")
     R = circulant(pair.r)
     S = circulant(pair.s)
-    A = SignMatrix(np.block([[R, S], [S.T, -R.T]]))
-    if not np.array_equal(gram(A.entries), _expected_gram("sds_block", n)):
-        raise AssertionError("block Gram identity failed despite a valid pair")
-    return _certified("sds_block", A, math.sqrt((2 * n - 2) / (n - 2)))
+    return FamilyMatrix(SignMatrix(np.block([[R, S], [S.T, -R.T]])), "sds_block")
+
+
+def sds_family(n: int) -> FamilyMatrix:
+    """The block matrix of the first pair `sds_search` finds at order n."""
+    if n % 2:
+        raise ValueError(f"SDS block matrices have even order, not {n}")
+    pairs = sds_search(n // 2)
+    if not pairs:
+        raise ValueError(f"no two-circulant pair exists at order {n}")
+    return sds_block_matrix(pairs[0])

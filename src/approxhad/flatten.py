@@ -74,11 +74,10 @@ class OrthMatrix:
 
 @dataclass(frozen=True)
 class FlatCertificate:
-    """Achieved flatness of an order-n matrix cut from an order-m Hadamard."""
+    """The flatness bound of an order-n matrix cut from an order-m Hadamard."""
 
     n: int
     m: int
-    max_entry: float
 
     @property
     def k(self) -> int:
@@ -119,7 +118,7 @@ def flat_orthogonal(n: int, *, seed: int | None = None) -> tuple[OrthMatrix, Fla
     matrices); the default split is the deterministic leading block.
     """
     # smallest_order_at_least rejects n < 1; else 2^t in [n, 2n] is an order m >= n
-    catalog = build_catalog(max(256, 2 * n))
+    catalog = build_catalog(2 * n)
     m, _ = smallest_order_at_least(n, catalog)
     # m - sqrt(m) increases with m: no order above the smallest m >= n fits
     if m - n >= math.sqrt(m):
@@ -137,5 +136,5 @@ def flat_orthogonal(n: int, *, seed: int | None = None) -> tuple[OrthMatrix, Fla
         H = H[draws.permutation(m), :][:, draws.permutation(m)]
     M = OrthMatrix.from_array(H / math.sqrt(m))
     out = M if k == 0 else submatrix_orthogonalize(M, k)
-    return out, FlatCertificate(n=n, m=m, max_entry=out.max_abs_entry)
+    return out, FlatCertificate(n=n, m=m)
 

@@ -2,8 +2,8 @@
 
 Hand-built SVG so the output bytes are a pure function of the inputs:
 registry points, the k = 2 clique floor sqrt(1 + 2/(n-1)) at orders not
-divisible by 4, and the Bernstein rounding bound where it is finite
-(at desk scale that means Hadamard orders).
+divisible by 4, and the Bernstein rounding bound at the catalog's Hadamard
+orders, finite at each: u = 1/sqrt(m) gives u e_n ~ (2/3) ln(2m)/sqrt(m) < 0.7.
 """
 
 from __future__ import annotations
@@ -41,13 +41,8 @@ def plot_kappa_curve(registry: Registry, out_path: str) -> None:
     floor = [
         (n, kappa_floor(n)) for n in range(max(3, n_min), n_max + 1) if n % 4 != 0
     ]
-    catalog = build_catalog(max(256, n_max))
-    bern = []
-    for m in catalog.orders():
-        if n_min <= m <= n_max:
-            cert = bernstein_bound(m, 1.0 / math.sqrt(m))
-            if math.isfinite(cert.kappa_bound):
-                bern.append((m, cert.kappa_bound))
+    bern = [(m, bernstein_bound(m, 1.0 / math.sqrt(m)).kappa_bound)
+            for m in build_catalog(n_max).orders() if n_min <= m]
 
     y_vals = [k for _, k in points] + [k for _, k in floor] + [k for _, k in bern]
     y_max = max(y_vals) * 1.08

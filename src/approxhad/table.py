@@ -28,7 +28,7 @@ from functools import cached_property
 from importlib import resources
 from typing import NamedTuple
 
-from .families import conference_plus_identity, sds_block_matrix, sds_search
+from .families import conference_plus_identity, sds_family
 from .linalg import IntPolynomial, SignMatrix, condition_number
 from .matrixio import parse_sign_matrix
 from .search import DEFAULT_BUDGET, Registry, StructureClass, anneal, exhaustive_min, format_kappa
@@ -147,15 +147,11 @@ def _candidates(n: int, target: TableTarget, registry: Registry | None,
     # its 169,911 eigensolves would land on every table run through row 6
     if n <= 5:
         cands.append(Candidate("exhaustive", "general", 0, exhaustive_min(n).matrix))
-    if n % 2 == 0:
-        pairs = sds_search(n // 2)
-        if pairs:
-            cands.append(Candidate("sds_block", "two_block_circulant", 0,
-                                   sds_block_matrix(pairs[0]).matrix))
-    if n % 4 == 2:
+    for source, structure, family in (("sds_block", "two_block_circulant", sds_family),
+                                      ("conference_plus_identity", "symmetric",
+                                       conference_plus_identity)):
         try:
-            cands.append(Candidate("conference_plus_identity", "symmetric", 0,
-                                   conference_plus_identity(n).matrix))
+            cands.append(Candidate(source, structure, 0, family(n).matrix))
         except ValueError:
             pass
     if registry is not None:

@@ -15,9 +15,11 @@ from approxhad.families import (
     circulant,
     conference_plus_identity,
     sds_block_matrix,
+    sds_family,
     sds_search,
     verify_barba,
 )
+from approxhad.certify import detect_gram_class
 from approxhad.linalg import SignMatrix, condition_number, gram
 from approxhad.constructions import sylvester
 
@@ -26,6 +28,46 @@ class TestCirculant:
     def test_right_shift_convention(self):
         c = circulant([1, 2, 3])
         assert c.tolist() == [[1, 2, 3], [3, 1, 2], [2, 3, 1]]
+
+
+class TestFamilyMatrix:
+    def test_checks_the_identity_it_names(self):
+        # the record once took any matrix with any closed form
+        with pytest.raises(AssertionError, match="the barba Gram identity fails"):
+            FamilyMatrix(sylvester(1), "barba")
+        with pytest.raises(TypeError):
+            FamilyMatrix(matrix=sylvester(1), kappa_closed_form=0.5)
+
+    @pytest.mark.parametrize("make,other", [
+        (lambda: conference_plus_identity(10), "sds_block"),
+        (lambda: sds_family(10), "conference_plus_I"),
+        (lambda: sds_family(14), "barba"),
+        (lambda: verify_barba(SignMatrix(circulant([1, 1, 1, 1, -1]))), "sds_block"),
+    ])
+    def test_refuses_a_matrix_of_another_family(self, make, other):
+        fam = make()
+        assert detect_gram_class(fam.matrix) == fam.identity
+        with pytest.raises(AssertionError, match=f"the {other} Gram identity fails"):
+            FamilyMatrix(fam.matrix, other)
+
+    @pytest.mark.parametrize("n,symmetric", [(2, False), (3, False), (4, False), (6, True)])
+    def test_conference_identity_is_one_gram_equation(self, n, symmetric):
+        # A^T A = (n-2) I + 2A, the one test, against the three conditions on
+        # C = A - I it replaced: over every +-1 matrix of order n, or at n = 6
+        # every symmetric one with unit diagonal
+        cells = np.argwhere(np.triu(np.ones((n, n)), 1) if symmetric else np.ones((n, n)))
+        bits = (np.arange(2 ** len(cells))[:, None] >> np.arange(len(cells))) & 1
+        a = np.ones((len(bits), n, n), dtype=np.int64)
+        a[:, cells[:, 0], cells[:, 1]] = 2 * bits - 1
+        if symmetric:
+            a = a * a.swapaxes(1, 2)  # mirrors the upper triangle onto the +1s below
+        eye = np.eye(n, dtype=np.int64)
+        c = a - eye
+        old = ((np.abs(c) == 1 - eye).all(axis=(1, 2)) & (c == c.swapaxes(1, 2)).all(axis=(1, 2))
+               & (gram(c) == (n - 1) * eye).all(axis=(1, 2)))
+        new = (gram(a) == (n - 2) * eye + 2 * a).all(axis=(1, 2))
+        assert np.array_equal(old, new)
+        assert old.any() == (n % 4 == 2)
 
 
 class TestConferencePlusIdentity:
@@ -45,7 +87,7 @@ class TestConferencePlusIdentity:
         fam = conference_plus_identity(6)
         assert fam.n == fam.matrix.n == 6
         with pytest.raises(TypeError):
-            FamilyMatrix(matrix=fam.matrix, n=7, kappa_closed_form=fam.kappa_closed_form)
+            FamilyMatrix(matrix=fam.matrix, n=7, identity=fam.identity)
 
     def test_n8_rejected(self):
         with pytest.raises(ValueError):
@@ -238,6 +280,16 @@ class TestSdsBlockMatrix:
         block = (n - 2) * np.eye(half, dtype=np.int64) + 2
         expected = np.kron(np.eye(2, dtype=np.int64), block)
         assert np.array_equal(gram(fam.matrix.entries), expected)
+
+    @pytest.mark.parametrize("n", range(4, 33, 2))
+    def test_sds_family_is_the_block_matrix_of_the_first_pair(self, n):
+        pairs = sds_search(n // 2)
+        if not pairs:
+            with pytest.raises(ValueError, match=f"no two-circulant pair exists at order {n}$"):
+                sds_family(n)
+            return
+        assert np.array_equal(sds_family(n).matrix.entries,
+                              sds_block_matrix(pairs[0]).matrix.entries)
 
     def test_sds_beats_conference_at_same_order(self):
         # both exist at n = 6, 10, 14, 18; the block construction wins

@@ -124,33 +124,37 @@ class TestFlatOrthogonal:
     def test_n4_is_scaled_hadamard(self):
         orth, cert = flat_orthogonal(4)
         assert (cert.m, cert.k) == (4, 0)
-        assert cert.max_entry == pytest.approx(0.5, abs=1e-15)
+        assert orth.max_abs_entry == pytest.approx(0.5, abs=1e-15)
 
     def test_n11_paley(self):
         orth, cert = flat_orthogonal(11)
         assert (cert.m, cert.k) == (12, 1)
         assert cert.bound == pytest.approx(1.0 / (math.sqrt(12) - 1))
-        assert cert.max_entry <= cert.bound + 1e-12
+        assert orth.max_abs_entry <= cert.bound + 1e-12
 
     def test_n92_uses_96(self):
         orth, cert = flat_orthogonal(92)
         assert (cert.m, cert.k) == (96, 4)
-        assert cert.max_entry <= cert.bound + 1e-12
+        assert orth.max_abs_entry <= cert.bound + 1e-12
         assert orth.orthogonality_defect <= 1e-9 * 96
 
-    def test_certificate_holds_n_m_and_the_max_entry(self):
-        cert = FlatCertificate(n=92, m=96, max_entry=0.1)
+    def test_certificate_holds_n_and_m(self):
+        cert = FlatCertificate(n=92, m=96)
         assert (cert.k, cert.bound) == (4, 1.0 / (math.sqrt(96) - 4))
         with pytest.raises(TypeError):
-            FlatCertificate(n=92, m=96, k=0, max_entry=0.1, bound=1.0)
+            FlatCertificate(n=92, m=96, k=0, bound=1.0)
+        # a stored max entry once stood beside n and m with nothing to tie
+        # it to a matrix: 0.01 where the order-22 matrix has 0.302
+        with pytest.raises(TypeError):
+            FlatCertificate(n=22, m=24, max_entry=0.01)
 
     def test_seeded_split_differs_but_stays_flat(self):
         a, ca = flat_orthogonal(11, seed=1)
         b, cb = flat_orthogonal(11, seed=2)
         base, _ = flat_orthogonal(11)
         assert not np.allclose(a.entries, b.entries)
-        assert ca.max_entry <= ca.bound + 1e-12
-        assert cb.max_entry <= cb.bound + 1e-12
+        assert a.max_abs_entry <= ca.bound + 1e-12
+        assert b.max_abs_entry <= cb.bound + 1e-12
         # determinism: same seed, same matrix
         a2, _ = flat_orthogonal(11, seed=1)
         assert np.array_equal(a.entries, a2.entries)
@@ -159,7 +163,7 @@ class TestFlatOrthogonal:
         for n in (11, 30, 60, 92):
             m, recipe = None, None
             orth, cert = flat_orthogonal(n)
-            assert cert.max_entry >= 1.0 / math.sqrt(n) - 1e-12
+            assert orth.max_abs_entry >= 1.0 / math.sqrt(n) - 1e-12
             if cert.k == 0:
                 continue
             H = catalog.build(cert.m).entries / math.sqrt(cert.m)
