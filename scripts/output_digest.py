@@ -70,7 +70,7 @@ def _commands(tmp: Path, quick: bool):
         yield "construct", ["construct", "family", "--order", str(order)], []
     # every family maker, and each of its refusals (exit 1)
     for kind, orders in (("conference_plus_identity", (6, 10, 14, 18, 26, 30, 8, 22)),
-                         ("sds", (2, 7, 8)), ("barba", (9,))):
+                         ("sds", (2, 7, 8)), ("barba", (9, 25))):
         for order in orders:
             yield "construct", ["construct", "family", "--order", str(order), "--kind", kind], []
     for what, order in (("conference", 10), ("conference", 14), ("hadamard", 12)):

@@ -81,12 +81,21 @@ class SdsPair:
         return len(self.r)
 
 
-# kappa at order n of a matrix satisfying each family's identity
+# kappa at order n of a matrix satisfying each family's identity, and the
+# least order at which that closed form has a value
 _CLOSED_FORMS = {
-    "barba": lambda n: math.sqrt((2 * n - 1) / (n - 1)),
-    "sds_block": lambda n: math.sqrt((2 * n - 2) / (n - 2)),
-    "conference_plus_I": lambda n: (math.sqrt(n - 1) + 1.0) / (math.sqrt(n - 1) - 1.0),
+    "barba": (2, lambda n: math.sqrt((2 * n - 1) / (n - 1))),
+    "sds_block": (4, lambda n: math.sqrt((2 * n - 2) / (n - 2))),
+    "conference_plus_I": (3, lambda n: (math.sqrt(n - 1) + 1.0) / (math.sqrt(n - 1) - 1.0)),
 }
+
+
+class _IdentityFails(AssertionError):
+    """The Gram of a FamilyMatrix is not the one its identity names."""
+
+    def __init__(self, identity: str, g: np.ndarray, expected: np.ndarray):
+        super().__init__(f"the {identity} Gram identity fails")
+        self.gram, self.expected = g, expected
 
 
 @dataclass(frozen=True)
@@ -98,10 +107,15 @@ class FamilyMatrix:
     identity: str
 
     def __post_init__(self):
-        closed, a = self.kappa_closed_form, self.matrix.entries
-        if not np.array_equal(gram(a), _expected_gram(self.identity, a)):
-            raise AssertionError(f"the {self.identity} Gram identity fails")
-        kappa = condition_number(self.matrix).kappa
+        least, _ = _CLOSED_FORMS[self.identity]
+        if self.n < least:
+            raise AssertionError(f"the {self.identity} closed form needs order >= {least}, "
+                                 f"not {self.n}")
+        a = self.matrix.entries
+        g, expected = gram(a), _expected_gram(self.identity, a)
+        if not np.array_equal(g, expected):
+            raise _IdentityFails(self.identity, g, expected)
+        closed, kappa = self.kappa_closed_form, condition_number(self.matrix).kappa
         if abs(kappa - closed) > _KAPPA_RTOL * closed:
             raise AssertionError(f"{self.identity}: computed kappa {kappa!r} does not "
                                  f"match the closed form {closed!r}")
@@ -112,7 +126,7 @@ class FamilyMatrix:
 
     @property
     def kappa_closed_form(self) -> float:
-        return _CLOSED_FORMS[self.identity](self.n)
+        return _CLOSED_FORMS[self.identity][1](self.n)
 
 
 class BarbaRejection(ValueError):
@@ -173,11 +187,12 @@ def verify_barba(A: SignMatrix) -> FamilyMatrix:
     n = A.n
     if n < 2:
         raise ValueError(f"the Barba closed form sqrt((2n-1)/(n-1)) needs order >= 2, not {n}")
-    g, expected = gram(A.entries), _expected_gram("barba", A.entries)
-    if not np.array_equal(g, expected):
+    try:
+        return FamilyMatrix(A, "barba")
+    except _IdentityFails as exc:
+        g, expected = exc.gram, exc.expected
         i, j = (int(v) for v in np.argwhere(g != expected)[0])
-        raise BarbaRejection(i, j, int(g[i, j]), int(expected[i, j]))
-    return FamilyMatrix(A, "barba")
+        raise BarbaRejection(i, j, int(g[i, j]), int(expected[i, j])) from None
 
 
 def _canonical_codes(codes: np.ndarray, half: int) -> np.ndarray:

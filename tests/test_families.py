@@ -50,6 +50,16 @@ class TestFamilyMatrix:
         with pytest.raises(AssertionError, match=f"the {other} Gram identity fails"):
             FamilyMatrix(fam.matrix, other)
 
+    @pytest.mark.parametrize("entries,identity,expected,least", [
+        ([[1]], "barba", [[1]], 2),                               # (n-1) I + J
+        ([[1, 1], [1, 1]], "conference_plus_I", [[2, 2], [2, 2]], 3),  # (n-2) I + 2A
+    ])
+    def test_order_outside_the_closed_form_domain(self, entries, identity, expected, least):
+        # each identity holds exactly here; its closed form once divided by zero
+        assert np.array_equal(gram(np.array(entries)), expected)
+        with pytest.raises(AssertionError, match=f"needs order >= {least}, not {len(entries)}$"):
+            FamilyMatrix(SignMatrix(entries), identity)
+
     @pytest.mark.parametrize("n,symmetric", [(2, False), (3, False), (4, False), (6, True)])
     def test_conference_identity_is_one_gram_equation(self, n, symmetric):
         # A^T A = (n-2) I + 2A, the one test, against the three conditions on
@@ -149,6 +159,15 @@ class TestBarba:
             verify_barba(SignMatrix(flipped))
         assert (exc.value.position, exc.value.got, exc.value.expected) == ((0, 7), 3, 1)
         assert str(exc.value) == "Gram entry (0, 7) is 3, expected 1"
+
+    def test_forms_the_gram_once(self, monkeypatch):
+        from approxhad import families
+        from approxhad.table import bundled_fixtures
+
+        calls = []
+        monkeypatch.setattr(families, "gram", lambda a: calls.append(a) or gram(a))
+        verify_barba(bundled_fixtures()[13]["matrix"])
+        assert len(calls) == 1
 
 
 class TestSdsSearch:

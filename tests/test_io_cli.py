@@ -118,10 +118,10 @@ class TestCertify:
         assert detect_gram_class(SignMatrix(np.ones((3, 3)))) == "none"
 
     def test_gram_class_of_every_fixture(self):
-        expected = {5: "barba", 13: "barba", 6: "sds_block", 10: "sds_block",
+        expected = {5: "barba", 13: "barba", 25: "barba", 6: "sds_block", 10: "sds_block",
                     14: "sds_block", 18: "sds_block"}
         fixtures = bundled_fixtures()
-        assert len(fixtures) == 18
+        assert len(fixtures) == 20
         for n, fx in fixtures.items():
             assert detect_gram_class(fx["matrix"]) == expected.get(n, "none"), n
 
@@ -199,8 +199,19 @@ class TestCli:
         assert code == 0
         assert detect_gram_class(parse_sign_matrix(out)) == "barba"
 
+    def test_construct_family_barba25(self, capsys, tmp_path):
+        # refused until the orbit-search witness of order 25 shipped
+        path = tmp_path / "barba25.mat"
+        code, _, _ = run_cli(capsys, "construct", "family", "--order", "25",
+                             "--kind", "barba", "--out", str(path))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "certify", "--input", str(path))
+        assert code == 0
+        d = json.loads(out)
+        assert (d["n"], d["gram_class"], d["kappa"]["dec"]) == (25, "barba", "1.428869017")
+
     def test_construct_barba_parses_one_fixture(self, capsys, monkeypatch):
-        # only the witness of the asked order is read, not all 18
+        # only the witness of the asked order is read, not all 20
         parsed = []
         parse = table.parse_sign_matrix
         monkeypatch.setattr(table, "parse_sign_matrix",

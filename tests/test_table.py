@@ -21,8 +21,8 @@ from approxhad.table import (
     table_csv,
 )
 
-MATCHED_ROWS = {3, 5, 6, 7, 9, 10, 11, 13, 14, 18, 19, 21, 23, 26, 27, 29, 30}
-BEST_EFFORT_ROWS = {15, 17, 22, 25}
+MATCHED_ROWS = {3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 18, 19, 21, 23, 25, 26, 27, 29, 30}
+BEST_EFFORT_ROWS = {17, 22}
 
 
 class TestTargets:
@@ -75,26 +75,47 @@ class TestFixtures:
                         ref = a[0:s, ((j - i) % b) * s:((j - i) % b + 1) * s]
                         assert np.array_equal(blk, ref)
 
-    @pytest.mark.parametrize("n", [3, 5, 6, 10, 13, 14, 18])
+    @pytest.mark.parametrize("n", [3, 5, 6, 10, 13, 14, 15, 18, 25])
     def test_constructed_fixtures_rebuild(self, n):
-        # the direct constructions of scripts/generate_fixtures.py
+        # the direct constructions and orbit searches of scripts/generate_fixtures.py
+        fx = bundled_fixtures()[n]
         if n in (3, 5):
             matrix = SignMatrix(circulant([1] * (n - 1) + [-1]))
-        elif n == 13:
+        elif n in (13, 15, 25):
             path = Path(__file__).resolve().parents[1] / "scripts" / "generate_fixtures.py"
             spec = importlib.util.spec_from_file_location("generate_fixtures", path)
             script = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(script)
-            matrix = script.pg2_barba_13()
+            if n == 13:
+                matrix = script.pg2_barba_13()
+            else:
+                matrix, fields = script.orbit_fixture(n)
+                assert fields == {key: fx[key] for key in fields}
         else:
             matrix = sds_block_matrix(sds_search(n // 2)[0]).matrix
-        fname = bundled_fixtures()[n]["file"]
-        bundled = (resources.files("approxhad") / "fixtures" / fname).read_text()
+        bundled = (resources.files("approxhad") / "fixtures" / fx["file"]).read_text()
         assert write_sign_matrix(matrix) == bundled
 
     def test_barba_13_verifies(self):
         fam = verify_barba(bundled_fixtures()[13]["matrix"])
         assert fam.kappa_closed_form == pytest.approx(5 / (2 * math.sqrt(3)), rel=1e-14)
+
+    def test_orbit_search_barba_25_verifies(self):
+        fam = verify_barba(bundled_fixtures()[25]["matrix"])
+        assert fam.kappa_closed_form == pytest.approx(7 / math.sqrt(24), rel=1e-14)
+
+    def test_orbit_search_15_has_the_ehlich_block_gram(self):
+        # 12 I + 4 diag(J4, J4, J4, J3) - J, with the witness's columns placed
+        # at the target indices its index entry lists
+        fx = bundled_fixtures()[15]
+        block = [0] * 4 + [1] * 4 + [2] * 4 + [3] * 3
+        target = np.array([[12 * (i == j) + 4 * (block[i] == block[j]) - 1 for j in range(15)]
+                           for i in range(15)])
+        a = fx["matrix"].entries
+        assert (fx["source"], fx["p"], fx["f"], fx["b"]) == ("orbit-search", 3, 0, 5)
+        assert sorted(fx["columns"]) == list(range(15))
+        assert np.array_equal(a.T @ a, target[np.ix_(fx["columns"], fx["columns"])])
+        assert np.linalg.eigvalsh(target) == pytest.approx([12] * 12 + [25, 28, 28])
 
 
 class TestReproduceTable:
@@ -149,15 +170,17 @@ class TestReproduceTable:
         by_n = {r.n: r for r in rows}
         # the exact optimum wins kappa ties with the n = 5 fixture
         assert (by_n[5].source, by_n[5].structure) == ("exhaustive", "general")
-        assert {by_n[n].source for n in (15, 17, 25)} == {"anneal"}
+        assert by_n[17].source == "anneal"
+        # the orbit-search witnesses are not symmetric
+        assert {(by_n[n].source, by_n[n].structure) for n in (15, 25)} == {("fixture", "general")}
 
     def test_fresh_anneal_path(self):
         rows = reproduce_table(7, 7, anneal_budget=4000, seeds=(0, 1))
         assert rows[0].n == 7 and rows[0].matched
 
     def test_seeds_alone_run_the_panel(self):
-        # no cheap witness at n = 15, so the given seed is the only anneal run
-        rows = reproduce_table(15, 15, seeds=(3,))
+        # no cheap witness at n = 17, so the given seed is the only anneal run
+        rows = reproduce_table(17, 17, seeds=(3,))
         assert (rows[0].source, rows[0].seed) == ("anneal", 3)
 
     def test_budget_alone_sets_the_fallback_budget(self, monkeypatch):
@@ -168,8 +191,8 @@ class TestReproduceTable:
             return anneal(n, sclass, seed, budget)
 
         monkeypatch.setattr(table, "anneal", traced)
-        reproduce_table(15, 15, anneal_budget=100)
-        assert calls == [(15, 0, 100)]
+        reproduce_table(17, 17, anneal_budget=100)
+        assert calls == [(17, 0, 100)]
 
     def test_parses_only_the_fixtures_of_its_rows(self, monkeypatch):
         parsed = []
@@ -183,7 +206,7 @@ class TestReproduceTable:
         rows = reproduce_table(13, 14)
         assert [(r.n, r.source) for r in rows] == [(13, "fixture"), (14, "fixture")]
         assert len(parsed) == 2
-        assert len(bundled_fixtures()) == len(parsed) - 2 == 18
+        assert len(bundled_fixtures()) == len(parsed) - 2 == 20
 
     def test_csv_shape(self):
         rows = reproduce_table(3, 10)
