@@ -17,14 +17,12 @@ structured anneals into one registry), construct (the default family at
 seven orders, each --kind at the orders it builds and at some it refuses,
 two conference matrices and a Hadamard matrix), catalog, flatten (JSON
 with --out, then CSV) and plot (the search registry).
---quick runs catalog, construct and certify of three fixtures and ++/++
-only.
 
 OPENBLAS_NUM_THREADS is 1 unless already set, before NumPy loads, because
 round's empirical_E_norm depends on the BLAS thread count.  approxhad is
 imported from sys.path, so any checkout can be digested:
 
-Usage: PYTHONPATH=<checkout>/src python scripts/output_digest.py [--quick]
+Usage: PYTHONPATH=<checkout>/src python scripts/output_digest.py
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from approxhad import cli  # noqa: E402
 
 FIXTURES = Path(approxhad.__file__).parent / "fixtures"
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
-QUICK_FIXTURES = ("n05-circulant.mat", "n13-symmetric.mat", "n29-circulant_core.mat")
 SEARCHES = ((18, "two_block_circulant"), (22, "two_block_circulant"),
             (29, "circulant_core"), (27, "block_circulant9"), (15, "symmetric"),
             (19, "circulant"))
@@ -62,7 +59,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _commands(tmp: Path, quick: bool):
+def _commands(tmp: Path):
     """(group, argv, files and directories written) in run order."""
     fixtures = sorted(p.name for p in FIXTURES.glob("*.mat"))
     yield "catalog", ["catalog", "--max-order", "256"], []
@@ -75,15 +72,13 @@ def _commands(tmp: Path, quick: bool):
             yield "construct", ["construct", "family", "--order", str(order), "--kind", kind], []
     for what, order in (("conference", 10), ("conference", 14), ("hadamard", 12)):
         yield "construct", ["construct", what, "--order", str(order)], []
-    for name in QUICK_FIXTURES if quick else fixtures:
+    for name in fixtures:
         path = str(FIXTURES / name)
         yield "certify", ["certify", "--input", path], []
         yield "certify", ["certify", "--input", path, "--minpoly=-2,1", "--csv"], []
     singular = tmp / "j2.mat"
     singular.write_text("++\n++\n")
     yield "certify", ["certify", "--input", str(singular), "--minpoly=-2,1"], []
-    if quick:
-        return
     yield "table", ["table", "--min", "3", "--max", "30"], []
     for n in (46, 92):
         out = tmp / f"round{n}.mat"
@@ -107,7 +102,7 @@ def _commands(tmp: Path, quick: bool):
     yield "plot", ["plot", "--registry", str(registry), "--out", str(plot)], [plot]
 
 
-def digests(quick: bool = False) -> dict[str, str]:
+def digests() -> dict[str, str]:
     """SHA-256 of each group's normalized outputs, by group."""
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
@@ -116,7 +111,7 @@ def digests(quick: bool = False) -> dict[str, str]:
             text = text.replace(str(FIXTURES), "<fixtures>").replace(tmp, "<tmp>")
             return TIMESTAMP.sub('"timestamp": null', text)
 
-        for group, argv, files in _commands(Path(tmp), quick):
+        for group, argv, files in _commands(Path(tmp)):
             code, out, err = _run(argv)
             parts = [" ".join(argv), str(code), out, err]
             paths = [f for p in files for f in (sorted(p.rglob("*")) if p.is_dir() else [p])]
@@ -127,13 +122,10 @@ def digests(quick: bool = False) -> dict[str, str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="One SHA-256 per group of CLI outputs.")
-    parser.add_argument("--quick", action="store_true",
-                        help="catalog, construct and certify of three fixtures and ++/++ only")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description="One SHA-256 per group of CLI outputs.").parse_args()
     # a registry named in the environment would feed table and plot
     os.environ.pop(cli.REGISTRY_ENV, None)
-    for group, digest in digests(args.quick).items():
+    for group, digest in digests().items():
         print(group, digest)
     return 0
 

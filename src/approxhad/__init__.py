@@ -59,7 +59,6 @@ from .matrixio import parse_sign_matrix, write_sign_matrix
 from .rounding import (
     BernsteinCertificate,
     RoundingPlan,
-    bernstein_bound,
     round_best,
     round_once,
 )

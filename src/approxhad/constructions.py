@@ -100,33 +100,34 @@ def paley_ii(q: int) -> SignMatrix:
 # --- recipes and the catalog ---------------------------------------------
 
 
+_MAKERS = {"sylvester": sylvester, "paley1": paley_i, "paley2": paley_ii}
+
+
 @dataclass(frozen=True)
 class Recipe:
-    """How to build a Hadamard matrix of a given order."""
+    """How to build a Hadamard matrix of a given order; checked when made."""
 
     kind: str            # "sylvester" | "paley1" | "paley2" | "kron"
     param: int = 0       # exponent t or field order q
     factors: tuple["Recipe", "Recipe"] | None = None
 
+    def __post_init__(self):
+        if self.kind not in _MAKERS and self.kind != "kron":
+            raise ValueError(f"unknown recipe kind {self.kind!r}")
+        if len(self.factors or ()) != (2 if self.kind == "kron" else 0):
+            raise ValueError(f"{self.kind} recipe with factors {self.factors!r}: only kron takes two")
+
     def build(self) -> SignMatrix:
-        if self.kind == "sylvester":
-            return sylvester(self.param)
-        if self.kind == "paley1":
-            return paley_i(self.param)
-        if self.kind == "paley2":
-            return paley_ii(self.param)
         if self.kind == "kron":
-            a, b = self.factors
-            return kronecker(a.build(), b.build())
-        raise ValueError(f"unknown recipe kind {self.kind!r}")
+            return kronecker(*(f.build() for f in self.factors))
+        return _MAKERS[self.kind](self.param)
 
     def __str__(self) -> str:
         if self.kind == "sylvester":
             return f"sylvester(2^{self.param})"
-        if self.kind in ("paley1", "paley2"):
-            return f"{self.kind}(q={self.param})"
-        a, b = self.factors
-        return f"kron({a}, {b})"
+        if self.kind == "kron":
+            return "kron({}, {})".format(*self.factors)
+        return f"{self.kind}(q={self.param})"
 
 
 @dataclass(frozen=True)

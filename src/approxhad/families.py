@@ -81,12 +81,15 @@ class SdsPair:
         return len(self.r)
 
 
-# kappa at order n of a matrix satisfying each family's identity, and the
-# least order at which that closed form has a value
+# each family's closed form as printed, the least order at which it has a
+# value, and kappa at order n of a matrix satisfying the family's identity
 _CLOSED_FORMS = {
-    "barba": (2, lambda n: math.sqrt((2 * n - 1) / (n - 1))),
-    "sds_block": (4, lambda n: math.sqrt((2 * n - 2) / (n - 2))),
-    "conference_plus_I": (3, lambda n: (math.sqrt(n - 1) + 1.0) / (math.sqrt(n - 1) - 1.0)),
+    "barba": ("Barba closed form sqrt((2n-1)/(n-1))", 2,
+              lambda n: math.sqrt((2 * n - 1) / (n - 1))),
+    "sds_block": ("SDS closed form sqrt((2n-2)/(n-2))", 4,
+                  lambda n: math.sqrt((2 * n - 2) / (n - 2))),
+    "conference_plus_I": ("conference + I closed form (sqrt(n-1)+1)/(sqrt(n-1)-1)", 3,
+                          lambda n: (math.sqrt(n - 1) + 1.0) / (math.sqrt(n - 1) - 1.0)),
 }
 
 
@@ -107,10 +110,9 @@ class FamilyMatrix:
     identity: str
 
     def __post_init__(self):
-        least, _ = _CLOSED_FORMS[self.identity]
+        text, least, _ = _CLOSED_FORMS[self.identity]
         if self.n < least:
-            raise AssertionError(f"the {self.identity} closed form needs order >= {least}, "
-                                 f"not {self.n}")
+            raise ValueError(f"the {text} needs order >= {least}, not {self.n}")
         a = self.matrix.entries
         g, expected = gram(a), _expected_gram(self.identity, a)
         if not np.array_equal(g, expected):
@@ -126,7 +128,7 @@ class FamilyMatrix:
 
     @property
     def kappa_closed_form(self) -> float:
-        return _CLOSED_FORMS[self.identity][1](self.n)
+        return _CLOSED_FORMS[self.identity][2](self.n)
 
 
 class BarbaRejection(ValueError):
@@ -172,8 +174,8 @@ def detect_gram_class(A: SignMatrix) -> str:
 def conference_plus_identity(n: int) -> FamilyMatrix:
     """C + I for the symmetric conference matrix C of order n = q + 1.
 
-    The record checks C = C^T, tr C = 0 and C^2 = (n-1) I in exact integers,
-    which pins the eigenvalues of C at +-sqrt(n-1) with multiplicity n/2 each.
+    The record checks A^T A = (n-2) I + 2A for A = C + I in exact integers,
+    which holds iff C is a symmetric conference matrix: eigenvalues +-sqrt(n-1).
     """
     try:
         C = paley_conference(n - 1)
@@ -184,9 +186,6 @@ def conference_plus_identity(n: int) -> FamilyMatrix:
 
 def verify_barba(A: SignMatrix) -> FamilyMatrix:
     """Accept A iff its Gram is exactly (n-1) I + J, at order n >= 2."""
-    n = A.n
-    if n < 2:
-        raise ValueError(f"the Barba closed form sqrt((2n-1)/(n-1)) needs order >= 2, not {n}")
     try:
         return FamilyMatrix(A, "barba")
     except _IdentityFails as exc:
@@ -263,9 +262,6 @@ def sds_search(half: int) -> list[SdsPair]:
 
 def sds_block_matrix(pair: SdsPair) -> FamilyMatrix:
     """Assemble [[R, S], [S^T, -R^T]], at order n = 2 * pair.half >= 4."""
-    n = 2 * pair.half
-    if n < 4:
-        raise ValueError(f"the SDS closed form sqrt((2n-2)/(n-2)) needs order >= 4, not {n}")
     R = circulant(pair.r)
     S = circulant(pair.s)
     return FamilyMatrix(SignMatrix(np.block([[R, S], [S.T, -R.T]])), "sds_block")

@@ -342,7 +342,7 @@ def condition_number(A: SignMatrix | np.ndarray, probes=None,
     lmin, lmax = float(ev[0]), float(ev[-1])
     kappa = gram_kappa(lmin, lmax, n)
     sigma_min = 0.0 if math.isinf(kappa) else math.sqrt(lmin)
-    return SpectralReport(sigma_min, math.sqrt(max(lmax, 0.0)), kappa)
+    return SpectralReport(sigma_min, math.sqrt(lmax), kappa)
 
 
 def operator_norm(E: np.ndarray, probe=None, above: float = math.inf) -> float:

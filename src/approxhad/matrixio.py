@@ -38,7 +38,7 @@ class ParseError(ValueError):
 
 def parse_sign_matrix(text: str) -> SignMatrix:
     lines = text.replace("\r\n", "\n").split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     if not lines:
         raise ParseError("empty input")

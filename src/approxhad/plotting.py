@@ -12,7 +12,7 @@ import math
 
 from .constructions import build_catalog
 from .lower_bound import kappa_floor
-from .rounding import bernstein_bound
+from .rounding import BernsteinCertificate
 from .search import Registry
 
 __all__ = ["plot_kappa_curve"]
@@ -41,7 +41,7 @@ def plot_kappa_curve(registry: Registry, out_path: str) -> None:
     floor = [
         (n, kappa_floor(n)) for n in range(max(3, n_min), n_max + 1) if n % 4 != 0
     ]
-    bern = [(m, bernstein_bound(m, 1.0 / math.sqrt(m)).kappa_bound)
+    bern = [(m, BernsteinCertificate(m, 1.0 / math.sqrt(m)).kappa_bound)
             for m in build_catalog(n_max).orders() if n_min <= m]
 
     y_vals = [k for _, k in points] + [k for _, k in floor] + [k for _, k in bern]

@@ -55,7 +55,6 @@ from .linalg import Draws, SignMatrix, SpectralReport, condition_number, operato
 __all__ = [
     "RoundingPlan",
     "BernsteinCertificate",
-    "bernstein_bound",
     "round_once",
     "round_best",
 ]
@@ -101,6 +100,10 @@ class BernsteinCertificate:
     n: int
     u: float
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("order must be >= 1")
+
     @property
     def e_n(self) -> float:
         v = max(float(self.n) - 1.0 / (self.u * self.u), 0.0)
@@ -118,13 +121,6 @@ class BernsteinCertificate:
 
 def _kappa_from_error(u: float, e: float) -> float:
     return (1.0 + u * e) / (1.0 - u * e) if u * e < 1.0 else math.inf
-
-
-def bernstein_bound(n: int, u: float) -> BernsteinCertificate:
-    """Bernstein certificate for rounding an order-n target of flatness u."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return BernsteinCertificate(n=n, u=u)
 
 
 def round_once(plan: RoundingPlan, trial_index: int) -> np.ndarray:
@@ -296,7 +292,7 @@ def round_best(plan: RoundingPlan, workers: int = 1) -> RoundingResult:
     return RoundingResult(
         matrix=SignMatrix(x8[best_t]),
         report=report,
-        certificate=bernstein_bound(plan.n, plan.target.max_abs_entry),
+        certificate=BernsteinCertificate(plan.n, plan.target.max_abs_entry),
         empirical_error_norm=min_err,
         best_trial=best_t,
     )

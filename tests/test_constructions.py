@@ -7,6 +7,7 @@ import pytest
 
 from approxhad.constructions import (
     CatalogGapError,
+    Recipe,
     build_catalog,
     gap_bound,
     gap_bound_exponent,
@@ -158,6 +159,27 @@ class TestCatalog:
             r["order"] == 4 for r in rows
         )
         assert all(set(r) == {"order", "recipe"} for r in rows)
+
+
+class TestRecipe:
+    @pytest.mark.parametrize("kind,factors", [
+        ("bogus", None),
+        ("kron", None),
+        ("kron", (Recipe("sylvester", 1),)),
+        ("sylvester", (Recipe("sylvester", 1), Recipe("sylvester", 1))),
+        ("paley1", (Recipe("sylvester", 1), Recipe("sylvester", 1))),
+    ])
+    def test_refused_when_made(self, kind, factors):
+        # str() and build() of a kron recipe without factors once raised
+        # TypeError from unpacking None, and an unknown kind surfaced only in build()
+        with pytest.raises(ValueError):
+            Recipe(kind, factors=factors)
+
+    def test_kron_recipe_builds_and_prints(self):
+        r = Recipe("kron", factors=(Recipe("sylvester", 1), Recipe("paley1", 3)))
+        assert str(r) == "kron(sylvester(2^1), paley1(q=3))"
+        assert_hadamard(r.build())
+        assert r.build().n == 8
 
 
 class TestSmallestOrder:

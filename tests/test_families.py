@@ -57,8 +57,21 @@ class TestFamilyMatrix:
     def test_order_outside_the_closed_form_domain(self, entries, identity, expected, least):
         # each identity holds exactly here; its closed form once divided by zero
         assert np.array_equal(gram(np.array(entries)), expected)
-        with pytest.raises(AssertionError, match=f"needs order >= {least}, not {len(entries)}$"):
+        with pytest.raises(ValueError, match=f"needs order >= {least}, not {len(entries)}$"):
             FamilyMatrix(SignMatrix(entries), identity)
+
+    @pytest.mark.parametrize("entries,identity,text", [
+        ([[1]], "barba", "the Barba closed form sqrt((2n-1)/(n-1)) needs order >= 2, not 1"),
+        ([[1, 1], [1, -1]], "sds_block",
+         "the SDS closed form sqrt((2n-2)/(n-2)) needs order >= 4, not 2"),
+        ([[1, 1], [1, 1]], "conference_plus_I",
+         "the conference + I closed form (sqrt(n-1)+1)/(sqrt(n-1)-1) needs order >= 3, not 2"),
+    ])
+    def test_the_record_refuses_its_domain_with_the_printed_text(self, entries, identity, text):
+        # `construct family` prints these texts, and no builder checks the order itself
+        with pytest.raises(ValueError) as exc:
+            FamilyMatrix(SignMatrix(entries), identity)
+        assert str(exc.value) == text
 
     @pytest.mark.parametrize("n,symmetric", [(2, False), (3, False), (4, False), (6, True)])
     def test_conference_identity_is_one_gram_equation(self, n, symmetric):

@@ -12,7 +12,7 @@ from approxhad.flatten import (
     flat_orthogonal,
     submatrix_orthogonalize,
 )
-from approxhad.rounding import RoundingPlan, bernstein_bound
+from approxhad.rounding import BernsteinCertificate, RoundingPlan
 
 
 def random_orthogonal(rng, n):
@@ -48,7 +48,7 @@ class TestOrthMatrix:
         assert hand.orthogonality_defect == np.abs(M.entries.T @ M.entries - np.eye(22)).max()
         p = RoundingPlan(hand, trials=1, master_seed=0).plus_probability
         assert 0.0 <= p.min() and p.max() <= 1.0
-        assert bernstein_bound(22, hand.max_abs_entry).kappa_bound == math.inf
+        assert BernsteinCertificate(22, hand.max_abs_entry).kappa_bound == math.inf
         assert OrthMatrix(2.0 * np.eye(3)).orthogonality_defect == 3.0
 
 

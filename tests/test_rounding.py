@@ -12,7 +12,6 @@ from approxhad.rounding import (
     BernsteinCertificate,
     RoundingPlan,
     _kappa_from_error,
-    bernstein_bound,
     round_best,
     round_once,
 )
@@ -20,27 +19,27 @@ from approxhad.rounding import (
 
 class TestBernsteinBound:
     def test_hadamard_order_16(self):
-        cert = bernstein_bound(16, 0.25)
+        cert = BernsteinCertificate(16, 0.25)
         # variance term vanishes exactly at Hadamard flatness
         assert cert.e_n == pytest.approx((2 / 3) * math.log(32))
         assert cert.e_n == pytest.approx(2.31049, abs=1e-5)
 
     def test_infinite_when_error_dominates(self):
-        cert = bernstein_bound(4, 0.9)
+        cert = BernsteinCertificate(4, 0.9)
         assert cert.u * cert.e_n >= 1
         assert math.isinf(cert.kappa_bound)
         assert math.isinf(cert.kappa_bound_doubled)
 
     def test_n96_hadamard_flatness(self):
         # 1/u^2 only hits 96 up to float noise, so allow ~1e-6 on e_n
-        cert = bernstein_bound(96, 1 / math.sqrt(96))
+        cert = BernsteinCertificate(96, 1 / math.sqrt(96))
         assert cert.e_n == pytest.approx((2 / 3) * math.log(192), abs=1e-5)
         assert cert.e_n == pytest.approx(3.50500, abs=1e-4)
         assert cert.u * cert.e_n == pytest.approx(0.3577, abs=1e-4)
         assert cert.kappa_bound == pytest.approx(2.114, abs=2e-3)
 
     def test_clamps_v_at_zero(self):
-        cert = bernstein_bound(9, 0.2)  # 1/u^2 = 25 > 9
+        cert = BernsteinCertificate(9, 0.2)  # 1/u^2 = 25 > 9
         assert cert.e_n == pytest.approx((2 / 3) * math.log(18))
 
     def test_bounds_follow_from_n_and_u(self):
@@ -48,14 +47,18 @@ class TestBernsteinBound:
         with pytest.raises(TypeError):
             BernsteinCertificate(n=16, u=0.25, e_n=0.0, kappa_bound=1.0, kappa_bound_doubled=1.0)
         cert = BernsteinCertificate(n=16, u=0.25)
-        assert cert == bernstein_bound(16, 0.25)
         assert cert.kappa_bound == _kappa_from_error(0.25, cert.e_n)
         assert cert.kappa_bound_doubled == _kappa_from_error(0.25, 2 * cert.e_n)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_refuses_an_order_below_1(self, n):
+        with pytest.raises(ValueError, match="^order must be >= 1$"):
+            BernsteinCertificate(n, 0.5)
 
     def test_monotone_in_u(self):
         n = 64
         us = np.linspace(1 / math.sqrt(n), 0.3, 40)
-        bounds = [bernstein_bound(n, float(u)).kappa_bound for u in us]
+        bounds = [BernsteinCertificate(n, float(u)).kappa_bound for u in us]
         finite = [b for b in bounds if math.isfinite(b)]
         assert all(b1 <= b2 + 1e-12 for b1, b2 in zip(finite, finite[1:]))
 
