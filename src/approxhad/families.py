@@ -7,7 +7,8 @@ Three families, each certified by an exact integer Gram identity:
 * Barba matrices: A^T A = (n-1) I + J, kappa = sqrt((2n-1)/(n-1));
 * two-circulant block matrices [[R, S], [S^T, -R^T]] whose first rows
   satisfy the autocorrelation identity PAF_r(t) + PAF_s(t) = 2, giving
-  A^T A = I_2 (x) ((n-2) I + 2 J) and kappa = sqrt((2n-2)/(n-2)).
+  A^T A = I_2 (x) ((n-2) I + 2 J) and kappa = sqrt((2n-2)/(n-2));
+  `sds_search` matches only canonical sequences, so finds each pair once.
 
 This module is the one home of these identities and of the Hadamard one,
 A^T A = n I: `detect_gram_class` (which `certify` reads) and `FamilyMatrix`
@@ -213,10 +214,10 @@ def sds_search(half: int) -> list[SdsPair]:
     """All sequence pairs of length `half` satisfying the autocorrelation
     identity, up to cyclic rotation and global negation of each sequence.
 
-    Exhaustive over the 2^(half-1) sequences whose first entry is +1
-    (negation symmetry allows pinning it), matching complementary
-    autocorrelation vectors through sorted PAF keys and integer canonical
-    codes.  A sequence is coded as a `half`-bit integer, bit 1 for +1 and
+    Exhaustive over the canonical sequences (see `_canonical_codes`), which
+    all start with +1: PAF is invariant under rotation and negation, so
+    matching their complementary PAF keys finds each pair exactly once.
+    A sequence is coded as a `half`-bit integer, bit 1 for +1 and
     the first entry most significant; for equal lengths the numeric order
     of codes is the lexicographic order of the sequences, so the pairs,
     sorted by (r, s) code, come out in tuple order.
@@ -227,6 +228,7 @@ def sds_search(half: int) -> list[SdsPair]:
         raise ValueError("exhaustive search supports lengths up to 16")
     mask = (1 << half) - 1
     codes = np.arange(1 << (half - 1), 1 << half, dtype=np.int64)
+    codes = codes[_canonical_codes(codes, half) == codes]
     popcount = np.zeros(1 << half, dtype=np.int64)
     for k in range(half):
         popcount[1 << k : 2 << k] = popcount[: 1 << k] + 1
@@ -250,12 +252,7 @@ def sds_search(half: int) -> list[SdsPair]:
     # position of each match within its sequence's block of partners
     offsets = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
     j = order[np.repeat(lo, counts) + offsets]
-    canon = _canonical_codes(codes, half)
-    # sorted distinct pair codes; np.unique would import numpy.ma
-    found = np.sort((canon[i] << half) | canon[j])
-    keep = np.ones(len(found), dtype=bool)
-    keep[1:] = found[1:] != found[:-1]
-    found = found[keep]
+    found = np.sort((codes[i] << half) | codes[j])
     signs = ((found[:, None] >> np.arange(2 * half - 1, -1, -1)) & 1) * 2 - 1
     return [SdsPair(tuple(row[:half]), tuple(row[half:])) for row in signs.tolist()]
 

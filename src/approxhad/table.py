@@ -124,11 +124,7 @@ def bundled_fixtures(orders: Container[int] | None = None) -> dict[int, dict]:
     the given orders, or all when None.  A witness file is parsed only
     when its order is wanted."""
     root = resources.files("approxhad") / "fixtures"
-    index_file = root / "index.json"
-    try:
-        index = json.loads(index_file.read_text())
-    except FileNotFoundError:
-        return {}
+    index = json.loads((root / "index.json").read_text())
     out = {}
     for entry in index:
         if orders is None or entry["n"] in orders:

@@ -17,7 +17,7 @@ from approxhad.constructions import (
     smallest_order_at_least,
     sylvester,
 )
-from approxhad.finite_field import PrimePowerField, supported_field_orders
+from approxhad.finite_field import PrimePowerField, is_prime, supported_field_orders
 from approxhad.linalg import condition_number, gram
 
 
@@ -43,6 +43,9 @@ class TestFiniteField:
     def test_unsupported(self):
         with pytest.raises(ValueError, match="unsupported"):
             PrimePowerField(15)
+
+    def test_zero_and_one_are_not_prime(self):
+        assert not is_prime(0) and not is_prime(1)
 
     def test_jacobsthal_row_sums(self):
         Q = PrimePowerField(13).jacobsthal()
@@ -82,6 +85,10 @@ class TestSylvester:
     def test_overflow(self):
         with pytest.raises(ValueError):
             sylvester(60)
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            sylvester(-1)
 
 
 class TestPaley:
@@ -208,6 +215,12 @@ class TestSmallestOrder:
     def test_out_of_range(self, catalog):
         with pytest.raises(CatalogGapError):
             smallest_order_at_least(10_000, catalog)
+
+    def test_nothing_above_in_range(self):
+        # orders 1, 2 and 4 fit under 7; none is >= 5
+        with pytest.raises(CatalogGapError, match="no constructible order >= 5") as exc:
+            smallest_order_at_least(5, build_catalog(7))
+        assert (exc.value.below, exc.value.above) == (4, None)
 
     def test_gap_within_bound_above_64(self, catalog):
         for n in range(64, 257):

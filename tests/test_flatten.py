@@ -30,6 +30,10 @@ class TestOrthMatrix:
         with pytest.raises(ValueError, match="not orthogonal"):
             OrthMatrix.from_array(np.ones((3, 3)))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+            OrthMatrix.from_array(np.zeros((2, 3)))
+
     def test_caches_max_entry(self):
         m = OrthMatrix.from_array(np.eye(4))
         assert m.max_abs_entry == 1.0

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -83,6 +84,19 @@ class TestParser:
     def test_csv_variant(self):
         A = parse_sign_matrix_csv("1,-1\n1,1\n")
         assert A.entries.tolist() == [[1, -1], [1, 1]]
+
+    @pytest.mark.parametrize("parse", [parse_sign_matrix, parse_sign_matrix_csv])
+    def test_empty_input(self, parse):
+        with pytest.raises(ParseError, match="empty input"):
+            parse("")
+
+    def test_csv_skips_blank_rows(self):
+        assert parse_sign_matrix_csv("1,1\n\n1,-1\n").entries.tolist() == [[1, 1], [1, -1]]
+
+    def test_csv_non_integer(self):
+        with pytest.raises(ParseError, match="non-integer CSV value at line 1") as exc:
+            parse_sign_matrix_csv("1,x")
+        assert exc.value.line == 1
 
     def test_orth_csv_roundtrip(self):
         rng = np.random.default_rng(4)
@@ -219,6 +233,18 @@ class TestCli:
         code, _, _ = run_cli(capsys, "construct", "family", "--order", "13", "--kind", "barba")
         assert code == 0
         assert len(parsed) == 1
+
+    @pytest.mark.parametrize("argv", [("table", "--min", "7", "--max", "7"),
+                                      ("construct", "family", "--order", "13", "--kind", "barba")])
+    def test_missing_fixture_index_is_an_error(self, capsys, monkeypatch, tmp_path, argv):
+        # an install without fixtures/index.json once fell back silently:
+        # table annealed every row and construct found "no bundled Barba witness"
+        monkeypatch.setattr(table, "resources", types.SimpleNamespace(files=lambda _: tmp_path))
+        with pytest.raises(FileNotFoundError):
+            bundled_fixtures()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert str(tmp_path / "fixtures" / "index.json") in err
 
     @pytest.mark.parametrize("order", ["7", "11", "15", "19", "27"])
     def test_construct_sds_odd_order_is_domain_error(self, capsys, order):

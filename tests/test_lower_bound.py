@@ -239,6 +239,10 @@ class TestOrthogonalTriples:
         for n in (9, 10, 11, 12):
             assert orthogonal_triple_exists(n) == (n % 4 == 0)
 
+    def test_refuses_above_12(self):
+        with pytest.raises(ValueError, match="n <= 12 only"):
+            orthogonal_triple_exists(13)
+
 
 class TestKappaFloor:
     def test_n3(self):

@@ -225,6 +225,11 @@ class TestRoundBest:
         assert result.best_trial == 0  # all trials identical; tie-break
         assert result.empirical_error_norm == pytest.approx(0.0, abs=1e-12)
 
+    def test_needs_a_trial(self):
+        plan = RoundingPlan(target=OrthMatrix.from_array(np.eye(2)), trials=0, master_seed=0)
+        with pytest.raises(ValueError, match="need at least one trial"):
+            round_best(plan)
+
     def test_n3_flat_permutation(self):
         orth, _ = flat_orthogonal(3)
         plan = RoundingPlan(target=orth, trials=64, master_seed=0)

@@ -6,7 +6,8 @@ returns and the sha256 of their "r s" texts (each sequence written as
 the set of pairs, the canonical representative of each sequence and the
 order of the list are all pinned.  The values were recorded with the
 hash-bucket implementation, before the search moved onto sorted PAF keys
-and integer canonical codes.
+and integer canonical codes; they held again when the search began to
+match canonical sequences only, instead of deduplicating all matches.
 """
 
 import hashlib

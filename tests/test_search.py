@@ -1,3 +1,4 @@
+import fcntl
 import itertools
 import json
 import math
@@ -6,12 +7,15 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from approxhad import search
 from approxhad.linalg import SignMatrix, condition_number, gram, gram_kappas
 from approxhad.search import (
     Registry,
@@ -346,6 +350,40 @@ class TestRegistry:
         assert Registry(tmp_path).update(record) is True
         assert time.monotonic() - t0 < 1.0
         assert not (tmp_path / "2" / ".lock").exists()
+
+    def test_writer_waits_for_the_lock_holder(self, tmp_path, monkeypatch):
+        # the test holds 2/.lock as another writer would: the writer thread
+        # retries without writing until the holder lets go, and then stores
+        retries = threading.Semaphore(0)
+
+        def counted_sleep(seconds):
+            retries.release()
+            time.sleep(seconds)
+
+        monkeypatch.setattr(search, "time", types.SimpleNamespace(sleep=counted_sleep))
+        lock_path = tmp_path / "2" / ".lock"
+        lock_path.parent.mkdir()
+        held = os.open(lock_path, os.O_CREAT | os.O_RDWR)
+        fcntl.flock(held, fcntl.LOCK_EX)
+        A = SignMatrix([[1, 1], [1, -1]])
+        record = SearchRecord(structure="general", kappa=condition_number(A).kappa,
+                              matrix=A, seed=0, effort={})
+        stored = []
+        writer = threading.Thread(target=lambda: stored.append(Registry(tmp_path).update(record)))
+        writer.start()
+        try:
+            for _ in range(3):
+                assert retries.acquire(timeout=10)
+            assert writer.is_alive() and stored == []
+            assert not (tmp_path / "2" / "index.json").exists()
+        finally:
+            # release as a holder does: unlink the file, then unlock it
+            lock_path.unlink()
+            os.close(held)
+            writer.join(timeout=10)
+        assert stored == [True]
+        assert Registry(tmp_path).best(2, "general")["seed"] == 0
+        assert not lock_path.exists()
 
     def test_concurrent_writers_lose_no_update(self, tmp_path):
         # four processes (more than the cores here) each store five records
