@@ -22,7 +22,11 @@ OPENBLAS_NUM_THREADS is 1 unless already set, before NumPy loads, because
 round's empirical_E_norm depends on the BLAS thread count.  approxhad is
 imported from sys.path, so any checkout can be digested:
 
-Usage: PYTHONPATH=<checkout>/src python scripts/output_digest.py
+With --by-command, each group's line is followed by one indented line per
+command, its digest and its arguments, so a group that moved names the
+command that moved it.
+
+Usage: PYTHONPATH=<checkout>/src python scripts/output_digest.py [--by-command]
 """
 
 from __future__ import annotations
@@ -102,9 +106,10 @@ def _commands(tmp: Path):
     yield "plot", ["plot", "--registry", str(registry), "--out", str(plot)], [plot]
 
 
-def digests() -> dict[str, str]:
-    """SHA-256 of each group's normalized outputs, by group."""
-    hashes = {}
+def digests() -> dict[str, tuple[str, list[tuple[str, str]]]]:
+    """By group, the SHA-256 of its normalized outputs and, in run order,
+    each command's arguments with the SHA-256 of its own share of them."""
+    hashes, commands = {}, {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
 
         def clean(text: str) -> str:
@@ -116,17 +121,24 @@ def digests() -> dict[str, str]:
             parts = [" ".join(argv), str(code), out, err]
             paths = [f for p in files for f in (sorted(p.rglob("*")) if p.is_dir() else [p])]
             parts += [f"{p}\n{p.read_text()}" for p in paths if p.is_file()]
-            h = hashes.setdefault(group, hashlib.sha256())
-            h.update(clean("\0".join(parts) + "\0").encode())
-    return {group: h.hexdigest() for group, h in hashes.items()}
+            data = clean("\0".join(parts) + "\0").encode()
+            hashes.setdefault(group, hashlib.sha256()).update(data)
+            commands.setdefault(group, []).append(
+                (clean(" ".join(argv)), hashlib.sha256(data).hexdigest()))
+    return {group: (h.hexdigest(), commands[group]) for group, h in hashes.items()}
 
 
 def main() -> int:
-    argparse.ArgumentParser(description="One SHA-256 per group of CLI outputs.").parse_args()
+    parser = argparse.ArgumentParser(description="One SHA-256 per group of CLI outputs.")
+    parser.add_argument("--by-command", action="store_true",
+                        help="also print one digest per command, under its group")
+    args = parser.parse_args()
     # a registry named in the environment would feed table and plot
     os.environ.pop(cli.REGISTRY_ENV, None)
-    for group, digest in digests().items():
+    for group, (digest, commands) in digests().items():
         print(group, digest)
+        for argv, command_digest in commands if args.by_command else ():
+            print(" ", command_digest, argv)
     return 0
 
 

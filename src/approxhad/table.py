@@ -8,8 +8,12 @@ at tiny orders, an optional registry, and optional fresh annealing, then
 reports the best kappa per order and whether it matches the target.
 
 Every candidate is a (source, structure class, seed, matrix) record and is
-scored by `condition_number`; the least kappa wins, and a tie goes to the
-source listed first in SOURCES.
+scored by `condition_number` as it is made; the least kappa wins, and a tie
+goes to the source listed first in SOURCES.  A family is made only while
+`families.family_can_win` says it can beat the incumbent, which changes no
+output: below the closed form by more than its tolerance, the incumbent beats
+every member; with the SDS Gram, fixed at I_2 (x) ((n-2) I + 2J), it ties each
+member to the bit and wins (conference + I's Gram (n-2) I + 2A varies with A).
 
 A row can legitimately fail to match in two ways: the searches may simply
 not reach the target (larger orders are best effort), or they may beat
@@ -28,7 +32,7 @@ from functools import cached_property
 from importlib import resources
 from typing import NamedTuple
 
-from .families import conference_plus_identity, sds_family
+from .families import conference_plus_identity, family_can_win, sds_family
 from .linalg import IntPolynomial, SignMatrix, condition_number
 from .matrixio import parse_sign_matrix
 from .search import DEFAULT_BUDGET, Registry, StructureClass, anneal, exhaustive_min, format_kappa
@@ -133,37 +137,47 @@ def bundled_fixtures(orders: Container[int] | None = None) -> dict[int, dict]:
     return out
 
 
-def _candidates(n: int, target: TableTarget, registry: Registry | None,
-                anneal_budget: int, seeds: tuple[int, ...], fixtures: dict) -> list[Candidate]:
-    cands = []
+def _row(n: int, registry: Registry | None, anneal_budget: int,
+         seeds: tuple[int, ...], fixtures: dict) -> TableRow:
+    best = None  # (kappa, rank in SOURCES, candidate) of the least so far
+
+    def offer(cand: Candidate) -> None:
+        nonlocal best
+        scored = (condition_number(cand.matrix).kappa, SOURCES.index(cand.source), cand)
+        if best is None or scored[:2] < best[:2]:  # the earlier anneal seed keeps a tie
+            best = scored
+
     fx = fixtures.get(n)
     if fx is not None:
-        cands.append(Candidate("fixture", fx["class"], fx.get("seed", 0), fx["matrix"]))
+        offer(Candidate("fixture", fx["class"], fx.get("seed", 0), fx["matrix"]))
     # exhaustive_min reaches n = 6, but row 6 has a fixture already, and
     # its 169,911 eigensolves would land on every table run through row 6
     if n <= 5:
-        cands.append(Candidate("exhaustive", "general", 0, exhaustive_min(n).matrix))
-    for source, structure, family in (("sds_block", "two_block_circulant", sds_family),
-                                      ("conference_plus_identity", "symmetric",
-                                       conference_plus_identity)):
+        offer(Candidate("exhaustive", "general", 0, exhaustive_min(n).matrix))
+    # the incumbent comes from a source listed before the families, so wins a tie
+    for source, structure, identity, family in (
+            ("sds_block", "two_block_circulant", "sds_block", sds_family),
+            ("conference_plus_identity", "symmetric", "conference_plus_I", conference_plus_identity)):
+        if best is not None and not family_can_win(identity, best[2].matrix, best[0]):
+            continue
         try:
-            cands.append(Candidate(source, structure, 0, family(n).matrix))
+            offer(Candidate(source, structure, 0, family(n).matrix))
         except ValueError:
             pass
     if registry is not None:
         entry = registry.best(n)
         if entry is not None:
-            cands.append(Candidate("registry", entry["structure"], entry["seed"],
-                                   registry.load_matrix(n, entry)))
-    if not cands and not seeds:
+            offer(Candidate("registry", entry["structure"], entry["seed"],
+                            registry.load_matrix(n, entry)))
+    if best is None and not seeds:
         # no witness from any cheap source: fall back to one fresh search so
         # the row still reports an honest best effort
         seeds = (0,)
-    sclass = StructureClass.parse(target.structure)
+    sclass = StructureClass.parse(TARGETS[n].structure)
     for seed in seeds:
         rec = anneal(n, sclass, seed, anneal_budget)
-        cands.append(Candidate("anneal", rec.structure, seed, rec.matrix))
-    return cands
+        offer(Candidate("anneal", rec.structure, seed, rec.matrix))
+    return TableRow(n, best[0], best[2].structure, best[2].seed, best[2].source)
 
 
 def reproduce_table(
@@ -174,19 +188,8 @@ def reproduce_table(
     seeds: tuple[int, ...] = (),
 ) -> list[TableRow]:
     fixtures = bundled_fixtures(range(n_min, n_max + 1))
-    rows = []
-    for n in sorted(TARGETS):
-        if not n_min <= n <= n_max:
-            continue
-        cands = _candidates(n, TARGETS[n], registry, anneal_budget, seeds, fixtures)
-        # ties within one source (the anneal seed panel) keep the earlier seed
-        kappa, _, best = min(
-            ((condition_number(c.matrix).kappa, SOURCES.index(c.source), c) for c in cands),
-            key=lambda scored: scored[:2],
-        )
-        rows.append(TableRow(n=n, kappa=kappa, structure=best.structure,
-                             seed=best.seed, source=best.source))
-    return rows
+    return [_row(n, registry, anneal_budget, seeds, fixtures)
+            for n in sorted(TARGETS) if n_min <= n <= n_max]
 
 
 def table_csv(rows: list[TableRow]) -> str:

@@ -231,9 +231,12 @@ class TestSdsSearch:
 
     def test_table_row_6_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on first use, which a fresh table
-        # process reaching an even order would pay for
+        # process reaching an even order would pay for; table skips the SDS
+        # search at row 6 (the fixture has the SDS Gram), so run it directly
         code = ("import sys\nfrom approxhad.cli import main\n"
+                "from approxhad.families import sds_family\n"
                 "assert main(['table', '--min', '6', '--max', '6']) == 0\n"
+                "sds_family(6)\n"
                 "print('numpy.ma' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -4,6 +4,7 @@ tests/data/output_digests.json holds the eight group digests at one BLAS
 thread.  A change that means to alter a CLI output edits that file and says
 which groups moved and why."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,9 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_digest():
+def run_digest(*flags):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "output_digest.py")],
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "output_digest.py"), *flags],
                           env=env, capture_output=True, text=True, check=True)
     return [line.split() for line in done.stdout.splitlines()]
 
@@ -23,3 +24,21 @@ def run_digest():
 def test_full_digest_matches_the_pinned_outputs():
     pinned = json.loads((ROOT / "tests" / "data" / "output_digests.json").read_text())
     assert dict(run_digest()) == pinned
+
+
+def test_by_command_lists_every_command_once_under_unchanged_groups(tmp_path):
+    pinned = json.loads((ROOT / "tests" / "data" / "output_digests.json").read_text())
+    lines = run_digest("--by-command")
+    groups = [line for line in lines if len(line) == 2 and line[0] in pinned]
+    assert dict(groups) == pinned
+    printed = [" ".join(line[1:]) for line in lines if line not in groups]
+    spec = importlib.util.spec_from_file_location("output_digest",
+                                                  ROOT / "scripts" / "output_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    by_group = {}  # each group's commands in run order, groups in order of first use
+    for group, argv, _ in script._commands(tmp_path):
+        by_group.setdefault(group, []).append(" ".join(argv).replace(
+            str(script.FIXTURES), "<fixtures>").replace(str(tmp_path), "<tmp>"))
+    assert printed == [command for commands in by_group.values() for command in commands]
+    assert len(set(printed)) == len(printed)
