@@ -20,13 +20,12 @@ with --out, then CSV) and plot (the search registry).
 
 OPENBLAS_NUM_THREADS is 1 unless already set, before NumPy loads, because
 round's empirical_E_norm depends on the BLAS thread count.  approxhad is
-imported from sys.path, so any checkout can be digested:
+imported from sys.path, so any checkout can be digested.
 
-With --by-command, each group's line is followed by one indented line per
-command, its digest and its arguments, so a group that moved names the
-command that moved it.
+Each group's line is followed by one indented line per command, its digest
+and its arguments, so a group that moved names the command that moved it.
 
-Usage: PYTHONPATH=<checkout>/src python scripts/output_digest.py [--by-command]
+Usage: PYTHONPATH=<checkout>/src python scripts/output_digest.py
 """
 
 from __future__ import annotations
@@ -129,15 +128,12 @@ def digests() -> dict[str, tuple[str, list[tuple[str, str]]]]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="One SHA-256 per group of CLI outputs.")
-    parser.add_argument("--by-command", action="store_true",
-                        help="also print one digest per command, under its group")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description="One SHA-256 per group of CLI outputs.").parse_args()
     # a registry named in the environment would feed table and plot
     os.environ.pop(cli.REGISTRY_ENV, None)
     for group, (digest, commands) in digests().items():
         print(group, digest)
-        for argv, command_digest in commands if args.by_command else ():
+        for argv, command_digest in commands:
             print(" ", command_digest, argv)
     return 0
 

@@ -162,8 +162,8 @@ def _expected_gram(identity: str, a: np.ndarray) -> np.ndarray | None:
         return (n - 1) * eye + 1
     if identity == "conference_plus_I":
         return (n - 2) * eye + 2 * a
-    half = np.arange(n) // (n // 2)  # which diagonal block of I_2 (x) J each index is in
-    return (n - 2) * eye + 2 * (half[:, None] == half)
+    block = (n - 2) * np.eye(n // 2, dtype=np.int64) + 2
+    return np.kron(np.eye(2, dtype=np.int64), block)
 
 
 def detect_gram_class(A: SignMatrix) -> str:

@@ -14,31 +14,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_digest(*flags):
+def test_full_digest_matches_the_pinned_outputs(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "output_digest.py"), *flags],
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "output_digest.py")],
                           env=env, capture_output=True, text=True, check=True)
-    return [line.split() for line in done.stdout.splitlines()]
-
-
-def test_full_digest_matches_the_pinned_outputs():
-    pinned = json.loads((ROOT / "tests" / "data" / "output_digests.json").read_text())
-    assert dict(run_digest()) == pinned
-
-
-def test_by_command_lists_every_command_once_under_unchanged_groups(tmp_path):
-    pinned = json.loads((ROOT / "tests" / "data" / "output_digests.json").read_text())
-    lines = run_digest("--by-command")
-    groups = [line for line in lines if len(line) == 2 and line[0] in pinned]
-    assert dict(groups) == pinned
-    printed = [" ".join(line[1:]) for line in lines if line not in groups]
+    digests, listed = {}, {}  # under each group, one "<sha256> <arguments>" line per command
+    for line in done.stdout.splitlines():
+        if line.startswith(" "):
+            listed[group].append(line.split(maxsplit=1)[1])
+        else:
+            group, digests[group] = line.split()
+            listed[group] = []
+    assert digests == json.loads((ROOT / "tests" / "data" / "output_digests.json").read_text())
     spec = importlib.util.spec_from_file_location("output_digest",
                                                   ROOT / "scripts" / "output_digest.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    by_group = {}  # each group's commands in run order, groups in order of first use
+    run = {}  # each group's commands in run order, groups in order of first use
     for group, argv, _ in script._commands(tmp_path):
-        by_group.setdefault(group, []).append(" ".join(argv).replace(
+        run.setdefault(group, []).append(" ".join(argv).replace(
             str(script.FIXTURES), "<fixtures>").replace(str(tmp_path), "<tmp>"))
-    assert printed == [command for commands in by_group.values() for command in commands]
-    assert len(set(printed)) == len(printed)
+    assert list(listed.items()) == list(run.items())
+    commands = [command for group in run.values() for command in group]
+    assert len(set(commands)) == len(commands)
