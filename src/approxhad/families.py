@@ -11,8 +11,8 @@ Three families, each certified by an exact integer Gram identity:
   `sds_search` matches only canonical sequences, so finds each pair once.
 
 This module is the one home of these identities and of the Hadamard one,
-A^T A = n I: `detect_gram_class`, `FamilyMatrix` and `family_can_win` test
-them through one predicate, `_expected_gram`.
+A^T A = n I: `detect_gram_class` and `FamilyMatrix` test them through one
+predicate, `_expected_gram`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "sds_block_matrix",
     "sds_family",
     "detect_gram_class",
-    "family_can_win",
 ]
 
 _KAPPA_RTOL = 1e-10
@@ -145,16 +144,14 @@ class BarbaRejection(ValueError):
         self.expected = expected
 
 
-def _expected_gram(identity: str, a: np.ndarray) -> np.ndarray | None:
-    """A^T A of the +-1 matrix a if a satisfies `identity`; None, which
-    equals no Gram, where no matrix of a's order does (SDS blocks at odd n).
+def _expected_gram(identity: str, a: np.ndarray) -> np.ndarray:
+    """A^T A of the +-1 matrix a if a satisfies `identity`.
 
-    A^T A = (n-2) I + 2A holds iff A = C + I for a symmetric
+    At odd n the SDS block Gram is (n-1) x (n-1), so it equals no Gram of
+    order n.  A^T A = (n-2) I + 2A holds iff A = C + I for a symmetric
     conference matrix C: the left side is symmetric with diagonal n, so A
     is symmetric with unit diagonal, and A^T A = C^2 + 2C + I."""
     n = len(a)
-    if identity == "sds_block" and n % 2:
-        return None
     eye = np.eye(n, dtype=np.int64)
     if identity == "hadamard":
         return n * eye
@@ -173,20 +170,6 @@ def detect_gram_class(A: SignMatrix) -> str:
         if np.array_equal(g, _expected_gram(identity, A.entries)):
             return identity
     return "none"
-
-
-def family_can_win(identity: str, incumbent: SignMatrix, kappa: float) -> bool:
-    """Whether a member of family `identity` could beat an incumbent of its order
-    that scores `kappa` and wins ties: not where the family has no member, nor
-    below its closed form by more than FamilyMatrix's tolerance, nor if the
-    incumbent satisfies an identity that fixes the Gram."""
-    n, (_, least, form) = incumbent.n, _CLOSED_FORMS[identity]
-    if n < least or form(n) - kappa > _KAPPA_RTOL * form(n):
-        return False
-    if identity == "conference_plus_I":  # its Gram (n-2) I + 2A depends on A
-        return True
-    expected = _expected_gram(identity, incumbent.entries)
-    return expected is not None and not np.array_equal(gram(incumbent.entries), expected)
 
 
 def conference_plus_identity(n: int) -> FamilyMatrix:

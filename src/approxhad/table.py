@@ -3,22 +3,19 @@
 TARGETS holds the published best-known kappa per order (10 significant
 digits) together with the minimal polynomial of kappa and the structure
 class the winner lives in.  reproduce_table gathers candidates from the
-bundled fixture witnesses, the closed-form families, exhaustive search
-at tiny orders, an optional registry, and optional fresh annealing, then
-reports the best kappa per order and whether it matches the target.
+bundled fixture witnesses, exhaustive search at tiny orders, an optional
+registry, and optional fresh annealing, then reports the best kappa per
+order and whether it matches the target.
 
 Every candidate is a (source, structure class, seed, matrix) record and is
 scored by `condition_number` as it is made; the least kappa wins, and a tie
-goes to the source listed first in SOURCES.  A family is made only while
-`families.family_can_win` says it can beat the incumbent, which changes no
-output: below the closed form by more than its tolerance, the incumbent beats
-every member; with the SDS Gram, fixed at I_2 (x) ((n-2) I + 2J), it ties each
-member to the bit and wins (conference + I's Gram (n-2) I + 2A varies with A).
+goes to the source listed first in SOURCES.
 
 A row can legitimately fail to match in two ways: the searches may simply
 not reach the target (larger orders are best effort), or they may beat
-it -- the two-circulant-block search at n = 22 finds 1.497493087, below
-the published 1.511424872.  Either way the row reports what was found.
+it -- the bundled n = 22 witness, found by a two-circulant-block anneal,
+has 1.497493087, below the published 1.511424872.  Either way the row
+reports what was found.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from functools import cached_property
 from importlib import resources
 from typing import NamedTuple
 
-from .families import conference_plus_identity, family_can_win, sds_family
 from .linalg import IntPolynomial, SignMatrix, condition_number
 from .matrixio import parse_sign_matrix
 from .search import DEFAULT_BUDGET, Registry, StructureClass, anneal, exhaustive_min, format_kappa
@@ -44,8 +40,7 @@ MATCH_TOLERANCE = 5e-10
 # residual threshold scales with the polynomial's coefficients
 RESIDUAL_REL = 1e-6
 # candidate sources, in tie-break order
-SOURCES = ("exhaustive", "fixture", "sds_block", "conference_plus_identity",
-           "registry", "anneal")
+SOURCES = ("exhaustive", "fixture", "registry", "anneal")
 
 
 @dataclass(frozen=True)
@@ -154,16 +149,6 @@ def _row(n: int, registry: Registry | None, anneal_budget: int,
     # its 169,911 eigensolves would land on every table run through row 6
     if n <= 5:
         offer(Candidate("exhaustive", "general", 0, exhaustive_min(n).matrix))
-    # the incumbent comes from a source listed before the families, so wins a tie
-    for source, structure, identity, family in (
-            ("sds_block", "two_block_circulant", "sds_block", sds_family),
-            ("conference_plus_identity", "symmetric", "conference_plus_I", conference_plus_identity)):
-        if best is not None and not family_can_win(identity, best[2].matrix, best[0]):
-            continue
-        try:
-            offer(Candidate(source, structure, 0, family(n).matrix))
-        except ValueError:
-            pass
     if registry is not None:
         entry = registry.best(n)
         if entry is not None:

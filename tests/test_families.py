@@ -231,8 +231,8 @@ class TestSdsSearch:
 
     def test_table_row_6_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on first use, which a fresh table
-        # process reaching an even order would pay for; table skips the SDS
-        # search at row 6 (the fixture has the SDS Gram), so run it directly
+        # process reaching an even order would pay for; table runs no SDS
+        # search, so run it directly
         code = ("import sys\nfrom approxhad.cli import main\n"
                 "from approxhad.families import sds_family\n"
                 "assert main(['table', '--min', '6', '--max', '6']) == 0\n"

@@ -12,6 +12,7 @@ from approxhad.families import (
     circulant,
     conference_plus_identity,
     sds_block_matrix,
+    sds_family,
     sds_search,
     verify_barba,
 )
@@ -30,6 +31,14 @@ from approxhad.table import (
 
 MATCHED_ROWS = {3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 18, 19, 21, 23, 25, 26, 27, 29, 30}
 BEST_EFFORT_ROWS = {17, 22}
+
+
+def _fixture_kappa(n):
+    return condition_number(bundled_fixtures([n])[n]["matrix"]).kappa
+
+
+def _sds_form(n):
+    return math.sqrt((2 * n - 2) / (n - 2))
 
 
 class TestTargets:
@@ -103,6 +112,35 @@ class TestFixtures:
         bundled = (resources.files("approxhad") / "fixtures" / fx["file"]).read_text()
         assert write_sign_matrix(matrix) == bundled
 
+    # table builds no family member: the guards below show that none could win
+    # its row, so a fixture swap that breaks one shows where a family could again
+    @pytest.mark.parametrize("half", [3, 5, 7, 9])
+    def test_every_sds_member_ties_the_fixture_to_the_bit(self, half):
+        # any SDS member at rows 6-18 could only tie the fixture, which wins on source order
+        kappa = _fixture_kappa(2 * half)
+        pairs = sds_search(half)
+        assert pairs
+        for pair in pairs:
+            assert condition_number(sds_block_matrix(pair).matrix).kappa.hex() == kappa.hex()
+
+    @pytest.mark.parametrize("n", [26, 30])
+    def test_fixture_is_below_the_sds_closed_form(self, n):
+        # every SDS member scores within 1e-10 relative of the form, so above the fixture
+        kappa = _fixture_kappa(n)
+        assert kappa < _sds_form(n) * (1 - 1e-10)
+
+    def test_row_22_has_no_sds_member(self):
+        assert sds_search(11) == []
+        with pytest.raises(ValueError) as exc:
+            sds_family(22)
+        assert str(exc.value) == "no two-circulant pair exists at order 22"
+
+    @pytest.mark.parametrize("n", [6, 10, 14, 18, 26, 30])
+    def test_conference_plus_identity_is_above_the_fixture(self, n):
+        # conference + I has members only at n = 2 mod 4 (none at 22)
+        kappa = _fixture_kappa(n)
+        assert condition_number(conference_plus_identity(n).matrix).kappa > kappa
+
     def test_barba_13_verifies(self):
         fam = verify_barba(bundled_fixtures()[13]["matrix"])
         assert fam.kappa_closed_form == pytest.approx(5 / (2 * math.sqrt(3)), rel=1e-14)
@@ -146,10 +184,18 @@ class TestReproduceTable:
         assert off.minpoly_residual == pytest.approx(0.2)
 
     def test_n22_beats_published_value(self):
-        # the two-circulant-block optimum is strictly below the table entry
+        # the bundled two-circulant-block anneal witness is strictly below the table entry
         row = {r.n: r for r in reproduce_table(22, 22)}[22]
         assert row.kappa < TARGETS[22].kappa_value - 1e-3
         assert row.kappa == pytest.approx(1.4974930872, abs=5e-10)
+
+    def test_builds_no_family_member(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("table built a family member")
+
+        monkeypatch.setattr(families, "sds_search", refuse)
+        monkeypatch.setattr(families, "conference_plus_identity", refuse)
+        assert [r.n for r in reproduce_table(3, 30)] == sorted(TARGETS)
 
     def test_registry_candidates_used(self, tmp_path):
         reg = Registry(tmp_path)
@@ -222,87 +268,3 @@ class TestReproduceTable:
         assert lines[0] == "n,kappa,target_kappa,matched,structure,minpoly_residual,seed,source"
         assert len(lines) == 1 + len(rows)
         assert all(len(l.split(",")) == 8 for l in lines[1:])
-
-
-def _fixture_and_kappa(n):
-    matrix = bundled_fixtures([n])[n]["matrix"]
-    return matrix, condition_number(matrix).kappa
-
-
-def _sds_form(n):
-    return math.sqrt((2 * n - 2) / (n - 2))
-
-
-class TestFamilyPruning:
-    @pytest.mark.parametrize("n", [26, 30])
-    def test_pruned_below_the_closed_form(self, n):
-        matrix, kappa = _fixture_and_kappa(n)
-        assert kappa < _sds_form(n) * (1 - 1e-10)
-        assert not families.family_can_win("sds_block", matrix, kappa)
-
-    def test_closed_form_margin_is_the_family_tolerance(self):
-        # only kappa varies: the n = 22 fixture does not satisfy the SDS identity
-        matrix, _ = _fixture_and_kappa(22)
-        form = _sds_form(22)
-        assert not families.family_can_win("sds_block", matrix, form * (1 - 2e-10))
-        assert families.family_can_win("sds_block", matrix, form * (1 - 0.5e-10))
-
-    @pytest.mark.parametrize("n", [6, 10, 14, 18])
-    def test_pruned_when_the_incumbent_satisfies_the_sds_identity(self, n):
-        matrix, kappa = _fixture_and_kappa(n)
-        # within the closed form's tolerance, so the Gram prunes, not the form
-        assert kappa == pytest.approx(_sds_form(n), rel=1e-10)
-        assert not families.family_can_win("sds_block", matrix, kappa)
-
-    @pytest.mark.parametrize("n", [6, 10, 14, 18])
-    def test_not_pruned_for_a_conference_incumbent_at_its_own_form(self, n):
-        # the conference + I Gram (n-2) I + 2A depends on A, so fixes no kappa bits
-        fam = conference_plus_identity(n)
-        kappa = condition_number(fam.matrix).kappa
-        assert kappa == pytest.approx(fam.kappa_closed_form, rel=1e-10)
-        assert families.family_can_win("conference_plus_I", fam.matrix, kappa)
-
-    def test_not_pruned_above_the_closed_form(self):
-        matrix, kappa = _fixture_and_kappa(22)
-        assert kappa > _sds_form(22)  # 1.497 > 1.449
-        assert families.family_can_win("sds_block", matrix, kappa)
-
-    @pytest.mark.parametrize("n", [7, 19, 29])
-    def test_sds_has_no_member_at_odd_order(self, n):
-        matrix, kappa = _fixture_and_kappa(n)
-        assert kappa > _sds_form(n)
-        assert not families.family_can_win("sds_block", matrix, kappa)
-
-    @pytest.mark.parametrize("half", [3, 5, 7, 9])
-    def test_every_sds_member_ties_the_fixture_to_the_bit(self, half):
-        # the premise of the same-Gram skip: a skipped SDS candidate could
-        # only have tied, and lost to the fixture on source order
-        _, kappa = _fixture_and_kappa(2 * half)
-        pairs = sds_search(half)
-        assert pairs
-        for pair in pairs:
-            assert condition_number(sds_block_matrix(pair).matrix).kappa.hex() == kappa.hex()
-
-    def test_table_searches_sds_only_at_row_22_and_builds_no_conference(self, monkeypatch):
-        searched, built = [], []
-        search, conference = families.sds_search, table.conference_plus_identity
-
-        def traced_search(half):
-            searched.append(half)
-            return search(half)
-
-        def traced_conference(n):
-            fam = conference(n)
-            built.append(n)
-            return fam
-
-        monkeypatch.setattr(families, "sds_search", traced_search)
-        monkeypatch.setattr(table, "conference_plus_identity", traced_conference)
-        reproduce_table(3, 30)
-        assert (searched, built) == ([11], [])
-
-    @pytest.mark.parametrize("lo,hi", [(3, 16), (18, 30)])
-    def test_pruning_changes_no_row(self, lo, hi, monkeypatch):
-        pruned = table_csv(reproduce_table(lo, hi))
-        monkeypatch.setattr(table, "family_can_win", lambda *args: True)
-        assert table_csv(reproduce_table(lo, hi)) == pruned
