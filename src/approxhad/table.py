@@ -3,13 +3,14 @@
 TARGETS holds the published best-known kappa per order (10 significant
 digits) together with the minimal polynomial of kappa and the structure
 class the winner lives in.  reproduce_table gathers candidates from the
-bundled fixture witnesses, exhaustive search at tiny orders, an optional
-registry, and optional fresh annealing, then reports the best kappa per
-order and whether it matches the target.
+bundled fixture witnesses, an optional registry, and optional fresh
+annealing, then reports the best kappa per order and whether it matches
+the target.
 
-Every candidate is a (source, structure class, seed, matrix) record and is
-scored by `condition_number` as it is made; the least kappa wins, and a tie
-goes to the source listed first in SOURCES.
+Every candidate is a (source, structure class, seed, matrix) record, made
+in tie-break order: fixture, registry, then the anneals in seed-panel
+order.  The least `condition_number` kappa wins, and a tie goes to the
+candidate made first.
 
 A row can legitimately fail to match in two ways: the searches may simply
 not reach the target (larger orders are best effort), or they may beat
@@ -27,20 +28,17 @@ from collections.abc import Container
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import NamedTuple
 
-from .linalg import IntPolynomial, SignMatrix, condition_number
+from .linalg import IntPolynomial, condition_number
 from .matrixio import parse_sign_matrix
-from .search import DEFAULT_BUDGET, Registry, StructureClass, anneal, exhaustive_min, format_kappa
+from .search import DEFAULT_BUDGET, Registry, StructureClass, anneal, format_kappa
 
-__all__ = ["TableTarget", "TARGETS", "TableRow", "Candidate", "SOURCES",
-           "reproduce_table", "table_csv", "bundled_fixtures", "MATCH_TOLERANCE"]
+__all__ = ["TableTarget", "TARGETS", "TableRow", "reproduce_table", "table_csv",
+           "bundled_fixtures", "MATCH_TOLERANCE"]
 
 MATCH_TOLERANCE = 5e-10
 # residual threshold scales with the polynomial's coefficients
 RESIDUAL_REL = 1e-6
-# candidate sources, in tie-break order
-SOURCES = ("exhaustive", "fixture", "registry", "anneal")
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ class TableRow:
     kappa: float
     structure: str            # a StructureClass name
     seed: int
-    source: str               # one of SOURCES
+    source: str               # "fixture", "registry" or "anneal"
 
     @property
     def target_kappa(self) -> str:
@@ -109,13 +107,6 @@ class TableRow:
         scale = max(abs(c) for c in TARGETS[self.n].minpoly.coefficients)
         return (abs(self.kappa - TARGETS[self.n].kappa_value) <= MATCH_TOLERANCE
                 and abs(self.minpoly_residual) <= RESIDUAL_REL * scale)
-
-
-class Candidate(NamedTuple):
-    source: str
-    structure: str
-    seed: int
-    matrix: SignMatrix
 
 
 def bundled_fixtures(orders: Container[int] | None = None) -> dict[int, dict]:
@@ -134,35 +125,26 @@ def bundled_fixtures(orders: Container[int] | None = None) -> dict[int, dict]:
 
 def _row(n: int, registry: Registry | None, anneal_budget: int,
          seeds: tuple[int, ...], fixtures: dict) -> TableRow:
-    best = None  # (kappa, rank in SOURCES, candidate) of the least so far
-
-    def offer(cand: Candidate) -> None:
-        nonlocal best
-        scored = (condition_number(cand.matrix).kappa, SOURCES.index(cand.source), cand)
-        if best is None or scored[:2] < best[:2]:  # the earlier anneal seed keeps a tie
-            best = scored
-
+    cands = []  # (source, structure, seed, matrix), in tie-break order
     fx = fixtures.get(n)
     if fx is not None:
-        offer(Candidate("fixture", fx["class"], fx.get("seed", 0), fx["matrix"]))
-    # exhaustive_min reaches n = 6, but row 6 has a fixture already, and
-    # its 169,911 eigensolves would land on every table run through row 6
-    if n <= 5:
-        offer(Candidate("exhaustive", "general", 0, exhaustive_min(n).matrix))
+        cands.append(("fixture", fx["class"], fx.get("seed", 0), fx["matrix"]))
     if registry is not None:
         entry = registry.best(n)
         if entry is not None:
-            offer(Candidate("registry", entry["structure"], entry["seed"],
-                            registry.load_matrix(n, entry)))
-    if best is None and not seeds:
+            cands.append(("registry", entry["structure"], entry["seed"],
+                          registry.load_matrix(n, entry)))
+    if not cands and not seeds:
         # no witness from any cheap source: fall back to one fresh search so
         # the row still reports an honest best effort
         seeds = (0,)
     sclass = StructureClass.parse(TARGETS[n].structure)
     for seed in seeds:
         rec = anneal(n, sclass, seed, anneal_budget)
-        offer(Candidate("anneal", rec.structure, seed, rec.matrix))
-    return TableRow(n, best[0], best[2].structure, best[2].seed, best[2].source)
+        cands.append(("anneal", rec.structure, seed, rec.matrix))
+    scored = [(condition_number(m).kappa, src, st, sd) for src, st, sd, m in cands]
+    kappa, source, structure, seed = min(scored, key=lambda c: c[0])  # first of equal kappa
+    return TableRow(n, kappa, structure, seed, source)
 
 
 def reproduce_table(

@@ -18,10 +18,16 @@ from approxhad.families import (
 )
 from approxhad.linalg import SignMatrix, condition_number
 from approxhad.matrixio import write_sign_matrix
-from approxhad.search import Registry, SearchRecord, StructureClass, anneal, format_kappa
+from approxhad.search import (
+    Registry,
+    SearchRecord,
+    StructureClass,
+    anneal,
+    exhaustive_min,
+    format_kappa,
+)
 from approxhad.table import (
     MATCH_TOLERANCE,
-    SOURCES,
     TARGETS,
     TableRow,
     bundled_fixtures,
@@ -141,6 +147,13 @@ class TestFixtures:
         kappa = _fixture_kappa(n)
         assert condition_number(conference_plus_identity(n).matrix).kappa > kappa
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_fixture_is_the_exact_optimum_in_the_published_class(self, n):
+        # table reads no exhaustive optimum: at rows 3 and 5 the fixture already is one
+        fx = bundled_fixtures()[n]
+        assert _fixture_kappa(n).hex() == exhaustive_min(n).kappa.hex()
+        assert fx["class"] == TARGETS[n].structure
+
     def test_barba_13_verifies(self):
         fam = verify_barba(bundled_fixtures()[13]["matrix"])
         assert fam.kappa_closed_form == pytest.approx(5 / (2 * math.sqrt(3)), rel=1e-14)
@@ -211,7 +224,6 @@ class TestReproduceTable:
                                 kappa=condition_number(fx["matrix"]).kappa,
                                 matrix=fx["matrix"], seed=99, effort={"mode": "test"}))
         row = reproduce_table(6, 6, registry=reg)[0]
-        assert SOURCES.index("fixture") < SOURCES.index("registry")
         assert (row.source, row.structure, row.seed) == ("fixture", fx["class"], fx["seed"])
 
     def test_rows_name_a_class_and_a_source(self):
@@ -219,13 +231,31 @@ class TestReproduceTable:
         assert [r.n for r in rows] == sorted(TARGETS)
         for r in rows:
             StructureClass.parse(r.structure)
-            assert r.source in SOURCES, r
+            assert r.source in ("fixture", "registry", "anneal"), r
         by_n = {r.n: r for r in rows}
-        # the exact optimum wins kappa ties with the n = 5 fixture
-        assert (by_n[5].source, by_n[5].structure) == ("exhaustive", "general")
+        # the fixtures at rows 3 and 5 are exact optima in the published class
+        assert {(by_n[n].source, by_n[n].structure) for n in (3, 5)} == {("fixture", "circulant")}
         assert by_n[17].source == "anneal"
         # the orbit-search witnesses are not symmetric
         assert {(by_n[n].source, by_n[n].structure) for n in (15, 25)} == {("fixture", "general")}
+
+    def test_registry_wins_tie_with_anneal(self, tmp_path):
+        # the registry holds the seed-0 anneal itself, so the panel's anneal ties it
+        reg = Registry(tmp_path)
+        reg.update(anneal(17, StructureClass("symmetric"), 0, 500))
+        row = reproduce_table(17, 17, registry=reg, anneal_budget=500, seeds=(0,))[0]
+        assert (row.source, row.seed) == ("registry", 0)
+
+    def test_registry_entry_skips_the_fallback_anneal(self, tmp_path, monkeypatch):
+        reg = Registry(tmp_path)
+        reg.update(anneal(17, StructureClass("symmetric"), 0, 500))
+
+        def refuse(*args):
+            raise AssertionError("table ran a fallback anneal")
+
+        monkeypatch.setattr(table, "anneal", refuse)
+        row = reproduce_table(17, 17, registry=reg)[0]
+        assert (row.source, row.seed) == ("registry", 0)
 
     def test_fresh_anneal_path(self):
         rows = reproduce_table(7, 7, anneal_budget=4000, seeds=(0, 1))
